@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, SingularMatrixError
 from .poly import BivarPoly, Monomial, Rational, as_rational
@@ -70,6 +70,29 @@ def ambient_degree(spec: BasisSpec) -> int:
     return 2 * spec.n
 
 
+# Vector k of an order-n sequence basis is x^(n-k) times member n + k + offset
+# of the U or V sequence.
+_MEMBERS = {
+    BasisFamily.BU: ("U", 1),
+    BasisFamily.BV: ("V", 0),
+    BasisFamily.BU_STAR: ("U", 0),
+    BasisFamily.BV_STAR: ("V", -1),
+}
+
+# (sequence, basis) pairs whose target has integer coordinates only once doubled.
+_DOUBLED = {("U", BasisFamily.BV), ("U", BasisFamily.BV_STAR), ("V", BasisFamily.BV_STAR)}
+
+
+def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
+    """Sequence letter and index of the member in vector k, e.g. ("U", 7) for U_7."""
+    letter, offset = _MEMBERS[spec.family]
+    return letter, spec.n + k + offset
+
+
+def _member(letter: str, index: int) -> BivarPoly:
+    return u_poly(index) if letter == "U" else v_poly(index)
+
+
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
     """The basis vectors in ascending k order."""
     family, n = spec.family, spec.n
@@ -77,19 +100,42 @@ def build_basis(spec: BasisSpec) -> list[BivarPoly]:
         if n < 0:
             raise DomainError(f"canonical degree index must be >= 0, got {n}")
         return [BivarPoly.monomial(n - 2 * k, k) for k in range(n // 2 + 1)]
-    if family in _STARRED:
-        if n < 1:
-            raise DomainError(f"{family.value} is defined for n >= 1, got {n}")
-        count = n
-        member: Callable[[int], BivarPoly] = (
-            (lambda k: u_poly(n + k)) if family is BasisFamily.BU_STAR else (lambda k: v_poly(n + k - 1))
+    starred = family in _STARRED
+    lowest = 1 if starred else 0
+    if n < lowest:
+        raise DomainError(f"{family.value} is defined for n >= {lowest}, got {n}")
+    count = n if starred else n + 1
+    return [BivarPoly.monomial(n - k, 0) * _member(*member_index(spec, k)) for k in range(count)]
+
+
+def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, BasisSpec, bool]:
+    """The target, basis and doubling with which member ``index`` of U or V decomposes over a family.
+
+    The target is the member itself, or twice it when the pair needs doubling
+    for integer coordinates.  Raises DomainError for U_0 and for a member whose
+    canonical degree has the wrong parity for the family.
+    """
+    if kind == "U" and index == 0:
+        raise DomainError("U_0 is the zero polynomial; nothing to decompose")
+    weight = index - 1 if kind == "U" else index
+    starred = family in _STARRED
+    if starred != (weight % 2 == 1):
+        needed = "odd" if starred else "even"
+        raise DomainError(
+            f"{kind}_{index} spans canonical degree {weight}, "
+            f"but {family.value} bases span {needed}-degree spaces"
         )
-    else:
-        if n < 0:
-            raise DomainError(f"{family.value} is defined for n >= 0, got {n}")
-        count = n + 1
-        member = (lambda k: u_poly(n + k + 1)) if family is BasisFamily.BU else (lambda k: v_poly(n + k))
-    return [BivarPoly.monomial(n - k, 0) * member(k) for k in range(count)]
+    doubled = (kind, family) in _DOUBLED
+    member = _member(kind, index)
+    return (member.scale(2) if doubled else member), BasisSpec(family, (weight + 1) // 2), doubled
+
+
+def combine(coords: Iterable[Rational], vectors: Iterable[BivarPoly]) -> BivarPoly:
+    """The linear combination sum_k coords[k] * vectors[k]."""
+    total = BivarPoly()
+    for coeff, vector in zip(coords, vectors):
+        total = total + vector.scale(coeff)
+    return total
 
 
 def _exact_div(numerator: Rational, denominator: Rational) -> Rational:
@@ -139,34 +185,17 @@ class RationalMatrix:
         return f"RationalMatrix({self._rows!r})"
 
     def det(self) -> Rational:
-        """Exact determinant via fraction-free (Bareiss) elimination.
-
-        Pivots are chosen as the first non-zero entry in the column; there is
-        no magnitude heuristic, so the result is bit-for-bit reproducible.
-        """
+        """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise DimensionError(f"determinant needs a square matrix, got {self.rows}x{self.cols}")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return 1
         m = self.row_list()
-        sign = 1
-        prev: Rational = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = _exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-                m[i][k] = 0
-            prev = m[k][k]
-        return as_rational(sign * m[n - 1][n - 1])
+        try:
+            sign = _eliminate(m)
+        except SingularMatrixError:
+            return 0
+        return as_rational(sign * m[-1][-1])
 
     def solve(self, rhs: Sequence[Rational]) -> list[Rational]:
         """Exact solution of self * x = rhs for a square system."""
@@ -175,36 +204,43 @@ class RationalMatrix:
         if len(rhs) != self.rows:
             raise DimensionError(f"right-hand side has length {len(rhs)}, expected {self.rows}")
         n = self.rows
-        if n == 0:
-            return []
         aug = [list(row) + [as_rational(value)] for row, value in zip(self._rows, rhs)]
-        prev: Rational = 1
-        for k in range(n):
-            if aug[k][k] == 0:
-                for i in range(k + 1, n):
-                    if aug[i][k] != 0:
-                        aug[k], aug[i] = aug[i], aug[k]
-                        break
-                else:
-                    raise SingularMatrixError(f"zero pivot column {k}")
-            for i in range(k + 1, n):
-                for j in range(k + 1, n + 1):
-                    aug[i][j] = _exact_div(aug[k][k] * aug[i][j] - aug[i][k] * aug[k][j], prev)
-                aug[i][k] = 0
-            prev = aug[k][k]
+        _eliminate(aug)
         solution: list[Rational] = [0] * n
         for i in range(n - 1, -1, -1):
             acc = aug[i][n]
             for j in range(i + 1, n):
                 acc = acc - aug[i][j] * solution[j]
-            solution[i] = _exact_div_rational(acc, aug[i][i])
+            solution[i] = _exact_div(acc, aug[i][i])
         return solution
 
 
-def _exact_div_rational(numerator: Rational, denominator: Rational) -> Rational:
-    if denominator == 0:
-        raise SingularMatrixError("division by zero pivot in back substitution")
-    return as_rational(Fraction(numerator) / Fraction(denominator))
+def _eliminate(rows: list[list[Rational]]) -> int:
+    """Bareiss elimination of the leading square block, in place, carrying any
+    further columns along; returns the sign of the row permutation.
+
+    Pivots are chosen as the first non-zero entry in the column; there is no
+    magnitude heuristic, so the result is bit-for-bit reproducible.  A column
+    with no pivot raises SingularMatrixError.
+    """
+    n = len(rows)
+    sign = 1
+    prev: Rational = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                raise SingularMatrixError(f"zero pivot column {k}")
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(rows[i])):
+                rows[i][j] = _exact_div(rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j], prev)
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign
 
 
 def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
@@ -266,10 +302,7 @@ class Decomposition:
     coords: tuple[Rational, ...]
 
     def reconstruct(self) -> BivarPoly:
-        total = BivarPoly()
-        for coeff, vector in zip(self.coords, build_basis(self.spec)):
-            total = total + vector.scale(coeff)
-        return total
+        return combine(self.coords, build_basis(self.spec))
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coords)
@@ -301,18 +334,5 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
 def check_determinant(family: BasisFamily, n_max: int) -> CheckResult:
     """Exact determinants for orders 1..n_max against the known value."""
     expected = EXPECTED_DETERMINANTS[family]
-    bad = []
-    for n in range(1, n_max + 1):
-        if coordinate_matrix(BasisSpec(family, n)).det() != expected:
-            bad.append(n)
-    name = f"lemma1.det.{family.value}"
-    if bad:
-        shown = ", ".join(str(n) for n in bad[:5])
-        return CheckResult(name, False, f"det != {expected} at n = {shown}")
-    return CheckResult(name, True, f"det = {expected} for n = 1..{n_max}")
-
-
-def check_determinants(n_max: int) -> list[CheckResult]:
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    return [check_determinant(family, n_max) for family in EXPECTED_DETERMINANTS]
+    bad = [n for n in range(1, n_max + 1) if coordinate_matrix(BasisSpec(family, n)).det() != expected]
+    return CheckResult.over(f"lemma1.det.{family.value}", bad, f"det = {expected} for n = 1..{n_max}")

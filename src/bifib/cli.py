@@ -18,49 +18,33 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable
 
 from .bases import (
     BasisFamily,
     BasisSpec,
-    EXPECTED_DETERMINANTS,
-    check_determinant,
     coordinate_matrix,
     decompose,
     det_by_column_reduction,
     Decomposition,
+    member_index,
+    pairing,
 )
 from .coefficients import (
     MIN_ROW,
     SCHEMES,
     Family,
-    check_theorem,
     closed_triangle,
     cross_check,
     oracle_triangle,
     recurrence_triangle,
 )
 from .errors import BifibError
-from .operators import check_relation, check_shift_law
-from .report import CheckResult
-from .sequences import (
-    SequenceKind,
-    check_alternating_v_sum,
-    check_v_even_simple,
-    check_v_from_u_neighbors,
-    check_v_from_u_pair,
-    u_poly,
-    v_poly,
-)
+from .report import CheckResult, checks
+from .sequences import u_poly, v_poly
 from .specializations import chebyshev_t, chebyshev_u
 
 _SEQUENCE_BASES = ["BU", "BV", "BUstar", "BVstar"]
-_DOUBLED_PAIRS = {
-    ("U", BasisFamily.BV),
-    ("U", BasisFamily.BV_STAR),
-    ("V", BasisFamily.BV_STAR),
-}
-_STARRED = (BasisFamily.BU_STAR, BasisFamily.BV_STAR)
+_VERIFY_SCOPES = ["all", *dict.fromkeys(name.split(".")[0] for name, _ in checks())]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -130,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "scope",
         nargs="?",
-        choices=["all", "lemma1", "lemma2", "relations", "theorems"],
+        choices=_VERIFY_SCOPES,
         default="all",
     )
     verify.add_argument("--format", choices=["text", "json"], default="text")
@@ -222,49 +206,24 @@ def _cmd_det(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _enforce_cap(parser, args, args.n)
-    kind, index = args.kind, args.n
-    family = BasisFamily(args.basis)
-    if kind == "U" and index == 0:
-        print("error: U_0 is the zero polynomial; nothing to decompose", file=sys.stderr)
-        return 2
-    weight = index - 1 if kind == "U" else index
-    starred = family in _STARRED
-    if starred != (weight % 2 == 1):
-        needed = "odd" if starred else "even"
-        print(
-            f"error: {kind}_{index} spans canonical degree {weight}, "
-            f"but {family.value} bases span {needed}-degree spaces",
-            file=sys.stderr,
-        )
-        return 2
-    order = (weight + 1) // 2 if starred else weight // 2
-    doubled = (kind, family) in _DOUBLED_PAIRS
-    member = u_poly(index) if kind == "U" else v_poly(index)
-    target = member.scale(2) if doubled else member
-    decomposition = decompose(target, BasisSpec(family, order))
+    target, spec, doubled = pairing(args.kind, args.n, BasisFamily(args.basis))
+    decomposition = decompose(target, spec)
     if args.format == "json":
         print(json.dumps(decomposition.to_json_dict()))
     else:
-        label = ("2" if doubled else "") + f"{kind}_{index}"
+        label = ("2" if doubled else "") + f"{args.kind}_{args.n}"
         print(f"{label} = {_combination_text(decomposition)}")
     return 0
 
 
 def _combination_text(decomposition: Decomposition) -> str:
-    family = decomposition.spec.family
-    order = decomposition.spec.n
-    letter = "U" if family in (BasisFamily.BU, BasisFamily.BU_STAR) else "V"
-    offset = {
-        BasisFamily.BU: 1,
-        BasisFamily.BV: 0,
-        BasisFamily.BU_STAR: 0,
-        BasisFamily.BV_STAR: -1,
-    }[family]
+    spec = decomposition.spec
     chunks: list[str] = []
     for k, coeff in enumerate(decomposition.coords):
-        power = order - k
+        power = spec.n - k
         xpart = "" if power == 0 else ("x" if power == 1 else f"x^{power}")
-        name = f"{letter}_{order + k + offset}"
+        letter, index = member_index(spec, k)
+        name = f"{letter}_{index}"
         negative = coeff < 0
         magnitude = -coeff if negative else coeff
         if magnitude == 1:
@@ -287,35 +246,14 @@ def _combination_text(decomposition: Decomposition) -> str:
     return "".join(chunks)
 
 
-def _verify_thunks(n_max: int, scope: str) -> list[Callable[[], CheckResult]]:
-    thunks: list[Callable[[], CheckResult]] = []
-    if scope in ("all", "lemma1"):
-        for basis in EXPECTED_DETERMINANTS:
-            thunks.append(lambda basis=basis: check_determinant(basis, n_max))
-    if scope in ("all", "lemma2"):
-        thunks.append(lambda: check_v_from_u_pair(n_max))
-        thunks.append(lambda: check_v_from_u_neighbors(n_max))
-        thunks.append(lambda: check_alternating_v_sum(n_max))
-        thunks.append(lambda: check_v_even_simple(n_max))
-        for kind in SequenceKind:
-            thunks.append(lambda kind=kind: check_shift_law(kind, n_max))
-    if scope in ("all", "relations"):
-        for family in Family:
-            thunks.append(lambda family=family: check_relation(family, n_max))
-    if scope in ("all", "theorems"):
-        for family in Family:
-            thunks.append(lambda family=family: check_theorem(family, n_max))
-    return thunks
-
-
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _enforce_cap(parser, args, args.n_max)
     if args.n_max < 1:
         parser.error("verify needs n_max >= 1")
     timed: list[tuple[CheckResult, float]] = []
-    for thunk in _verify_thunks(args.n_max, args.scope):
+    for _, check in checks(args.scope):
         start = time.perf_counter()
-        result = thunk()
+        result = check(args.n_max)
         timed.append((result, time.perf_counter() - start))
     timed.sort(key=lambda pair: pair[0].name)
     passed = all(result.passed for result, _ in timed)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .bases import BasisFamily, BasisSpec, build_basis, decompose
+from .bases import BasisFamily, BasisSpec, build_basis, combine, decompose
 from .errors import DomainError, IntegralityViolation
 from .poly import BivarPoly
 from .report import CheckResult
@@ -367,22 +367,13 @@ def check_theorem(family: Family, n_max: int) -> CheckResult:
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     scheme = SCHEMES[family]
-    name = f"theorems.{family.value}"
     bad = []
     for n in range(scheme.min_n, n_max + 1):
         spec = BasisSpec(scheme.basis, n)
         coeffs = [closed_value(family, n, k) for k in range(decomposition_length(family, n))]
         target = scheme.target(n)
-        combination = BivarPoly()
-        for coeff, vector in zip(coeffs, build_basis(spec)):
-            combination = combination + vector.scale(coeff)
-        if combination != target or list(decompose(target, spec).coords) != coeffs:
+        if combine(coeffs, build_basis(spec)) != target or list(decompose(target, spec).coords) != coeffs:
             bad.append(n)
-    if bad:
-        shown = ", ".join(str(n) for n in bad[:5])
-        return CheckResult(name, False, f"{scheme.description} fails at n = {shown}")
-    return CheckResult(name, True, f"{scheme.description}, n = {scheme.min_n}..{n_max}")
-
-
-def check_theorems(n_max: int) -> list[CheckResult]:
-    return [check_theorem(family, n_max) for family in Family]
+    return CheckResult.over(
+        f"theorems.{family.value}", bad, f"{scheme.description}, n = {scheme.min_n}..{n_max}"
+    )

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .coefficients import Family
+from .coefficients import MIN_ROW, Family
 from .errors import DomainError
 from .poly import ONE, X, Y, ZERO, BivarPoly, Rational
 from .report import CheckResult
@@ -67,10 +67,6 @@ class OperatorPoly:
     @classmethod
     def shift(cls, power: int = 1) -> OperatorPoly:
         return cls({power: ONE})
-
-    @classmethod
-    def from_poly(cls, poly: BivarPoly) -> OperatorPoly:
-        return cls({0: poly})
 
     @classmethod
     def identity(cls) -> OperatorPoly:
@@ -186,28 +182,20 @@ E_MINUS_X = -X_MINUS_E
 
 def build_family(family: Family, m: int) -> OperatorPoly:
     """Construct one of the five operator families, fully expanded."""
+    if m < MIN_ROW[family]:
+        raise DomainError(f"operator family {family.value.upper()} needs m >= {MIN_ROW[family]}, got {m}")
     if family is Family.A:
-        _require_order(family, m, 0)
         total = X_MINUS_E ** m
         for k in range(1, m + 1):
             total = total + OperatorPoly.shift(k) * (X_MINUS_E ** (m - k)) * 2
         return total
     if family is Family.B:
-        _require_order(family, m, 0)
         return -(E_MINUS_X ** m)
     if family is Family.C:
-        _require_order(family, m, 1)
         return OperatorPoly.shift(m) * 2 + build_family(Family.B, m) * 2 - OperatorPoly.shift(m - 1) * X
     if family is Family.D:
-        _require_order(family, m, 1)
         return (E_MINUS_X ** (m - 1)) * (OperatorPoly({0: X}) - OperatorPoly.shift() * 2)
-    _require_order(family, m, 1)
     return (build_family(Family.A, m - 1) * X + build_family(Family.D, m)) * Fraction(1, 2) + OperatorPoly.shift(m)
-
-
-def _require_order(family: Family, m: int, minimum: int) -> None:
-    if m < minimum:
-        raise DomainError(f"operator family {family.value.upper()} needs m >= {minimum}, got {m}")
 
 
 def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
@@ -223,27 +211,14 @@ def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
                 bad.append((j, m))
         power = power * X_MINUS_E
         sign_pow = sign_pow * minus_y
-    name = f"lemma2.shift-{kind.value.lower()}"
-    if bad:
-        shown = ", ".join(str(pair) for pair in bad[:5])
-        return CheckResult(name, False, f"fails at (j, m) = {shown}")
-    return CheckResult(name, True, f"0 <= j <= m <= {n_max}")
-
-
-def check_shift_lemma(n_max: int) -> list[CheckResult]:
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    return [check_shift_law(kind, n_max) for kind in SequenceKind]
-
-
-_RELATION_RANGES = {Family.A: 0, Family.B: 0, Family.C: 1, Family.D: 1, Family.E: 1}
+    return CheckResult.over(f"lemma2.shift-{kind.value.lower()}", bad, f"0 <= j <= m <= {n_max}", at="(j, m)")
 
 
 def check_relation(family: Family, n_max: int) -> CheckResult:
     """Verify one operator relation by exact application for every order."""
     u_cache = SequenceCache(SequenceKind.FIBONACCI_U)
     v_cache = SequenceCache(SequenceKind.LUCAS_V)
-    start = _RELATION_RANGES[family]
+    start = MIN_ROW[family]
     bad = []
     for n in range(start, n_max + 1):
         op = build_family(family, n)
@@ -259,14 +234,4 @@ def check_relation(family: Family, n_max: int) -> CheckResult:
             ok = op.apply(v_cache, n - 1) == u_cache[2 * n] * 2
         if not ok:
             bad.append(n)
-    name = f"relations.{family.value}"
-    if bad:
-        shown = ", ".join(str(n) for n in bad[:5])
-        return CheckResult(name, False, f"fails at n = {shown}")
-    return CheckResult(name, True, f"n = {start}..{n_max}")
-
-
-def check_relations(n_max: int) -> list[CheckResult]:
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    return [check_relation(family, n_max) for family in Family]
+    return CheckResult.over(f"relations.{family.value}", bad, f"n = {start}..{n_max}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError, MalformedElement
@@ -36,6 +37,7 @@ def as_rational(value: Rational) -> Rational:
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
+@total_ordering
 @dataclass(frozen=True, slots=True)
 class Monomial:
     """A power product x^x_exp * y^y_exp with non-negative exponents.
@@ -62,28 +64,10 @@ class Monomial:
         """x_exp + 2*y_exp, constant across the degree-n canonical family."""
         return self.x_exp + 2 * self.y_exp
 
-    def _order_key(self) -> tuple[int, int]:
-        return (self.degree, self.x_exp)
-
     def __lt__(self, other: Monomial) -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self._order_key() < other._order_key()
-
-    def __le__(self, other: Monomial) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._order_key() <= other._order_key()
-
-    def __gt__(self, other: Monomial) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._order_key() > other._order_key()
-
-    def __ge__(self, other: Monomial) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._order_key() >= other._order_key()
+        return (self.degree, self.x_exp) < (other.degree, other.x_exp)
 
     def __str__(self) -> str:
         return _var_string(self) or "1"

@@ -1,9 +1,12 @@
-"""Uniform pass/fail records produced by the verification routines."""
+"""Uniform pass/fail records and the one registry of verification checks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable, Sequence
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -14,6 +17,13 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    @classmethod
+    def over(cls, name: str, bad: Sequence[object], passed_detail: str, at: str = "n") -> CheckResult:
+        """Pass with ``passed_detail`` when ``bad`` is empty, else fail naming its first five entries."""
+        if bad:
+            return cls(name, False, f"fails at {at} = " + ", ".join(str(b) for b in bad[:5]))
+        return cls(name, True, passed_detail)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}: {self.detail}" if self.detail else f"{status} {self.name}"
@@ -23,5 +33,48 @@ def all_passed(results: Iterable[CheckResult]) -> bool:
     return all(result.passed for result in results)
 
 
-def failing(results: Iterable[CheckResult]) -> list[CheckResult]:
-    return [result for result in results if not result.passed]
+Check = Callable[[int], CheckResult]
+
+
+def checks(scope: str = "all") -> list[tuple[str, Check]]:
+    """The registered checks of one scope, each a name and an ``n_max -> CheckResult`` callable.
+
+    A check's scope is the first dotted part of its name.  The imports are
+    local because every module that defines checks imports this one.
+    """
+    from .bases import EXPECTED_DETERMINANTS, check_determinant
+    from .coefficients import Family, check_theorem
+    from .operators import check_relation, check_shift_law
+    from .sequences import (
+        SequenceKind,
+        check_alternating_v_sum,
+        check_v_even_simple,
+        check_v_from_u_neighbors,
+        check_v_from_u_pair,
+    )
+    from .specializations import check_parity, check_recurrence, check_transfer
+
+    registry: list[tuple[str, Check]] = [
+        *((f"lemma1.det.{b.value}", partial(check_determinant, b)) for b in EXPECTED_DETERMINANTS),
+        ("lemma2.v-from-u-pair", check_v_from_u_pair),
+        ("lemma2.v-from-u-neighbors", check_v_from_u_neighbors),
+        ("lemma2.alternating-v-sum", check_alternating_v_sum),
+        ("lemma2.v-even-simple", check_v_even_simple),
+        *((f"lemma2.shift-{k.value.lower()}", partial(check_shift_law, k)) for k in SequenceKind),
+        *((f"relations.{f.value}", partial(check_relation, f)) for f in Family),
+        *((f"theorems.{f.value}", partial(check_theorem, f)) for f in Family),
+        *((f"chebyshev.recurrence-{kind}", partial(check_recurrence, kind)) for kind in "TU"),
+        *((f"chebyshev.transfer.{f.value}", partial(check_transfer, f)) for f in Family),
+        ("chebyshev.parity", check_parity),
+    ]
+    selected = [(name, check) for name, check in registry if scope in ("all", name.split(".")[0])]
+    if not selected:
+        raise DomainError(f"no checks in scope {scope!r}")
+    return selected
+
+
+def run_checks(scope: str, n_max: int) -> list[CheckResult]:
+    """Run every registered check of ``scope`` up to ``n_max``; failures are reported, never raised."""
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    return [check(n_max) for _, check in checks(scope)]

@@ -6,7 +6,7 @@ Both satisfy W_n = x*W_{n-1} + y*W_{n-2}; U starts 0, 1 and V starts 2, x.
 term from binomial coefficients, giving an independent construction the two
 routes are tested against.
 
-``check_lemma2`` and friends verify, by exact polynomial arithmetic, the
+The ``check_*`` functions verify, by exact polynomial arithmetic, the
 inter-sequence identities that the decomposition machinery leans on:
 
     V_n = 2*U_{n+1} - x*U_n                        (n >= 0)
@@ -100,25 +100,16 @@ def v_poly_closed(n: int) -> BivarPoly:
     return BivarPoly(terms)
 
 
-def _range_detail(n_max: int, bad: list[int], start: int = 0) -> tuple[bool, str]:
-    if bad:
-        shown = ", ".join(str(n) for n in bad[:5])
-        return False, f"fails at n = {shown}"
-    return True, f"n = {start}..{n_max}"
-
-
 def check_v_from_u_pair(n_max: int) -> CheckResult:
     """V_n == 2*U_{n+1} - x*U_n for 0 <= n <= n_max."""
     bad = [n for n in range(n_max + 1) if v_poly(n) != 2 * u_poly(n + 1) - X * u_poly(n)]
-    passed, detail = _range_detail(n_max, bad)
-    return CheckResult("lemma2.v-from-u-pair", passed, detail)
+    return CheckResult.over("lemma2.v-from-u-pair", bad, f"n = 0..{n_max}")
 
 
 def check_v_from_u_neighbors(n_max: int) -> CheckResult:
     """V_n == U_{n+1} + y*U_{n-1} for 1 <= n <= n_max."""
     bad = [n for n in range(1, n_max + 1) if v_poly(n) != u_poly(n + 1) + Y * u_poly(n - 1)]
-    passed, detail = _range_detail(n_max, bad, start=1)
-    return CheckResult("lemma2.v-from-u-neighbors", passed, detail)
+    return CheckResult.over("lemma2.v-from-u-neighbors", bad, f"n = 1..{n_max}")
 
 
 def check_alternating_v_sum(n_max: int) -> CheckResult:
@@ -133,8 +124,7 @@ def check_alternating_v_sum(n_max: int) -> CheckResult:
             sign_pow = sign_pow * minus_y
         if total != u_poly(2 * n + 1) - sign_pow:
             bad.append(n)
-    passed, detail = _range_detail(n_max, bad)
-    return CheckResult("lemma2.alternating-v-sum", passed, detail)
+    return CheckResult.over("lemma2.alternating-v-sum", bad, f"n = 0..{n_max}")
 
 
 def check_v_even_simple(n_max: int) -> CheckResult:
@@ -144,17 +134,5 @@ def check_v_even_simple(n_max: int) -> CheckResult:
         for n in range(n_max + 1)
         if v_poly(2 * n) != 2 * u_poly(2 * n + 1) - X * u_poly(2 * n)
     ]
-    passed, detail = _range_detail(n_max, bad)
-    return CheckResult("lemma2.v-even-simple", passed, detail)
+    return CheckResult.over("lemma2.v-even-simple", bad, f"n = 0..{n_max}")
 
-
-def check_lemma2(n_max: int) -> list[CheckResult]:
-    """Run the sequence identities above; failures are reported, never raised."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    return [
-        check_v_from_u_pair(n_max),
-        check_v_from_u_neighbors(n_max),
-        check_alternating_v_sum(n_max),
-        check_v_even_simple(n_max),
-    ]

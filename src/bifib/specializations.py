@@ -6,11 +6,11 @@ recurrence.  Halving the V image gives the first-kind polynomials T_n
 (seeds 1, x); the U image shifted by one index gives the second-kind
 polynomials (seeds 1, 2x).  The second variable must map to -1, not +1:
 with +1 the recurrence's minus sign is lost, which is exactly what
-``check_remark`` pins down.
+``check_recurrence`` pins down.
 
-``check_theorem_transfer`` confirms that every decomposition identity
-survives substitution of the variables, checked here for both (2x, 1) and
-the Chebyshev image (2x, -1): each side is substituted separately and the
+``check_transfer`` confirms that a decomposition identity survives
+substitution of the variables, checked here for both (2x, 1) and the
+Chebyshev image (2x, -1): each side is substituted separately and the
 results compared exactly.
 
 ``evaluate_numbers`` specialises the sequences at integer points instead:
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bases import BasisSpec, build_basis
+from .bases import BasisSpec, build_basis, combine
 from .coefficients import SCHEMES, Family, closed_value, decomposition_length
 from .errors import DomainError
 from .poly import ONE, X, BivarPoly, Rational
@@ -76,30 +76,19 @@ def evaluate_numbers(kind: SequenceKind, n: int, x0: int, y0: int) -> int:
     return current
 
 
-def check_remark(n_max: int) -> list[CheckResult]:
-    """The two Chebyshev recurrences and their seeds, satisfied exactly."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    results = []
-    for name, member, seeds in (
-        ("chebyshev.recurrence-T", chebyshev_t, (ONE, X)),
-        ("chebyshev.recurrence-U", chebyshev_u, (ONE, X * 2)),
-    ):
-        values = [member(n) for n in range(n_max + 1)]
-        bad = []
-        if values[0] != seeds[0] or values[1] != seeds[1]:
-            bad.append(("seeds", 0))
-        for n in range(2, n_max + 1):
-            if values[n] != 2 * X * values[n - 1] - values[n - 2]:
-                bad.append(("recurrence", n))
-        if bad:
-            results.append(CheckResult(name, False, f"fails at {bad[:5]}"))
-        else:
-            results.append(CheckResult(name, True, f"seeds and recurrence, n = 0..{n_max}"))
-    return results
+def check_recurrence(kind: str, n_max: int) -> CheckResult:
+    """Chebyshev T_n or U_n (``kind`` "T" or "U"): its seeds and recurrence, satisfied exactly."""
+    member, seeds = (chebyshev_t, (ONE, X)) if kind == "T" else (chebyshev_u, (ONE, X * 2))
+    values = [member(n) for n in range(n_max + 1)]
+    bad = [
+        n
+        for n in range(n_max + 1)
+        if values[n] != (seeds[n] if n < 2 else 2 * X * values[n - 1] - values[n - 2])
+    ]
+    return CheckResult.over(f"chebyshev.recurrence-{kind}", bad, f"seeds and recurrence, n = 0..{n_max}")
 
 
-_TRANSFER_IMAGES = ((X * 2, ONE), (X * 2, BivarPoly.constant(-1)))
+_TRANSFER_IMAGES = ((X * 2, 1), (X * 2, -1))
 
 
 def check_transfer(family: Family, n_max: int) -> CheckResult:
@@ -116,21 +105,14 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
         target = scheme.target(n)
         for x_image, y_image in _TRANSFER_IMAGES:
             lhs = target.substitute(x_image, y_image)
-            rhs = BivarPoly()
-            for coeff, vector in zip(coeffs, vectors):
-                rhs = rhs + vector.substitute(x_image, y_image).scale(coeff)
-            if lhs != rhs:
-                bad.append((n, str(y_image)))
-    name = f"chebyshev.transfer.{family.value}"
-    if bad:
-        return CheckResult(name, False, f"fails at (n, y image) = {bad[:5]}")
-    return CheckResult(name, True, f"{scheme.description} under (2x, 1) and (2x, -1), n <= {n_max}")
-
-
-def check_theorem_transfer(n_max: int) -> list[CheckResult]:
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    return [check_transfer(family, n_max) for family in Family]
+            if lhs != combine(coeffs, [vector.substitute(x_image, y_image) for vector in vectors]):
+                bad.append((n, y_image))
+    return CheckResult.over(
+        f"chebyshev.transfer.{family.value}",
+        bad,
+        f"{scheme.description} under (2x, 1) and (2x, -1), n <= {n_max}",
+        at="(n, y image)",
+    )
 
 
 def check_parity(n_max: int) -> CheckResult:
@@ -141,6 +123,4 @@ def check_parity(n_max: int) -> CheckResult:
             if mono.y_exp != 0 or (mono.x_exp - n) % 2 != 0:
                 bad.append(n)
                 break
-    if bad:
-        return CheckResult("chebyshev.parity", False, f"fails at n = {bad[:5]}")
-    return CheckResult("chebyshev.parity", True, f"n = 0..{n_max}")
+    return CheckResult.over("chebyshev.parity", bad, f"n = 0..{n_max}")

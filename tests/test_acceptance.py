@@ -19,12 +19,12 @@ from bifib.bases import (
     decompose,
 )
 from bifib.cli import main
-from bifib.coefficients import Family, check_theorems, closed_triangle, cross_check
-from bifib.operators import check_relations, check_shift_lemma
+from bifib.coefficients import Family, closed_triangle, cross_check
+from bifib.operators import check_shift_law
 from bifib.poly import BivarPoly
-from bifib.report import all_passed
-from bifib.sequences import u_poly, u_poly_closed, v_poly, v_poly_closed
-from bifib.specializations import check_remark, check_theorem_transfer
+from bifib.report import all_passed, run_checks
+from bifib.sequences import SequenceKind, u_poly, u_poly_closed, v_poly, v_poly_closed
+from bifib.specializations import check_recurrence, check_transfer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -69,7 +69,7 @@ def test_criterion_2_determinants():
 
 def test_criterion_3_decomposition_identities():
     with criterion(3, "decomposition identities", budget_seconds=60.0):
-        results = check_theorems(30)
+        results = run_checks("theorems", 30)
         assert all_passed(results), [r.line() for r in results]
 
 
@@ -84,8 +84,8 @@ def test_criterion_4_closed_equals_recurrence():
 
 def test_criterion_5_operator_relations():
     with criterion(5, "operator relations and shift law", budget_seconds=30.0):
-        assert all_passed(check_relations(40))
-        assert all_passed(check_shift_lemma(60))
+        assert all_passed(run_checks("relations", 40))
+        assert all_passed(check_shift_law(kind, 60) for kind in SequenceKind)
 
 
 def test_criterion_6_sequence_closed_forms():
@@ -97,8 +97,8 @@ def test_criterion_6_sequence_closed_forms():
 
 def test_criterion_7_chebyshev_transfer():
     with criterion(7, "chebyshev correspondence and transfer"):
-        assert all_passed(check_remark(40))
-        assert all_passed(check_theorem_transfer(15))
+        assert all_passed(check_recurrence(kind, 40) for kind in "TU")
+        assert all_passed(check_transfer(family, 15) for family in Family)
 
 
 def test_criterion_8_property_suite():

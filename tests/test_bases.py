@@ -12,7 +12,6 @@ from bifib.bases import (
     RationalMatrix,
     ambient_degree,
     build_basis,
-    check_determinants,
     coordinate_matrix,
     decompose,
     det_by_column_reduction,
@@ -24,7 +23,7 @@ from bifib.errors import (
     SingularMatrixError,
 )
 from bifib.poly import BivarPoly, X, Y
-from bifib.report import all_passed
+from bifib.report import all_passed, run_checks
 from bifib.sequences import u_poly, v_poly
 
 SEQUENCE_BASES = list(EXPECTED_DETERMINANTS)
@@ -137,10 +136,23 @@ def test_det_matches_minor_expansion_on_random_matrices():
         return total
 
     rng = random.Random(7)
-    for _ in range(60):
+    for trial in range(60):
         size = rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
-        assert RationalMatrix(rows).det() == minor_det(rows)
+        if trial % 3 == 1:
+            rows[0][0] = 0  # the first pivot needs a row swap, or there is none
+        if trial % 5 == 2 and size > 1:
+            rows[-1] = [2 * value for value in rows[0]]  # dependent rows
+        matrix = RationalMatrix(rows)
+        det = matrix.det()
+        assert det == minor_det(rows)
+        rhs = [rng.randint(-6, 6) for _ in range(size)]
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                matrix.solve(rhs)
+        else:
+            solution = matrix.solve(rhs)
+            assert [sum(a * x for a, x in zip(row, solution)) for row in rows] == rhs
 
 
 def test_solve_returns_exact_rationals():
@@ -176,7 +188,7 @@ def test_column_reduction_exercises_the_difference_identity():
 
 
 def test_check_determinants_report():
-    results = check_determinants(6)
+    results = run_checks("lemma1", 6)
     assert all_passed(results)
     assert {r.name for r in results} == {
         "lemma1.det.BU",

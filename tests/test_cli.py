@@ -1,8 +1,14 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+
+import bifib
+from bifib.report import checks
 
 
 # -- gen -----------------------------------------------------------------------
@@ -165,7 +171,7 @@ def test_verify_all_passes(run_cli):
     code, out, err = run_cli(["verify", "6", "all"])
     assert (code, err) == (0, "")
     lines = out.splitlines()
-    assert lines[-1] == "20/20 checks passed"
+    assert lines[-1] == "28/28 checks passed"
     assert all(line.startswith("PASS ") for line in lines[:-1])
     names = [line.split()[1] for line in lines[:-1]]
     assert names == sorted(names)
@@ -177,7 +183,7 @@ def test_verify_default_scope_is_all(run_cli):
 
 @pytest.mark.parametrize(
     "scope,count",
-    [("lemma1", 4), ("lemma2", 6), ("relations", 5), ("theorems", 5)],
+    [("lemma1", 4), ("lemma2", 6), ("relations", 5), ("theorems", 5), ("chebyshev", 8)],
 )
 def test_verify_scopes(run_cli, scope, count):
     code, out, _ = run_cli(["verify", "5", scope])
@@ -185,6 +191,27 @@ def test_verify_scopes(run_cli, scope, count):
     lines = out.splitlines()
     assert len(lines) == count + 1
     assert lines[-1] == f"{count}/{count} checks passed"
+
+
+def test_verify_all_runs_the_whole_registry(run_cli):
+    code, out, _ = run_cli(["verify", "2", "all", "--format", "json"])
+    assert code == 0
+    names = [check["name"] for check in json.loads(out)["checks"]]
+    assert names == sorted(name for name, _ in checks())
+
+
+def test_every_check_function_is_registered():
+    registered = {getattr(check, "func", check) for _, check in checks()}
+    for info in pkgutil.iter_modules(bifib.__path__):
+        module = importlib.import_module(f"bifib.{info.name}")
+        for name, fn in vars(module).items():
+            if (
+                name.startswith("check_")
+                and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and list(inspect.signature(fn).parameters)[-1:] == ["n_max"]
+            ):
+                assert fn in registered, f"{module.__name__}.{name} is not in the check registry"
 
 
 def test_verify_includes_seed_level_identity(run_cli):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from bifib.bases import BasisSpec, pairing
 from bifib.coefficients import (
+    SCHEMES,
     CoeffTriangle,
     Family,
     MIN_ROW,
@@ -15,11 +17,10 @@ from bifib.coefficients import (
     d_closed,
     e_closed,
     check_theorem,
-    check_theorems,
     oracle_triangle,
     recurrence_triangle,
 )
-from bifib.report import all_passed
+from bifib.report import all_passed, run_checks
 
 A_TABLE = [
     [1],
@@ -218,8 +219,25 @@ def test_cross_check_with_oracle_passes():
         assert cross_check(family, 12).passed
 
 
+def test_pairing_gives_each_scheme_its_target():
+    members = {
+        Family.A: ("U", lambda n: 2 * n + 1),
+        Family.B: ("U", lambda n: 2 * n),
+        Family.C: ("V", lambda n: 2 * n - 1),
+        Family.D: ("V", lambda n: 2 * n - 1),
+        Family.E: ("U", lambda n: 2 * n),
+    }
+    for family, (kind, index) in members.items():
+        scheme = SCHEMES[family]
+        for n in range(1, 9):
+            target, spec, doubled = pairing(kind, index(n), scheme.basis)
+            assert target == scheme.target(n), (family, n)
+            assert spec == BasisSpec(scheme.basis, n)
+            assert doubled == scheme.description.startswith("2*")
+
+
 def test_theorem_checks_pass():
-    results = check_theorems(10)
+    results = run_checks("theorems", 10)
     assert all_passed(results)
     assert {r.name for r in results} == {f"theorems.{f.value}" for f in Family}
     assert check_theorem(Family.A, 3).passed

@@ -9,11 +9,10 @@ from bifib.operators import (
     OperatorPoly,
     X_MINUS_E,
     build_family,
-    check_relations,
-    check_shift_lemma,
+    check_shift_law,
 )
 from bifib.poly import BivarPoly, ONE, X, Y, ZERO
-from bifib.report import all_passed
+from bifib.report import all_passed, run_checks
 from bifib.sequences import SequenceCache, SequenceKind
 
 
@@ -154,11 +153,11 @@ def test_expansions_match_closed_values_up_to_40():
 
 
 def test_relations_pass_up_to_12():
-    assert all_passed(check_relations(12))
+    assert all_passed(run_checks("relations", 12))
 
 
 def test_shift_law_passes_up_to_25():
-    assert all_passed(check_shift_lemma(25))
+    assert all_passed(check_shift_law(kind, 25) for kind in SequenceKind)
 
 
 # -- rendering ---------------------------------------------------------------------

@@ -2,12 +2,13 @@ import pytest
 
 from bifib.errors import DomainError
 from bifib.poly import BivarPoly, ONE, X, Y, ZERO
-from bifib.report import all_passed
+from bifib.report import all_passed, run_checks
 from bifib.sequences import (
     SequenceCache,
     SequenceKind,
     check_alternating_v_sum,
-    check_lemma2,
+    check_v_even_simple,
+    check_v_from_u_neighbors,
     check_v_from_u_pair,
     u_poly,
     u_poly_closed,
@@ -106,7 +107,15 @@ def test_identity_checks_at_seed_level():
 
 
 def test_lemma2_suite_passes_up_to_50():
-    results = check_lemma2(50)
+    results = [
+        check(50)
+        for check in (
+            check_v_from_u_pair,
+            check_v_from_u_neighbors,
+            check_alternating_v_sum,
+            check_v_even_simple,
+        )
+    ]
     assert len(results) == 4
     assert all_passed(results)
     names = {r.name for r in results}
@@ -120,4 +129,4 @@ def test_lemma2_suite_passes_up_to_50():
 
 def test_lemma2_rejects_bad_bound():
     with pytest.raises(DomainError):
-        check_lemma2(0)
+        run_checks("lemma2", 0)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bifib.coefficients import Family
 from bifib.errors import DomainError
 from bifib.poly import BivarPoly, ONE, X
 from bifib.report import all_passed
@@ -12,8 +13,8 @@ from bifib.specializations import (
     CHEBYSHEV_U,
     SpecializationRule,
     check_parity,
-    check_remark,
-    check_theorem_transfer,
+    check_recurrence,
+    check_transfer,
     chebyshev_t,
     chebyshev_u,
     evaluate_numbers,
@@ -84,7 +85,7 @@ def test_negative_index_rejected():
 
 
 def test_remark_checks_pass():
-    assert all_passed(check_remark(40))
+    assert all_passed(check_recurrence(kind, 40) for kind in "TU")
 
 
 def test_parity():
@@ -102,7 +103,7 @@ def test_rules_are_reusable():
 
 
 def test_theorem_transfer_up_to_8():
-    assert all_passed(check_theorem_transfer(8))
+    assert all_passed(check_transfer(family, 8) for family in Family)
 
 
 # -- integer evaluation -----------------------------------------------------------------
