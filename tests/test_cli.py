@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import bifib
+from bifib.errors import DomainError
 from bifib.report import checks
 
 
@@ -198,6 +199,8 @@ def test_verify_all_runs_the_whole_registry(run_cli):
     assert code == 0
     names = [check["name"] for check in json.loads(out)["checks"]]
     assert names == sorted(name for name, _ in checks())
+    with pytest.raises(DomainError):
+        checks("lemma3")
 
 
 def test_every_check_function_is_registered():
