@@ -5,8 +5,7 @@ at index n evaluates to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y]
 and commute with E, making the operator ring a plain commutative polynomial
 ring over the coefficient ring.
 
-``build_family`` constructs five operator families from their defining
-products and sums:
+``build_family`` constructs five operator families, defined by
 
     A_m = (x-E)^m + 2 sum_{k=1..m} E^k (x-E)^(m-k)        (m >= 0)
     B_m = -(E-x)^m                                        (m >= 0)
@@ -14,10 +13,11 @@ products and sums:
     D_m = (E-x)^(m-1) (x-2E)                              (m >= 1)
     E_m = (x A_{m-1} + D_m) / 2 + E^m                     (m >= 1)
 
-Expanded, family F_m equals sum_k f(m,k) x^(m-k) E^k with f the matching
-integer triangle from ``coefficients``; C_m and E_m have zero coefficient
-at k = m.  Applied at the right base index the families annihilate or
-double-step the two sequences:
+A is built by Horner's rule, A_0 = 1 and A_j = (x-E) A_{j-1} + 2 E^j, whose
+expansion is the defining sum.  Expanded, family F_m equals sum_k f(m,k)
+x^(m-k) E^k with f the matching integer triangle from ``coefficients``; C_m
+and E_m have zero coefficient at k = m.  Applied at the right base index the
+families annihilate or double-step the two sequences:
 
     A_n at V, base n     -> 2 U_{2n+1}        (n >= 0)
     B_n at U, base n     -> 0                 (n >= 0)
@@ -55,12 +55,15 @@ class OperatorPoly:
             if not isinstance(power, int) or power < 0:
                 raise ValueError(f"shift power must be a non-negative integer, got {power!r}")
             poly = value if isinstance(value, BivarPoly) else BivarPoly.constant(value)
-            total = acc.get(power, ZERO) + poly
-            if total.is_zero():
-                acc.pop(power, None)
-            else:
-                acc[power] = total
-        self._coeffs = acc
+            acc[power] = acc[power] + poly if power in acc else poly
+        self._coeffs = {k: p for k, p in acc.items() if p}
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, BivarPoly]) -> OperatorPoly:
+        """Wrap a dict of non-zero coefficients without copying or checking it."""
+        op = object.__new__(cls)
+        op._coeffs = coeffs
+        return op
 
     # -- constructors ------------------------------------------------------
 
@@ -103,15 +106,11 @@ class OperatorPoly:
             return NotImplemented
         acc = dict(self._coeffs)
         for power, poly in other._coeffs.items():
-            total = acc.get(power, ZERO) + poly
-            if total.is_zero():
-                acc.pop(power, None)
-            else:
-                acc[power] = total
-        return OperatorPoly(acc)
+            acc[power] = acc[power] + poly if power in acc else poly
+        return OperatorPoly._of({k: p for k, p in acc.items() if p})
 
     def __neg__(self) -> OperatorPoly:
-        return OperatorPoly({k: -p for k, p in self._coeffs.items()})
+        return OperatorPoly._of({k: -p for k, p in self._coeffs.items()})
 
     def __sub__(self, other: OperatorPoly) -> OperatorPoly:
         if not isinstance(other, OperatorPoly):
@@ -120,20 +119,17 @@ class OperatorPoly:
 
     def __mul__(self, other: OperatorPoly | BivarPoly | Rational) -> OperatorPoly:
         if isinstance(other, (BivarPoly, int, Fraction)):
-            return OperatorPoly({k: p * other for k, p in self._coeffs.items()})
+            return OperatorPoly._of({k: q for k, p in self._coeffs.items() if (q := p * other)})
         if not isinstance(other, OperatorPoly):
             return NotImplemented
         acc: dict[int, BivarPoly] = {}
         for k1, p1 in self._coeffs.items():
             for k2, p2 in other._coeffs.items():
                 power = k1 + k2
-                acc[power] = acc.get(power, ZERO) + p1 * p2
-        return OperatorPoly(acc)
+                acc[power] = acc[power] + p1 * p2 if power in acc else p1 * p2
+        return OperatorPoly._of({k: p for k, p in acc.items() if p})
 
-    def __rmul__(self, other: BivarPoly | Rational) -> OperatorPoly:
-        if isinstance(other, (BivarPoly, int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> OperatorPoly:
         if not isinstance(exponent, int) or exponent < 0:
@@ -185,9 +181,9 @@ def build_family(family: Family, m: int) -> OperatorPoly:
     if m < MIN_ROW[family]:
         raise DomainError(f"operator family {family.value.upper()} needs m >= {MIN_ROW[family]}, got {m}")
     if family is Family.A:
-        total = X_MINUS_E ** m
-        for k in range(1, m + 1):
-            total = total + OperatorPoly.shift(k) * (X_MINUS_E ** (m - k)) * 2
+        total = OperatorPoly.identity()
+        for j in range(1, m + 1):
+            total = X_MINUS_E * total + OperatorPoly.shift(j) * 2
         return total
     if family is Family.B:
         return -(E_MINUS_X ** m)

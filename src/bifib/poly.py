@@ -11,6 +11,12 @@ The degree-n canonical family is the monomial list (x^(n-2k) y^k) for
 term has x_exp + 2*y_exp = n); ``canonical_coordinates`` and
 ``from_canonical_coordinates`` convert between such polynomials and their
 coordinate vectors over that family.
+
+Inside, terms are keyed by plain ``(x_exp, y_exp)`` int tuples, and the ring
+operations wrap their already canonical results with the trusted
+``BivarPoly._of`` instead of re-validating them.  ``Monomial`` appears only at
+the API boundary: ``__init__`` keys, ``items``, ``sorted_monomials`` and
+``canonical_monomials``.
 """
 
 from __future__ import annotations
@@ -70,16 +76,24 @@ class Monomial:
         return (self.degree, self.x_exp) < (other.degree, other.x_exp)
 
     def __str__(self) -> str:
-        return _var_string(self) or "1"
+        return _var_string(self.x_exp, self.y_exp) or "1"
 
 
 TermsInput = Union[Mapping, Iterable]
 
 
-def _var_string(mono: Monomial) -> str:
-    x = "" if mono.x_exp == 0 else ("x" if mono.x_exp == 1 else f"x^{mono.x_exp}")
-    y = "" if mono.y_exp == 0 else ("y" if mono.y_exp == 1 else f"y^{mono.y_exp}")
+def _var_string(x_exp: int, y_exp: int) -> str:
+    x = "" if x_exp == 0 else ("x" if x_exp == 1 else f"x^{x_exp}")
+    y = "" if y_exp == 0 else ("y" if y_exp == 1 else f"y^{y_exp}")
     return x + y
+
+
+Key = tuple[int, int]
+
+
+def _canonical(acc: dict[Key, Rational]) -> dict[Key, Rational]:
+    """Drop zero coefficients and turn integral Fractions back into ints."""
+    return {key: c if type(c) is int else as_rational(c) for key, c in acc.items() if c}
 
 
 class BivarPoly:
@@ -93,15 +107,19 @@ class BivarPoly:
 
     def __init__(self, terms: TermsInput = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Rational] = {}
+        acc: dict[Key, Rational] = {}
         for key, value in items:
             mono = key if isinstance(key, Monomial) else Monomial(*key)
-            coeff = acc.get(mono, 0) + as_rational(value)
-            if coeff == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = coeff
-        self._terms = {m: as_rational(c) for m, c in acc.items()}
+            pair = (mono.x_exp, mono.y_exp)
+            acc[pair] = acc.get(pair, 0) + as_rational(value)
+        self._terms = _canonical(acc)
+
+    @classmethod
+    def _of(cls, terms: dict[Key, Rational]) -> BivarPoly:
+        """Wrap an already canonical dict (see ``_canonical``) without copying or checking it."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -116,14 +134,14 @@ class BivarPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, Rational]]:
-        return iter(self._terms.items())
+        return ((Monomial(a, b), c) for (a, b), c in self._terms.items())
 
     def coefficient(self, x_exp: int, y_exp: int) -> Rational:
-        return self._terms.get(Monomial(x_exp, y_exp), 0)
+        return self._terms.get((x_exp, y_exp), 0)
 
     def sorted_monomials(self) -> list[Monomial]:
         """Monomials in display order: descending x_exp, then descending y_exp."""
-        return sorted(self._terms, key=lambda m: (-m.x_exp, -m.y_exp))
+        return [Monomial(a, b) for a, b in sorted(self._terms, reverse=True)]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -134,7 +152,7 @@ class BivarPoly:
 
     def homogeneous_weight(self) -> int | None:
         """The common x_exp + 2*y_exp over all terms, or None when mixed or zero."""
-        weights = {m.weight for m in self._terms}
+        weights = {a + 2 * b for a, b in self._terms}
         if len(weights) == 1:
             return weights.pop()
         return None
@@ -160,18 +178,14 @@ class BivarPoly:
         if not isinstance(other, BivarPoly):
             return NotImplemented
         acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            total = acc.get(mono, 0) + coeff
-            if total == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = total
-        return BivarPoly(acc)
+        for key, coeff in other._terms.items():
+            acc[key] = acc.get(key, 0) + coeff
+        return BivarPoly._of(_canonical(acc))
 
     __radd__ = __add__
 
     def __neg__(self) -> BivarPoly:
-        return BivarPoly({m: -c for m, c in self._terms.items()})
+        return BivarPoly._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: BivarPoly | Rational) -> BivarPoly:
         if isinstance(other, (int, Fraction)):
@@ -188,17 +202,14 @@ class BivarPoly:
             return self.scale(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        acc: dict[Monomial, Rational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = Monomial(m1.x_exp + m2.x_exp, m1.y_exp + m2.y_exp)
-                acc[mono] = acc.get(mono, 0) + c1 * c2
-        return BivarPoly(acc)
+        acc: dict[Key, Rational] = {}
+        for (a1, b1), c1 in self._terms.items():
+            for (a2, b2), c2 in other._terms.items():
+                key = (a1 + a2, b1 + b2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return BivarPoly._of(_canonical(acc))
 
-    def __rmul__(self, other: Rational) -> BivarPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> BivarPoly:
         if not isinstance(exponent, int) or exponent < 0:
@@ -215,9 +226,7 @@ class BivarPoly:
 
     def scale(self, factor: Rational) -> BivarPoly:
         factor = as_rational(factor)
-        if factor == 0:
-            return BivarPoly()
-        return BivarPoly({m: c * factor for m, c in self._terms.items()})
+        return BivarPoly._of(_canonical({key: c * factor for key, c in self._terms.items()}))
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -229,22 +238,21 @@ class BivarPoly:
         """
         x_image = x_image if isinstance(x_image, BivarPoly) else BivarPoly.constant(x_image)
         y_image = y_image if isinstance(y_image, BivarPoly) else BivarPoly.constant(y_image)
-        if not self._terms:
-            return BivarPoly()
-        x_pows = _power_table(x_image, max(m.x_exp for m in self._terms))
-        y_pows = _power_table(y_image, max(m.y_exp for m in self._terms))
-        total = BivarPoly()
-        for mono, coeff in self._terms.items():
-            total = total + (x_pows[mono.x_exp] * y_pows[mono.y_exp]).scale(coeff)
-        return total
+        x_pows = _power_table(x_image, max((a for a, _ in self._terms), default=0))
+        y_pows = _power_table(y_image, max((b for _, b in self._terms), default=0))
+        acc: dict[Key, Rational] = {}
+        for (a, b), coeff in self._terms.items():
+            for key, c in (x_pows[a] * y_pows[b])._terms.items():
+                acc[key] = acc.get(key, 0) + coeff * c
+        return BivarPoly._of(_canonical(acc))
 
     def evaluate(self, x0: Rational, y0: Rational) -> Rational:
         """Exact value at a rational point."""
         x0 = as_rational(x0)
         y0 = as_rational(y0)
         total: Rational = 0
-        for mono, coeff in self._terms.items():
-            total += coeff * x0 ** mono.x_exp * y0 ** mono.y_exp
+        for (a, b), coeff in self._terms.items():
+            total += coeff * x0 ** a * y0 ** b
         return as_rational(total)
 
     # -- canonical-family coordinates ----------------------------------------
@@ -257,12 +265,12 @@ class BivarPoly:
         if n < 0:
             raise DomainError(f"canonical degree index must be >= 0, got {n}")
         coords: list[Rational] = [0] * (n // 2 + 1)
-        for mono, coeff in self._terms.items():
-            if mono.weight != n:
+        for (a, b), coeff in self._terms.items():
+            if a + 2 * b != n:
                 raise MalformedElement(
-                    f"monomial {mono} lies outside the degree-{n} canonical family"
+                    f"monomial {Monomial(a, b)} lies outside the degree-{n} canonical family"
                 )
-            coords[mono.y_exp] = coeff
+            coords[b] = coeff
         return coords
 
     # -- rendering ------------------------------------------------------------
@@ -271,11 +279,11 @@ class BivarPoly:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for mono in self.sorted_monomials():
-            coeff = self._terms[mono]
+        for key in sorted(self._terms, reverse=True):
+            coeff = self._terms[key]
             negative = coeff < 0
             magnitude = -coeff if negative else coeff
-            var = _var_string(mono)
+            var = _var_string(*key)
             if var and magnitude == 1:
                 body = var
             else:
@@ -293,12 +301,12 @@ class BivarPoly:
     def to_json_terms(self) -> list[dict[str, object]]:
         """Term records in display order, with string-encoded big integers."""
         records = []
-        for mono in self.sorted_monomials():
-            coeff = Fraction(self._terms[mono])
+        for a, b in sorted(self._terms, reverse=True):
+            coeff = Fraction(self._terms[a, b])
             records.append(
                 {
-                    "x": mono.x_exp,
-                    "y": mono.y_exp,
+                    "x": a,
+                    "y": b,
                     "num": str(coeff.numerator),
                     "den": str(coeff.denominator),
                 }

@@ -42,7 +42,7 @@ def checks(scope: str = "all") -> list[tuple[str, Check]]:
     A check's scope is the first dotted part of its name.  The imports are
     local because every module that defines checks imports this one.
     """
-    from .bases import EXPECTED_DETERMINANTS, check_determinant
+    from .bases import EXPECTED_DETERMINANTS, check_determinant, check_determinant_cross
     from .coefficients import Family, check_theorem
     from .operators import check_relation, check_shift_law
     from .sequences import (
@@ -56,6 +56,7 @@ def checks(scope: str = "all") -> list[tuple[str, Check]]:
 
     registry: list[tuple[str, Check]] = [
         *((f"lemma1.det.{b.value}", partial(check_determinant, b)) for b in EXPECTED_DETERMINANTS),
+        *((f"lemma1.det-cross.{b.value}", partial(check_determinant_cross, b)) for b in EXPECTED_DETERMINANTS),
         ("lemma2.v-from-u-pair", check_v_from_u_pair),
         ("lemma2.v-from-u-neighbors", check_v_from_u_neighbors),
         ("lemma2.alternating-v-sum", check_alternating_v_sum),

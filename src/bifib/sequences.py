@@ -17,6 +17,7 @@ inter-sequence identities that the decomposition machinery leans on:
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from fractions import Fraction
 from math import comb
@@ -39,14 +40,15 @@ class SequenceKind(Enum):
 class SequenceCache:
     """Append-only list of sequence members, extended on demand.
 
-    Extension is single-writer; reading an already computed prefix stays safe
-    while a later index is being filled in, and a cache that will not grow
-    any further can be shared freely.
+    Safe to share across threads: extension runs under a lock, so each member
+    is appended once and in order, while reading an already computed index
+    takes no lock.
     """
 
     def __init__(self, kind: SequenceKind):
         self.kind = kind
         self._values: list[BivarPoly] = list(kind.seeds())
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._values)
@@ -55,8 +57,11 @@ class SequenceCache:
         if n < 0:
             raise DomainError(f"sequence index must be >= 0, got {n}")
         values = self._values
-        while len(values) <= n:
-            values.append(X * values[-1] + Y * values[-2])
+        if n < len(values):
+            return values[n]
+        with self._lock:
+            while len(values) <= n:
+                values.append(X * values[-1] + Y * values[-2])
         return values[n]
 
 

@@ -195,6 +195,10 @@ def test_check_determinants_report():
         "lemma1.det.BV",
         "lemma1.det.BUstar",
         "lemma1.det.BVstar",
+        "lemma1.det-cross.BU",
+        "lemma1.det-cross.BV",
+        "lemma1.det-cross.BUstar",
+        "lemma1.det-cross.BVstar",
     }
 
 

@@ -172,7 +172,7 @@ def test_verify_all_passes(run_cli):
     code, out, err = run_cli(["verify", "6", "all"])
     assert (code, err) == (0, "")
     lines = out.splitlines()
-    assert lines[-1] == "28/28 checks passed"
+    assert lines[-1] == "32/32 checks passed"
     assert all(line.startswith("PASS ") for line in lines[:-1])
     names = [line.split()[1] for line in lines[:-1]]
     assert names == sorted(names)
@@ -184,7 +184,7 @@ def test_verify_default_scope_is_all(run_cli):
 
 @pytest.mark.parametrize(
     "scope,count",
-    [("lemma1", 4), ("lemma2", 6), ("relations", 5), ("theorems", 5), ("chebyshev", 8)],
+    [("lemma1", 8), ("lemma2", 6), ("relations", 5), ("theorems", 5), ("chebyshev", 8)],
 )
 def test_verify_scopes(run_cli, scope, count):
     code, out, _ = run_cli(["verify", "5", scope])
@@ -233,6 +233,10 @@ def test_verify_json_schema(run_cli):
     assert payload["passed"] is True
     assert payload["non_golden_fields"] == ["seconds"]
     assert [c["name"] for c in payload["checks"]] == [
+        "lemma1.det-cross.BU",
+        "lemma1.det-cross.BUstar",
+        "lemma1.det-cross.BV",
+        "lemma1.det-cross.BVstar",
         "lemma1.det.BU",
         "lemma1.det.BUstar",
         "lemma1.det.BV",

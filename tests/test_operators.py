@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +79,27 @@ def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+halves = st.integers(-9, 9).map(lambda k: Fraction(k, 2))
+fraction_operators = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), halves), max_size=3).map(
+            lambda ts: poly_of(*ts)
+        ),
+    ),
+    max_size=3,
+).map(OperatorPoly)
+
+
+@given(fraction_operators, fraction_operators)
+def test_results_store_no_zero_coefficients(a, b):
+    assert (a - a).is_zero() and (a - a).degree == -1
+    assert (a * (b - b)).degree == -1
+    for result in (a + b, a - b, a * b, -a, a * ZERO, a * 2, a ** 2, a + (-a)):
+        assert all(not p.is_zero() for _, p in result.items())
+        assert result == OperatorPoly(dict(result.items()))
+
+
 # -- application ----------------------------------------------------------------
 
 
@@ -150,6 +173,21 @@ def test_expansions_match_closed_values_up_to_40():
             if family in (Family.C, Family.E):
                 assert op.coefficient(m).is_zero()
             assert all(p.is_integral() for _, p in op.items())
+
+
+def test_families_a_and_e_match_their_defining_formulas():
+    shift = OperatorPoly.shift
+    defined_a = []
+    for m in range(13):
+        a_m = X_MINUS_E ** m
+        for k in range(1, m + 1):
+            a_m = a_m + shift(k) * X_MINUS_E ** (m - k) * 2
+        defined_a.append(a_m)
+        assert build_family(Family.A, m) == a_m, m
+    for m in range(1, 13):
+        d_m = E_MINUS_X ** (m - 1) * (OperatorPoly({0: X}) - shift() * 2)
+        e_m = (defined_a[m - 1] * X + d_m) * Fraction(1, 2) + shift(m)
+        assert build_family(Family.E, m) == e_m, m
 
 
 def test_relations_pass_up_to_12():

@@ -154,6 +154,27 @@ def test_operations_keep_canonical_form(p, q):
                 assert coeff.denominator != 1
 
 
+halves = st.integers(-9, 9).map(lambda k: Fraction(k, 2))
+half_polys = st.lists(st.tuples(exponents, exponents, halves), max_size=5).map(
+    lambda ts: poly_of(*ts)
+)
+
+
+@given(half_polys, half_polys)
+def test_internal_results_are_stored_canonically(p, q):
+    integral_product = p * q.scale(4)  # (a/2) * (2b): Fraction arithmetic, integral result
+    assert integral_product.is_integral()
+    cancelled = (p - p, p + (-p), p * (q - q), p.scale(0))
+    assert all(r.is_zero() for r in cancelled)
+    results = (p + q, p - q, p * q, -p, p.scale(2), p.scale(Fraction(1, 3)), p ** 2)
+    for result in (*results, p.substitute(X * 2, q), integral_product, *cancelled):
+        for coeff in result._terms.values():
+            assert coeff != 0
+            assert type(coeff) is int or coeff.denominator != 1
+        rebuilt = BivarPoly(dict(result.items()))
+        assert result == rebuilt and str(result) == str(rebuilt)
+
+
 # -- substitution --------------------------------------------------------------
 
 

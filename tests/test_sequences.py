@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from bifib.errors import DomainError
@@ -130,3 +133,21 @@ def test_lemma2_suite_passes_up_to_50():
 def test_lemma2_rejects_bad_bound():
     with pytest.raises(DomainError):
         run_checks("lemma2", 0)
+
+
+def test_cache_extension_is_thread_safe():
+    cache = SequenceCache(SequenceKind.FIBONACCI_U)
+    threads = [threading.Thread(target=cache.__getitem__, args=(150,)) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(cache) == 151
+    assert cache[0] == ZERO
+    assert all(cache[n] == u_poly_closed(n) for n in range(1, 151))
