@@ -15,8 +15,10 @@ the coordinates of any member of the ambient space.  That solver is the
 independent oracle against which the closed-form coefficient families are
 checked.
 
-All linear algebra is exact: fraction-free (Bareiss) elimination over
-int/Fraction entries, first-nonzero pivoting only, no floating point.
+All linear algebra is exact, with no floating point: after each row is
+multiplied by the lcm of its denominators, fraction-free (Bareiss) elimination
+runs on plain ints with first-nonzero pivoting, and ``decompose`` checks its
+residual by a matrix-vector product (on ints for integral coordinates).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, SingularMatrixError
@@ -62,12 +65,14 @@ class BasisSpec:
 
 
 def ambient_degree(spec: BasisSpec) -> int:
-    """Degree of the canonical family the basis vectors live in."""
+    """Degree of the canonical family the vectors live in; DomainError below the basis' lowest order."""
     if spec.family is BasisFamily.CANONICAL:
         return spec.n
-    if spec.family in _STARRED:
-        return 2 * spec.n - 1
-    return 2 * spec.n
+    starred = spec.family in _STARRED
+    lowest = 1 if starred else 0
+    if spec.n < lowest:
+        raise DomainError(f"{spec.family.value} is defined for n >= {lowest}, got {spec.n}")
+    return 2 * spec.n - 1 if starred else 2 * spec.n
 
 
 # Vector k of an order-n sequence basis is x^(n-k) times member n + k + offset
@@ -93,6 +98,11 @@ def _member(letter: str, index: int) -> BivarPoly:
     return u_poly(index) if letter == "U" else v_poly(index)
 
 
+def _weight(letter: str, index: int) -> int:
+    """The canonical degree spanned by U_index or V_index."""
+    return index - 1 if letter == "U" else index
+
+
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
     """The basis vectors in ascending k order."""
     family, n = spec.family, spec.n
@@ -100,11 +110,7 @@ def build_basis(spec: BasisSpec) -> list[BivarPoly]:
         if n < 0:
             raise DomainError(f"canonical degree index must be >= 0, got {n}")
         return [BivarPoly.monomial(n - 2 * k, k) for k in range(n // 2 + 1)]
-    starred = family in _STARRED
-    lowest = 1 if starred else 0
-    if n < lowest:
-        raise DomainError(f"{family.value} is defined for n >= {lowest}, got {n}")
-    count = n if starred else n + 1
+    count = ambient_degree(spec) // 2 + 1
     return [BivarPoly.monomial(n - k, 0) * _member(*member_index(spec, k)) for k in range(count)]
 
 
@@ -117,7 +123,7 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
     """
     if kind == "U" and index == 0:
         raise DomainError("U_0 is the zero polynomial; nothing to decompose")
-    weight = index - 1 if kind == "U" else index
+    weight = _weight(kind, index)
     starred = family in _STARRED
     if starred != (weight % 2 == 1):
         needed = "odd" if starred else "even"
@@ -138,14 +144,6 @@ def combine(coords: Iterable[Rational], vectors: Iterable[BivarPoly]) -> BivarPo
     return total
 
 
-def _exact_div(numerator: Rational, denominator: Rational) -> Rational:
-    if isinstance(numerator, int) and isinstance(denominator, int):
-        quotient, remainder = divmod(numerator, denominator)
-        if remainder == 0:
-            return quotient
-    return as_rational(Fraction(numerator) / Fraction(denominator))
-
-
 class RationalMatrix:
     """Dense matrix of exact rationals with exact determinant and solve."""
 
@@ -158,6 +156,13 @@ class RationalMatrix:
         self._rows = data
 
     @classmethod
+    def _of(cls, rows: list[list[Rational]]) -> RationalMatrix:
+        """Wrap rows of equal length and canonical entries without copying or checking them."""
+        matrix = object.__new__(cls)
+        matrix._rows = rows
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> RationalMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -168,10 +173,6 @@ class RationalMatrix:
     @property
     def cols(self) -> int:
         return len(self._rows[0]) if self._rows else 0
-
-    def __getitem__(self, index: tuple[int, int]) -> Rational:
-        i, j = index
-        return self._rows[i][j]
 
     def row_list(self) -> list[list[Rational]]:
         return [list(row) for row in self._rows]
@@ -192,10 +193,10 @@ class RationalMatrix:
             return 1
         m = self.row_list()
         try:
-            sign = _eliminate(m)
+            factor = _eliminate(m)
         except SingularMatrixError:
             return 0
-        return as_rational(sign * m[-1][-1])
+        return as_rational(factor * m[-1][-1])
 
     def solve(self, rhs: Sequence[Rational]) -> list[Rational]:
         """Exact solution of self * x = rhs for a square system."""
@@ -204,53 +205,71 @@ class RationalMatrix:
         if len(rhs) != self.rows:
             raise DimensionError(f"right-hand side has length {len(rhs)}, expected {self.rows}")
         n = self.rows
-        aug = [list(row) + [as_rational(value)] for row, value in zip(self._rows, rhs)]
+        aug = [row + [as_rational(value)] for row, value in zip(self._rows, rhs)]
         _eliminate(aug)
         solution: list[Rational] = [0] * n
         for i in range(n - 1, -1, -1):
-            acc = aug[i][n]
-            for j in range(i + 1, n):
-                acc = acc - aug[i][j] * solution[j]
-            solution[i] = _exact_div(acc, aug[i][i])
+            row = aug[i]
+            acc = row[n] - sum(a * x for a, x in zip(row[i + 1 : n], solution[i + 1 :]))
+            solution[i] = as_rational(Fraction(acc, row[i]))
         return solution
 
 
-def _eliminate(rows: list[list[Rational]]) -> int:
+def _eliminate(rows: list[Sequence[Rational]]) -> Fraction:
     """Bareiss elimination of the leading square block, in place, carrying any
-    further columns along; returns the sign of the row permutation.
+    further columns along, on int rows: each row is first multiplied by the lcm
+    of its denominators.  Returns the permutation sign over the product of those
+    lcms, which times the last pivot is the determinant.
 
-    Pivots are chosen as the first non-zero entry in the column; there is no
-    magnitude heuristic, so the result is bit-for-bit reproducible.  A column
-    with no pivot raises SingularMatrixError.
+    Pivots are the first non-zero entry in the column, so the result is
+    bit-for-bit reproducible.  A column with no pivot raises
+    SingularMatrixError; a Bareiss division with a remainder raises ArithmeticError.
     """
     n = len(rows)
+    scale = 1
+    for i, row in enumerate(rows):
+        multiplier = lcm(*(entry.denominator for entry in row))
+        if multiplier > 1:
+            rows[i] = [(entry * multiplier).numerator for entry in row]
+            scale *= multiplier
     sign = 1
-    prev: Rational = 1
+    prev = 1
     for k in range(n):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                raise SingularMatrixError(f"zero pivot column {k}")
+        first = next((i for i in range(k, n) if rows[i][k]), None)
+        if first is None:
+            raise SingularMatrixError(f"zero pivot column {k}")
+        if first != k:
+            rows[k], rows[first] = rows[first], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, len(rows[i])):
-                rows[i][j] = _exact_div(rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j], prev)
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign
+            row = rows[i]
+            factor = row[k]
+            if factor == 0 and pivot == prev:
+                continue  # the update would leave this row as it is
+            new = [pivot * a - factor * b for a, b in zip(row, top)]
+            if prev != 1:
+                new, remainders = zip(*(divmod(value, prev) for value in new))
+                if any(remainders):
+                    raise ArithmeticError(f"Bareiss division by {prev} is not exact in column {k}")
+            rows[i] = new
+        prev = pivot
+    return Fraction(sign, scale)
 
 
 def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
-    """Square matrix whose column k holds the canonical coordinates of vector k."""
+    """Square matrix whose column k holds the canonical coordinates of vector k,
+    which are its member's own, as x^(n-k) moves no canonical index."""
     if spec.family is BasisFamily.CANONICAL:
         raise DomainError("coordinate_matrix expects one of the four sequence bases")
-    degree = ambient_degree(spec)
-    columns = [vector.canonical_coordinates(degree) for vector in build_basis(spec)]
-    size = degree // 2 + 1
-    return RationalMatrix([[columns[c][r] for c in range(len(columns))] for r in range(size)])
+    size = ambient_degree(spec) // 2 + 1
+    columns = []
+    for k in range(size):
+        letter, index = member_index(spec, k)
+        coords = _member(letter, index).canonical_coordinates(_weight(letter, index))
+        columns.append(coords + [0] * (size - len(coords)))
+    return RationalMatrix._of([list(row) for row in zip(*columns)])
 
 
 def det_by_column_reduction(spec: BasisSpec) -> Rational:
@@ -320,15 +339,16 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
     """Solve for the exact coordinates of ``target`` over the given basis.
 
     Raises MalformedElement when the target has monomials outside the
-    ambient canonical family.  The result reconstructs the target exactly;
-    a non-zero residual would be an internal defect and raises.
+    ambient canonical family.  As canonical coordinates are a linear bijection,
+    M * coords == rhs means the result reconstructs the target exactly; a
+    non-zero residual would be an internal defect and raises.
     """
     rhs = target.canonical_coordinates(ambient_degree(spec))
-    coords = tuple(coordinate_matrix(spec).solve(rhs))
-    decomposition = Decomposition(target, spec, coords)
-    if decomposition.reconstruct() != target:
+    matrix = coordinate_matrix(spec)
+    coords = tuple(matrix.solve(rhs))
+    if any(sum(a * x for a, x in zip(row, coords)) != value for row, value in zip(matrix._rows, rhs)):
         raise ArithmeticError("internal error: decomposition residual is not zero")
-    return decomposition
+    return Decomposition(target, spec, coords)
 
 
 def check_determinant(family: BasisFamily, n_max: int) -> CheckResult:

@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", choices=["U", "V"])
     gen.add_argument("n", type=int)
     gen.add_argument("--format", choices=["text", "json"], default="text")
-    gen.set_defaults(handler=_cmd_gen)
+    gen.set_defaults(handler=_cmd_member, members={"U": u_poly, "V": v_poly})
 
     table = sub.add_parser("table", parents=[common], help="emit a coefficient triangle")
     table.add_argument("family", choices=[f.value for f in Family])
@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cheb.add_argument("kind", choices=["T", "U"])
     cheb.add_argument("n", type=int)
     cheb.add_argument("--format", choices=["text", "json"], default="text")
-    cheb.set_defaults(handler=_cmd_chebyshev)
+    cheb.set_defaults(handler=_cmd_member, members={"T": chebyshev_t, "U": chebyshev_u})
 
     return parser
 
@@ -137,9 +137,10 @@ def _enforce_cap(parser: argparse.ArgumentParser, args: argparse.Namespace, *ind
             parser.error(f"index {value} exceeds the --max-n cap of {args.max_n}")
 
 
-def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_member(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """gen and chebyshev: print member n of the chosen sequence."""
     _enforce_cap(parser, args, args.n)
-    poly = u_poly(args.n) if args.kind == "U" else v_poly(args.n)
+    poly = args.members[args.kind](args.n)
     if args.format == "json":
         print(json.dumps(poly.to_json_terms()))
     else:
@@ -281,13 +282,3 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         ok = sum(1 for result, _ in timed if result.passed)
         print(f"{ok}/{len(timed)} checks passed")
     return 0 if passed else 1
-
-
-def _cmd_chebyshev(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _enforce_cap(parser, args, args.n)
-    poly = chebyshev_t(args.n) if args.kind == "T" else chebyshev_u(args.n)
-    if args.format == "json":
-        print(json.dumps(poly.to_json_terms()))
-    else:
-        print(poly)
-    return 0

@@ -297,14 +297,12 @@ def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
     rows = []
     for n in range(scheme.min_n, n_max + 1):
         coords = decompose(scheme.target(n), BasisSpec(scheme.basis, n)).coords
-        row = []
         for value in coords:
             if not isinstance(value, int):
                 raise IntegralityViolation(
                     f"oracle coordinate {value} for family {family.value}, row {n}"
                 )
-            row.append(value)
-        rows.append(tuple(row))
+        rows.append(coords)
     return CoeffTriangle(family, "oracle", scheme.min_n, tuple(rows))
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .coefficients import MIN_ROW, Family
 from .errors import DomainError
-from .poly import ONE, X, Y, ZERO, BivarPoly, Rational
+from .poly import ONE, X, Y, ZERO, BivarPoly, Rational, _power
 from .report import CheckResult
 from .sequences import SequenceCache, SequenceKind
 
@@ -132,17 +132,7 @@ class OperatorPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> OperatorPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = OperatorPoly.identity()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, OperatorPoly.identity())
 
     # -- action on sequences -------------------------------------------------
 

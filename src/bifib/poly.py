@@ -15,8 +15,7 @@ coordinate vectors over that family.
 Inside, terms are keyed by plain ``(x_exp, y_exp)`` int tuples, and the ring
 operations wrap their already canonical results with the trusted
 ``BivarPoly._of`` instead of re-validating them.  ``Monomial`` appears only at
-the API boundary: ``__init__`` keys, ``items``, ``sorted_monomials`` and
-``canonical_monomials``.
+the API boundary: ``__init__`` keys, ``items`` and ``canonical_monomials``.
 """
 
 from __future__ import annotations
@@ -139,10 +138,6 @@ class BivarPoly:
     def coefficient(self, x_exp: int, y_exp: int) -> Rational:
         return self._terms.get((x_exp, y_exp), 0)
 
-    def sorted_monomials(self) -> list[Monomial]:
-        """Monomials in display order: descending x_exp, then descending y_exp."""
-        return [Monomial(a, b) for a, b in sorted(self._terms, reverse=True)]
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -212,17 +207,7 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> BivarPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, ONE)
 
     def scale(self, factor: Rational) -> BivarPoly:
         factor = as_rational(factor)
@@ -312,6 +297,19 @@ class BivarPoly:
                 }
             )
         return records
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent by repeated squaring, for any ring whose identity is ``one``."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
 
 
 def _power_table(base: BivarPoly, top: int) -> list[BivarPoly]:

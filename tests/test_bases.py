@@ -1,3 +1,4 @@
+import builtins
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifib import bases
 from bifib.bases import (
     BasisFamily,
     BasisSpec,
@@ -95,6 +97,17 @@ def test_coordinate_matrix_rejects_canonical():
         coordinate_matrix(BasisSpec(BasisFamily.CANONICAL, 4))
 
 
+def test_coordinate_matrix_matches_the_product_built_matrix():
+    for family in SEQUENCE_BASES:
+        for n in range(1, 25):
+            spec = BasisSpec(family, n)
+            columns = [v.canonical_coordinates(ambient_degree(spec)) for v in build_basis(spec)]
+            assert coordinate_matrix(spec) == RationalMatrix(zip(*columns))
+    for spec in (BasisSpec(BasisFamily.BU_STAR, 0), BasisSpec(BasisFamily.BU, -1)):
+        with pytest.raises(DomainError):
+            coordinate_matrix(spec)
+
+
 # -- exact linear algebra ----------------------------------------------------------
 
 
@@ -136,9 +149,12 @@ def test_det_matches_minor_expansion_on_random_matrices():
         return total
 
     rng = random.Random(7)
-    for trial in range(60):
+    divisors = set()
+    for trial in range(120):
         size = rng.randint(1, 4)
-        rows = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
+        # from trial 60 on, entries and right-hand sides have denominators 1..4
+        den = (lambda: rng.randint(1, 4)) if trial >= 60 else (lambda: 1)
+        rows = [[Fraction(rng.randint(-6, 6), den()) for _ in range(size)] for _ in range(size)]
         if trial % 3 == 1:
             rows[0][0] = 0  # the first pivot needs a row swap, or there is none
         if trial % 5 == 2 and size > 1:
@@ -146,13 +162,31 @@ def test_det_matches_minor_expansion_on_random_matrices():
         matrix = RationalMatrix(rows)
         det = matrix.det()
         assert det == minor_det(rows)
-        rhs = [rng.randint(-6, 6) for _ in range(size)]
+        rhs = [Fraction(rng.randint(-6, 6), den()) for _ in range(size)]
         if det == 0:
             with pytest.raises(SingularMatrixError):
                 matrix.solve(rhs)
         else:
             solution = matrix.solve(rhs)
             assert [sum(a * x for a, x in zip(row, solution)) for row in rows] == rhs
+            eliminated = matrix.row_list()
+            bases._eliminate(eliminated)
+            divisors.update(abs(eliminated[k][k]) for k in range(size - 1))
+    assert max(divisors) > 1  # later Bareiss steps divided by pivots other than 1
+
+
+def test_inexact_bareiss_division_raises(monkeypatch):
+    matrix = RationalMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])  # pivots 2, 3, 4
+    assert matrix.det() == 4
+    # divide by the wrong divisor: the remainder must raise, never be floored away
+    def wrong_divmod(value, divisor):
+        return builtins.divmod(value, divisor + 1)
+
+    monkeypatch.setattr(bases, "divmod", wrong_divmod, raising=False)
+    with pytest.raises(ArithmeticError, match="not exact"):
+        matrix.det()
+    with pytest.raises(ArithmeticError, match="not exact"):
+        matrix.solve([1, 0, 0])
 
 
 def test_solve_returns_exact_rationals():
@@ -235,6 +269,19 @@ def test_decomposition_reconstructs_target():
     decomposition = decompose(target, BasisSpec(BasisFamily.BV, 4))
     assert decomposition.reconstruct() == target
     assert decomposition.is_integral()
+
+
+def test_decompose_raises_on_a_nonzero_residual(monkeypatch):
+    solve = RationalMatrix.solve
+
+    def perturbed(self, rhs):
+        coords = solve(self, rhs)
+        coords[1] += 1
+        return coords
+
+    monkeypatch.setattr(RationalMatrix, "solve", perturbed)
+    with pytest.raises(ArithmeticError, match="residual is not zero"):
+        decompose(u_poly(8), BasisSpec(BasisFamily.BU_STAR, 4))
 
 
 def test_decompose_rejects_foreign_monomials():
