@@ -38,7 +38,6 @@ from .errors import (
 from .operators import OperatorPoly, build_family
 from .poly import (
     BivarPoly,
-    Monomial,
     ONE,
     X,
     Y,
@@ -83,7 +82,6 @@ __all__ = [
     "Family",
     "IntegralityViolation",
     "MalformedElement",
-    "Monomial",
     "ONE",
     "OperatorPoly",
     "RationalMatrix",

@@ -9,6 +9,10 @@ sequence members times powers of x:
     BUstar(n) = (x^(n-k) U_{n+k})    k = 0..n-1    inside degree 2n-1
     BVstar(n) = (x^(n-k) V_{n+k-1})  k = 0..n-1    inside degree 2n-1
 
+``BasisFamily`` names these four only; the canonical family itself is
+``poly.canonical_monomials``.  The starred bases start at order 1, the others
+at order 0 (``lowest_order``).
+
 Their coordinate matrices over the canonical family are square with exact
 determinant 1 (BU, BUstar) or 2 (BV, BVstar), so ``decompose`` can solve for
 the coordinates of any member of the ambient space.  That solver is the
@@ -30,20 +34,17 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, SingularMatrixError
-from .poly import BivarPoly, Monomial, Rational, as_rational
+from .poly import BivarPoly, Rational, _var_string, as_rational
 from .report import CheckResult
 from .sequences import u_poly, v_poly
 
 
 class BasisFamily(Enum):
-    CANONICAL = "C"
     BU = "BU"
     BV = "BV"
     BU_STAR = "BUstar"
     BV_STAR = "BVstar"
 
-
-_STARRED = (BasisFamily.BU_STAR, BasisFamily.BV_STAR)
 
 EXPECTED_DETERMINANTS = {
     BasisFamily.BU: 1,
@@ -55,24 +56,26 @@ EXPECTED_DETERMINANTS = {
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """One concrete basis: a family plus its order index.
-
-    For CANONICAL, ``n`` is the degree index of the monomial family itself.
-    """
+    """One concrete sequence basis: a family plus its order index n."""
 
     family: BasisFamily
     n: int
 
 
+def lowest_order(family: BasisFamily) -> int:
+    """The smallest order n of a family: 1 for the starred bases, else 0."""
+    return 1 if family in (BasisFamily.BU_STAR, BasisFamily.BV_STAR) else 0
+
+
 def ambient_degree(spec: BasisSpec) -> int:
-    """Degree of the canonical family the vectors live in; DomainError below the basis' lowest order."""
-    if spec.family is BasisFamily.CANONICAL:
-        return spec.n
-    starred = spec.family in _STARRED
-    lowest = 1 if starred else 0
+    """Degree of the canonical family the vectors live in, 2n minus the lowest order.
+
+    Raises DomainError below the family's lowest order.
+    """
+    lowest = lowest_order(spec.family)
     if spec.n < lowest:
         raise DomainError(f"{spec.family.value} is defined for n >= {lowest}, got {spec.n}")
-    return 2 * spec.n - 1 if starred else 2 * spec.n
+    return 2 * spec.n - lowest
 
 
 # Vector k of an order-n sequence basis is x^(n-k) times member n + k + offset
@@ -105,13 +108,8 @@ def _weight(letter: str, index: int) -> int:
 
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
     """The basis vectors in ascending k order."""
-    family, n = spec.family, spec.n
-    if family is BasisFamily.CANONICAL:
-        if n < 0:
-            raise DomainError(f"canonical degree index must be >= 0, got {n}")
-        return [BivarPoly.monomial(n - 2 * k, k) for k in range(n // 2 + 1)]
     count = ambient_degree(spec) // 2 + 1
-    return [BivarPoly.monomial(n - k, 0) * _member(*member_index(spec, k)) for k in range(count)]
+    return [BivarPoly.monomial(spec.n - k, 0) * _member(*member_index(spec, k)) for k in range(count)]
 
 
 def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, BasisSpec, bool]:
@@ -124,9 +122,9 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
     if kind == "U" and index == 0:
         raise DomainError("U_0 is the zero polynomial; nothing to decompose")
     weight = _weight(kind, index)
-    starred = family in _STARRED
-    if starred != (weight % 2 == 1):
-        needed = "odd" if starred else "even"
+    lowest = lowest_order(family)
+    if weight % 2 != lowest:
+        needed = "odd" if lowest else "even"
         raise DomainError(
             f"{kind}_{index} spans canonical degree {weight}, "
             f"but {family.value} bases span {needed}-degree spaces"
@@ -261,8 +259,6 @@ def _eliminate(rows: list[Sequence[Rational]]) -> Fraction:
 def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
     """Square matrix whose column k holds the canonical coordinates of vector k,
     which are its member's own, as x^(n-k) moves no canonical index."""
-    if spec.family is BasisFamily.CANONICAL:
-        raise DomainError("coordinate_matrix expects one of the four sequence bases")
     size = ambient_degree(spec) // 2 + 1
     columns = []
     for k in range(size):
@@ -281,8 +277,6 @@ def det_by_column_reduction(spec: BasisSpec) -> Rational:
     same family one order lower.  The structural facts are verified at every
     step and violations raise ArithmeticError.
     """
-    if spec.family is BasisFamily.CANONICAL:
-        raise DomainError("column reduction expects one of the four sequence bases")
     vectors = build_basis(spec)
     degree = ambient_degree(spec)
     scale: Rational = 1
@@ -307,7 +301,7 @@ def _divide_by_y(poly: BivarPoly) -> BivarPoly:
     terms = {}
     for (a, b), coeff in poly._terms.items():
         if b == 0:
-            raise ArithmeticError(f"{Monomial(a, b)} is not divisible by y")
+            raise ArithmeticError(f"{_var_string(a, b) or '1'} is not divisible by y")
         terms[a, b - 1] = coeff
     return BivarPoly._of(terms)
 

@@ -39,11 +39,12 @@ from .coefficients import (
     recurrence_triangle,
 )
 from .errors import BifibError
+from .poly import _var_string, signed_sum
 from .report import CheckResult, checks
 from .sequences import u_poly, v_poly
 from .specializations import chebyshev_t, chebyshev_u
 
-_SEQUENCE_BASES = ["BU", "BV", "BUstar", "BVstar"]
+_SEQUENCE_BASES = [f.value for f in BasisFamily]
 _VERIFY_SCOPES = ["all", *dict.fromkeys(name.split(".")[0] for name, _ in checks())]
 
 
@@ -219,32 +220,12 @@ def _cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _combination_text(decomposition: Decomposition) -> str:
     spec = decomposition.spec
-    chunks: list[str] = []
-    for k, coeff in enumerate(decomposition.coords):
-        power = spec.n - k
-        xpart = "" if power == 0 else ("x" if power == 1 else f"x^{power}")
+
+    def name(k: int) -> str:
         letter, index = member_index(spec, k)
-        name = f"{letter}_{index}"
-        negative = coeff < 0
-        magnitude = -coeff if negative else coeff
-        if magnitude == 1:
-            head = ""
-        elif isinstance(magnitude, int):
-            head = str(magnitude)
-        else:
-            head = f"({magnitude})"
-        stem = head + xpart
-        if not stem:
-            body = name
-        elif xpart:
-            body = f"{stem} {name}"
-        else:
-            body = stem + name
-        if not chunks:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
+        return f"{_var_string(spec.n - k, 0)} {letter}_{index}".lstrip()
+
+    return signed_sum((coeff, name(k)) for k, coeff in enumerate(decomposition.coords))
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

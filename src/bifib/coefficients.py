@@ -37,11 +37,10 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .bases import BasisFamily, BasisSpec, build_basis, combine, decompose
+from .bases import BasisFamily, BasisSpec, build_basis, combine, decompose, lowest_order, pairing
 from .errors import DomainError, IntegralityViolation
 from .poly import BivarPoly
 from .report import CheckResult
-from .sequences import u_poly, v_poly
 
 
 class Family(Enum):
@@ -58,11 +57,6 @@ MIN_ROW = {Family.A: 0, Family.B: 0, Family.C: 1, Family.D: 1, Family.E: 1}
 def table_row_length(family: Family, n: int) -> int:
     """Entries stored for row n: k = 0..n, except the e family stops at n-1."""
     return n if family is Family.E else n + 1
-
-
-def decomposition_length(family: Family, n: int) -> int:
-    """Coordinates consumed by the decomposition identity for row n."""
-    return n + 1 if family is Family.A else n
 
 
 def _require(condition: bool, family: str, n: int, k: int) -> None:
@@ -256,31 +250,43 @@ _RECURRENCES: dict[Family, Callable[[int], tuple[tuple[int, ...], ...]]] = {
 
 @dataclass(frozen=True)
 class DecompositionScheme:
-    """Which target decomposes over which basis for one coefficient family."""
+    """One family's identity: member 2n + shift of U or V over a basis family.
 
+    The target, its doubling and the first row all come from ``bases.pairing``
+    and ``bases.lowest_order``.
+    """
+
+    kind: str
+    shift: int
     basis: BasisFamily
-    min_n: int
-    target: Callable[[int], BivarPoly]
-    description: str
+
+    @property
+    def min_n(self) -> int:
+        return lowest_order(self.basis)
+
+    def target(self, n: int) -> BivarPoly:
+        return pairing(self.kind, 2 * n + self.shift, self.basis)[0]
+
+    @property
+    def description(self) -> str:
+        """For example "2*U[2n+1] over BV"."""
+        doubled = pairing(self.kind, 2 * self.min_n + self.shift, self.basis)[2]
+        shift = f"{self.shift:+d}" if self.shift else ""
+        return f"{'2*' if doubled else ''}{self.kind}[2n{shift}] over {self.basis.value}"
 
 
 SCHEMES: dict[Family, DecompositionScheme] = {
-    Family.A: DecompositionScheme(
-        BasisFamily.BV, 0, lambda n: u_poly(2 * n + 1).scale(2), "2*U[2n+1] over BV"
-    ),
-    Family.B: DecompositionScheme(
-        BasisFamily.BU_STAR, 1, lambda n: u_poly(2 * n), "U[2n] over BUstar"
-    ),
-    Family.C: DecompositionScheme(
-        BasisFamily.BU_STAR, 1, lambda n: v_poly(2 * n - 1), "V[2n-1] over BUstar"
-    ),
-    Family.D: DecompositionScheme(
-        BasisFamily.BV_STAR, 1, lambda n: v_poly(2 * n - 1).scale(2), "2*V[2n-1] over BVstar"
-    ),
-    Family.E: DecompositionScheme(
-        BasisFamily.BV_STAR, 1, lambda n: u_poly(2 * n).scale(2), "2*U[2n] over BVstar"
-    ),
+    Family.A: DecompositionScheme("U", 1, BasisFamily.BV),
+    Family.B: DecompositionScheme("U", 0, BasisFamily.BU_STAR),
+    Family.C: DecompositionScheme("V", -1, BasisFamily.BU_STAR),
+    Family.D: DecompositionScheme("V", -1, BasisFamily.BV_STAR),
+    Family.E: DecompositionScheme("U", 0, BasisFamily.BV_STAR),
 }
+
+
+def closed_row(family: Family, n: int) -> list[int]:
+    """The closed-form coordinates of row n's decomposition identity, one per basis vector."""
+    return [closed_value(family, n, k) for k in range(n + 1 - SCHEMES[family].min_n)]
 
 
 def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
@@ -368,7 +374,7 @@ def check_theorem(family: Family, n_max: int) -> CheckResult:
     bad = []
     for n in range(scheme.min_n, n_max + 1):
         spec = BasisSpec(scheme.basis, n)
-        coeffs = [closed_value(family, n, k) for k in range(decomposition_length(family, n))]
+        coeffs = closed_row(family, n)
         target = scheme.target(n)
         if combine(coeffs, build_basis(spec)) != target or list(decompose(target, spec).coords) != coeffs:
             bad.append(n)

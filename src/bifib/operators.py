@@ -34,7 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .coefficients import MIN_ROW, Family
+from .bases import BasisSpec, member_index
+from .coefficients import MIN_ROW, SCHEMES, Family
 from .errors import DomainError
 from .poly import ONE, X, Y, ZERO, BivarPoly, Rational, _power
 from .report import CheckResult
@@ -147,16 +148,8 @@ class OperatorPoly:
 
     # -- rendering -------------------------------------------------------------
 
-    def render(self, descending: bool = False) -> str:
-        if not self._coeffs:
-            return "0"
-        powers = self.shift_powers()
-        if descending:
-            powers = powers[::-1]
-        return " + ".join(f"({self._coeffs[k]})·E^{k}" for k in powers)
-
     def __str__(self) -> str:
-        return self.render()
+        return " + ".join(f"({self._coeffs[k]})·E^{k}" for k in self.shift_powers()) or "0"
 
     def __repr__(self) -> str:
         return f"OperatorPoly({str(self)!r})"
@@ -200,24 +193,23 @@ def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
     return CheckResult.over(f"lemma2.shift-{kind.value.lower()}", bad, f"0 <= j <= m <= {n_max}", at="(j, m)")
 
 
+# The families whose operator annihilates its sequence; the others step it to their scheme's target.
+_ANNIHILATING = (Family.B, Family.D)
+
+
 def check_relation(family: Family, n_max: int) -> CheckResult:
-    """Verify one operator relation by exact application for every order."""
-    u_cache = SequenceCache(SequenceKind.FIBONACCI_U)
-    v_cache = SequenceCache(SequenceKind.LUCAS_V)
+    """Verify one operator relation by exact application for every order.
+
+    The order-n operator acts on the sequence of vector 0 of the family's
+    order-n basis (see ``coefficients.SCHEMES``), based at that member's index.
+    """
+    scheme = SCHEMES[family]
+    caches = {kind.value: SequenceCache(kind) for kind in SequenceKind}
     start = MIN_ROW[family]
     bad = []
     for n in range(start, n_max + 1):
-        op = build_family(family, n)
-        if family is Family.A:
-            ok = op.apply(v_cache, n) == u_cache[2 * n + 1] * 2
-        elif family is Family.B:
-            ok = op.apply(u_cache, n).is_zero()
-        elif family is Family.C:
-            ok = op.apply(u_cache, n) == v_cache[2 * n - 1]
-        elif family is Family.D:
-            ok = op.apply(v_cache, n - 1).is_zero()
-        else:
-            ok = op.apply(v_cache, n - 1) == u_cache[2 * n] * 2
-        if not ok:
+        letter, base = member_index(BasisSpec(scheme.basis, n), 0)
+        expected = ZERO if family in _ANNIHILATING else scheme.target(n)
+        if build_family(family, n).apply(caches[letter], base) != expected:
             bad.append(n)
     return CheckResult.over(f"relations.{family.value}", bad, f"n = {start}..{n_max}")

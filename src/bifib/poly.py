@@ -12,17 +12,17 @@ term has x_exp + 2*y_exp = n); ``canonical_coordinates`` and
 ``from_canonical_coordinates`` convert between such polynomials and their
 coordinate vectors over that family.
 
-Inside, terms are keyed by plain ``(x_exp, y_exp)`` int tuples, and the ring
-operations wrap their already canonical results with the trusted
-``BivarPoly._of`` instead of re-validating them.  ``Monomial`` appears only at
-the API boundary: ``__init__`` keys, ``items`` and ``canonical_monomials``.
+A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
+there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
+or negative exponents), and ``items`` and ``canonical_monomials`` return them.
+The ring operations wrap their already canonical results with the trusted
+``BivarPoly._of`` instead of re-validating them.  ``signed_sum`` renders a polynomial, or any other
+signed sum of named terms, as text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError, MalformedElement
@@ -40,42 +40,6 @@ def as_rational(value: Rational) -> Rational:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact rational required, got {type(value).__name__}")
-
-
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """A power product x^x_exp * y^y_exp with non-negative exponents.
-
-    Ordered by total degree, ties broken by x_exp; the order is total and
-    agrees with equality because (degree, x_exp) determines the pair.
-    """
-
-    x_exp: int
-    y_exp: int
-
-    def __post_init__(self):
-        if not isinstance(self.x_exp, int) or not isinstance(self.y_exp, int):
-            raise TypeError("exponents must be integers")
-        if self.x_exp < 0 or self.y_exp < 0:
-            raise ValueError(f"exponents must be non-negative, got {self}")
-
-    @property
-    def degree(self) -> int:
-        return self.x_exp + self.y_exp
-
-    @property
-    def weight(self) -> int:
-        """x_exp + 2*y_exp, constant across the degree-n canonical family."""
-        return self.x_exp + 2 * self.y_exp
-
-    def __lt__(self, other: Monomial) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return (self.degree, self.x_exp) < (other.degree, other.x_exp)
-
-    def __str__(self) -> str:
-        return _var_string(self.x_exp, self.y_exp) or "1"
 
 
 TermsInput = Union[Mapping, Iterable]
@@ -107,10 +71,12 @@ class BivarPoly:
     def __init__(self, terms: TermsInput = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Key, Rational] = {}
-        for key, value in items:
-            mono = key if isinstance(key, Monomial) else Monomial(*key)
-            pair = (mono.x_exp, mono.y_exp)
-            acc[pair] = acc.get(pair, 0) + as_rational(value)
+        for (a, b), value in items:
+            if not isinstance(a, int) or not isinstance(b, int):
+                raise TypeError("exponents must be integers")
+            if a < 0 or b < 0:
+                raise ValueError(f"exponents must be non-negative, got {_var_string(a, b) or '1'}")
+            acc[a, b] = acc.get((a, b), 0) + as_rational(value)
         self._terms = _canonical(acc)
 
     @classmethod
@@ -124,16 +90,16 @@ class BivarPoly:
 
     @classmethod
     def constant(cls, value: Rational) -> BivarPoly:
-        return cls({Monomial(0, 0): value})
+        return cls({(0, 0): value})
 
     @classmethod
     def monomial(cls, x_exp: int, y_exp: int, coeff: Rational = 1) -> BivarPoly:
-        return cls({Monomial(x_exp, y_exp): coeff})
+        return cls({(x_exp, y_exp): coeff})
 
     # -- inspection --------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Monomial, Rational]]:
-        return ((Monomial(a, b), c) for (a, b), c in self._terms.items())
+    def items(self) -> Iterator[tuple[Key, Rational]]:
+        return iter(self._terms.items())
 
     def coefficient(self, x_exp: int, y_exp: int) -> Rational:
         return self._terms.get((x_exp, y_exp), 0)
@@ -253,7 +219,7 @@ class BivarPoly:
         for (a, b), coeff in self._terms.items():
             if a + 2 * b != n:
                 raise MalformedElement(
-                    f"monomial {Monomial(a, b)} lies outside the degree-{n} canonical family"
+                    f"monomial {_var_string(a, b) or '1'} lies outside the degree-{n} canonical family"
                 )
             coords[b] = coeff
         return coords
@@ -261,24 +227,7 @@ class BivarPoly:
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for key in sorted(self._terms, reverse=True):
-            coeff = self._terms[key]
-            negative = coeff < 0
-            magnitude = -coeff if negative else coeff
-            var = _var_string(*key)
-            if var and magnitude == 1:
-                body = var
-            else:
-                head = str(magnitude) if isinstance(magnitude, int) else f"({magnitude})"
-                body = head + var
-            if not chunks:
-                chunks.append(("-" if negative else "") + body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
+        return signed_sum((self._terms[key], _var_string(*key)) for key in sorted(self._terms, reverse=True))
 
     def __repr__(self) -> str:
         return f"BivarPoly({str(self)!r})"
@@ -319,11 +268,30 @@ def _power_table(base: BivarPoly, top: int) -> list[BivarPoly]:
     return powers
 
 
-def canonical_monomials(n: int) -> list[Monomial]:
+def signed_sum(pairs: Iterable[tuple[Rational, str]]) -> str:
+    """Render sum coeff * name over (coeff, name) pairs, e.g. "-x^2 + 3xy - (1/2)".
+
+    A unit coefficient is left out before a non-empty name, a zero one is
+    kept, a non-integral one is parenthesised; the empty sum is "0".
+    """
+    chunks: list[str] = []
+    for coeff, name in pairs:
+        negative = coeff < 0
+        magnitude = -coeff if negative else coeff
+        if name and magnitude == 1:
+            body = name
+        else:
+            body = (str(magnitude) if isinstance(magnitude, int) else f"({magnitude})") + name
+        sign = (" - " if negative else " + ") if chunks else ("-" if negative else "")
+        chunks.append(sign + body)
+    return "".join(chunks) or "0"
+
+
+def canonical_monomials(n: int) -> list[Key]:
     """The degree-n canonical family x^(n-2k) y^k for k = 0..n//2."""
     if n < 0:
         raise DomainError(f"canonical degree index must be >= 0, got {n}")
-    return [Monomial(n - 2 * k, k) for k in range(n // 2 + 1)]
+    return [(n - 2 * k, k) for k in range(n // 2 + 1)]
 
 
 def from_canonical_coordinates(n: int, coords: Iterable[Rational]) -> BivarPoly:
@@ -334,7 +302,7 @@ def from_canonical_coordinates(n: int, coords: Iterable[Rational]) -> BivarPoly:
         raise DomainError(
             f"expected {len(family)} coordinates for degree {n}, got {len(coords)}"
         )
-    return BivarPoly({mono: c for mono, c in zip(family, coords)})
+    return BivarPoly(dict(zip(family, coords)))
 
 
 ZERO = BivarPoly()

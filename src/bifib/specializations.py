@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bases import BasisSpec, build_basis, combine
-from .coefficients import SCHEMES, Family, closed_value, decomposition_length
+from .coefficients import SCHEMES, Family, closed_row
 from .errors import DomainError
 from .poly import ONE, X, BivarPoly, Rational
 from .report import CheckResult
@@ -101,7 +101,7 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
     bad = []
     for n in range(scheme.min_n, n_max + 1):
         vectors = build_basis(BasisSpec(scheme.basis, n))
-        coeffs = [closed_value(family, n, k) for k in range(decomposition_length(family, n))]
+        coeffs = closed_row(family, n)
         target = scheme.target(n)
         for x_image, y_image in _TRANSFER_IMAGES:
             lhs = target.substitute(x_image, y_image)
@@ -119,8 +119,8 @@ def check_parity(n_max: int) -> CheckResult:
     """T_n contains only exponents with the parity of n."""
     bad = []
     for n in range(n_max + 1):
-        for mono, _ in chebyshev_t(n).items():
-            if mono.y_exp != 0 or (mono.x_exp - n) % 2 != 0:
+        for (a, b), _ in chebyshev_t(n).items():
+            if b != 0 or (a - n) % 2 != 0:
                 bad.append(n)
                 break
     return CheckResult.over("chebyshev.parity", bad, f"n = 0..{n_max}")

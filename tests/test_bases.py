@@ -17,6 +17,7 @@ from bifib.bases import (
     coordinate_matrix,
     decompose,
     det_by_column_reduction,
+    lowest_order,
 )
 from bifib.errors import (
     DimensionError,
@@ -45,15 +46,8 @@ def test_bvstar_order_one():
     assert build_basis(BasisSpec(BasisFamily.BV_STAR, 1)) == [BivarPoly({(1, 0): 2})]
 
 
-def test_canonical_degree_four():
-    assert build_basis(BasisSpec(BasisFamily.CANONICAL, 4)) == [
-        BivarPoly({(4, 0): 1}),
-        BivarPoly({(2, 1): 1}),
-        BivarPoly({(0, 2): 1}),
-    ]
-
-
 def test_order_zero_edge_cases():
+    assert [lowest_order(family) for family in BasisFamily] == [0, 0, 1, 1]
     assert build_basis(BasisSpec(BasisFamily.BU, 0)) == [u_poly(1)]
     assert build_basis(BasisSpec(BasisFamily.BV, 0)) == [v_poly(0)]
     for family in (BasisFamily.BU_STAR, BasisFamily.BV_STAR):
@@ -90,11 +84,6 @@ def test_coordinate_matrix_bv_one():
 def test_coordinate_matrix_bvstar_one():
     matrix = coordinate_matrix(BasisSpec(BasisFamily.BV_STAR, 1))
     assert matrix.row_list() == [[2]]
-
-
-def test_coordinate_matrix_rejects_canonical():
-    with pytest.raises(DomainError):
-        coordinate_matrix(BasisSpec(BasisFamily.CANONICAL, 4))
 
 
 def test_coordinate_matrix_matches_the_product_built_matrix():

@@ -10,6 +10,7 @@ import pytest
 import bifib
 from bifib.errors import DomainError
 from bifib.report import checks
+from cli_sweep import digests
 
 
 # -- gen -----------------------------------------------------------------------
@@ -311,6 +312,11 @@ def test_repeated_invocations_are_byte_identical(run_cli):
     first = run_cli(["table", "a", "8"])[1]
     second = run_cli(["table", "a", "8"])[1]
     assert first == second
+
+
+def test_cli_bytes_match_the_pinned_digests(golden_dir):
+    """About 1250 in-process invocations, every verb, format, method and error case."""
+    assert digests() == json.loads((golden_dir / "cli_digests.json").read_text())
 
 
 def test_module_entry_point():

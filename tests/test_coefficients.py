@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bifib.bases import BasisSpec, pairing
+from bifib.bases import BasisFamily
 from bifib.coefficients import (
     SCHEMES,
     CoeffTriangle,
@@ -21,6 +21,7 @@ from bifib.coefficients import (
     recurrence_triangle,
 )
 from bifib.report import all_passed, run_checks
+from bifib.sequences import u_poly, v_poly
 
 A_TABLE = [
     [1],
@@ -220,20 +221,19 @@ def test_cross_check_with_oracle_passes():
 
 
 def test_pairing_gives_each_scheme_its_target():
-    members = {
-        Family.A: ("U", lambda n: 2 * n + 1),
-        Family.B: ("U", lambda n: 2 * n),
-        Family.C: ("V", lambda n: 2 * n - 1),
-        Family.D: ("V", lambda n: 2 * n - 1),
-        Family.E: ("U", lambda n: 2 * n),
+    """The five identities as the paper lists them, built without ``bases.pairing``."""
+    paper = {
+        Family.A: (lambda n: u_poly(2 * n + 1).scale(2), BasisFamily.BV, 0, "2*U[2n+1] over BV"),
+        Family.B: (lambda n: u_poly(2 * n), BasisFamily.BU_STAR, 1, "U[2n] over BUstar"),
+        Family.C: (lambda n: v_poly(2 * n - 1), BasisFamily.BU_STAR, 1, "V[2n-1] over BUstar"),
+        Family.D: (lambda n: v_poly(2 * n - 1).scale(2), BasisFamily.BV_STAR, 1, "2*V[2n-1] over BVstar"),
+        Family.E: (lambda n: u_poly(2 * n).scale(2), BasisFamily.BV_STAR, 1, "2*U[2n] over BVstar"),
     }
-    for family, (kind, index) in members.items():
+    for family, (target, basis, min_n, description) in paper.items():
         scheme = SCHEMES[family]
-        for n in range(1, 9):
-            target, spec, doubled = pairing(kind, index(n), scheme.basis)
-            assert target == scheme.target(n), (family, n)
-            assert spec == BasisSpec(scheme.basis, n)
-            assert doubled == scheme.description.startswith("2*")
+        assert (scheme.basis, scheme.min_n, scheme.description) == (basis, min_n, description)
+        for n in range(min_n, 9):
+            assert scheme.target(n) == target(n), (family, n)
 
 
 def test_theorem_checks_pass():

@@ -204,5 +204,4 @@ def test_shift_law_passes_up_to_25():
 def test_render_ascending_and_descending():
     squared = X_MINUS_E ** 2
     assert str(squared) == "(x^2)·E^0 + (-2x)·E^1 + (1)·E^2"
-    assert squared.render(descending=True) == "(1)·E^2 + (-2x)·E^1 + (x^2)·E^0"
     assert str(OperatorPoly()) == "0"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bifib.errors import DomainError, MalformedElement
 from bifib.poly import (
     BivarPoly,
-    Monomial,
     ONE,
     X,
     Y,
@@ -16,6 +15,7 @@ from bifib.poly import (
     as_rational,
     canonical_monomials,
     from_canonical_coordinates,
+    signed_sum,
 )
 
 
@@ -41,26 +41,13 @@ polys = st.lists(
 # -- monomials ---------------------------------------------------------------
 
 
-def test_monomial_rejects_negative_exponents():
+def test_exponents_must_be_non_negative_ints():
+    with pytest.raises(ValueError, match=r"^exponents must be non-negative, got x\^-1$"):
+        BivarPoly({(-1, 0): 1})
     with pytest.raises(ValueError):
-        Monomial(-1, 0)
-    with pytest.raises(ValueError):
-        Monomial(0, -2)
-
-
-def test_monomial_order_is_graded_then_by_x():
-    assert Monomial(0, 0) < Monomial(1, 0)
-    assert Monomial(1, 0) < Monomial(2, 0)
-    assert Monomial(0, 1) < Monomial(1, 1)  # degree 1 < degree 2
-    assert Monomial(0, 1) < Monomial(1, 0)  # same degree, smaller x first
-    assert Monomial(2, 1).weight == 4
-    assert Monomial(2, 1).degree == 3
-
-
-@given(st.tuples(exponents, exponents), st.tuples(exponents, exponents))
-def test_monomial_order_consistent_with_equality(a, b):
-    m1, m2 = Monomial(*a), Monomial(*b)
-    assert (m1 == m2) == (not (m1 < m2) and not (m2 < m1))
+        BivarPoly.monomial(0, -2)
+    with pytest.raises(TypeError):
+        BivarPoly({(1.0, 0): 1})
 
 
 # -- construction and canonical form ----------------------------------------
@@ -228,8 +215,11 @@ def test_coordinates_of_zero_polynomial():
 
 
 def test_coordinates_reject_foreign_monomials():
-    with pytest.raises(MalformedElement):
+    with pytest.raises(MalformedElement) as excinfo:
         (X * Y).canonical_coordinates(2)
+    assert str(excinfo.value) == "monomial xy lies outside the degree-2 canonical family"
+    with pytest.raises(MalformedElement, match="^monomial 1 lies outside the degree-2 canonical family$"):
+        ONE.canonical_coordinates(2)
     with pytest.raises(MalformedElement):
         poly_of((2, 0, 1), (1, 0, 1)).canonical_coordinates(2)
     with pytest.raises(DomainError):
@@ -237,8 +227,8 @@ def test_coordinates_reject_foreign_monomials():
 
 
 def test_canonical_family_shape():
-    assert canonical_monomials(4) == [Monomial(4, 0), Monomial(2, 1), Monomial(0, 2)]
-    assert canonical_monomials(1) == [Monomial(1, 0)]
+    assert canonical_monomials(4) == [(4, 0), (2, 1), (0, 2)]
+    assert canonical_monomials(1) == [(1, 0)]
 
 
 def test_coordinates_invert_expansion_up_to_degree_40():
@@ -277,6 +267,14 @@ def test_text_rendering():
     assert str(poly_of((3, 1, -1), (1, 2, -2))) == "-x^3y - 2xy^2"
     assert str(BivarPoly({(2, 0): Fraction(1, 2)})) == "(1/2)x^2"
     assert str(X - ONE) == "x - 1"
+
+
+def test_signed_sum_keeps_zeros_and_drops_unit_coefficients():
+    assert signed_sum([]) == "0"
+    assert signed_sum([(0, "x^2 V_1"), (-1, "V_2"), (1, ""), (Fraction(-3, 2), "x V_3")]) == (
+        "0x^2 V_1 - V_2 + 1 - (3/2)x V_3"
+    )
+    assert signed_sum([(-2, "y"), (0, "")]) == "-2y + 0"
 
 
 def test_json_rendering():
