@@ -5,7 +5,7 @@ at index n evaluates to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y]
 and commute with E, making the operator ring a plain commutative polynomial
 ring over the coefficient ring.
 
-``build_family`` constructs five operator families, defined by
+``family_orders`` yields the five operator families, defined by
 
     A_m = (x-E)^m + 2 sum_{k=1..m} E^k (x-E)^(m-k)        (m >= 0)
     B_m = -(E-x)^m                                        (m >= 0)
@@ -13,10 +13,13 @@ ring over the coefficient ring.
     D_m = (E-x)^(m-1) (x-2E)                              (m >= 1)
     E_m = (x A_{m-1} + D_m) / 2 + E^m                     (m >= 1)
 
-A is built by Horner's rule, A_0 = 1 and A_j = (x-E) A_{j-1} + 2 E^j, whose
-expansion is the defining sum.  Expanded, family F_m equals sum_k f(m,k)
-x^(m-k) E^k with f the matching integer triangle from ``coefficients``; C_m
-and E_m have zero coefficient at k = m.  Applied at the right base index the
+order by order, each from the one before: A_m = (x-E) A_{m-1} + 2 E^m from
+A_0 = 1 (Horner's rule for the defining sum), B_m = (E-x) B_{m-1} from B_0 = -1
+and D_m = (E-x) D_{m-1} from D_1 = x - 2E.  C_m is assembled from B_m, and E_m
+from A_{m-1} and D_m, by their defining sums; ``build_family`` returns the
+last order.  Expanded, family F_m equals sum_k f(m,k) x^(m-k) E^k with f the
+matching integer triangle from ``coefficients``; C_m and E_m have zero
+coefficient at k = m.  Applied at the right base index the
 families annihilate or double-step the two sequences:
 
     A_n at V, base n     -> 2 U_{2n+1}        (n >= 0)
@@ -32,6 +35,8 @@ back j places (the shift law checked by ``check_shift_law``).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, count, repeat
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Union
 
 from .bases import BasisSpec, member_index
@@ -39,7 +44,7 @@ from .coefficients import MIN_ROW, SCHEMES, Family
 from .errors import DomainError
 from .poly import ONE, X, Y, ZERO, BivarPoly, Rational, _power
 from .report import CheckResult
-from .sequences import SequenceCache, SequenceKind
+from .sequences import SHARED_CACHES, SequenceCache, SequenceKind
 
 CoeffsInput = Union[Mapping, Iterable]
 
@@ -159,37 +164,41 @@ X_MINUS_E = OperatorPoly({0: X}) - OperatorPoly.shift()
 E_MINUS_X = -X_MINUS_E
 
 
+def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, OperatorPoly]]:
+    """Yield (m, F_m) for m = MIN_ROW[family]..m_max, each order built from the one before."""
+    shift = OperatorPoly.shift
+    a = accumulate(count(1), lambda a_m, m: X_MINUS_E * a_m + shift(m) * 2, initial=OperatorPoly.identity())
+    b = accumulate(repeat(E_MINUS_X), mul, initial=-OperatorPoly.identity())
+    d = accumulate(repeat(E_MINUS_X), mul, initial=OperatorPoly({0: X}) - shift() * 2)
+    orders = {
+        Family.A: a, Family.B: b, Family.D: d,
+        Family.C: (shift(m) * 2 + b_m * 2 - shift(m - 1) * X for m, b_m in enumerate(b) if m),
+        Family.E: ((a_m * X + d_m) * Fraction(1, 2) + shift(m) for m, (a_m, d_m) in enumerate(zip(a, d), 1)),
+    }[family]
+    return zip(range(MIN_ROW[family], m_max + 1), orders)
+
+
 def build_family(family: Family, m: int) -> OperatorPoly:
-    """Construct one of the five operator families, fully expanded."""
+    """Construct one of the five operator families, fully expanded: the last order of ``family_orders``."""
     if m < MIN_ROW[family]:
         raise DomainError(f"operator family {family.value.upper()} needs m >= {MIN_ROW[family]}, got {m}")
-    if family is Family.A:
-        total = OperatorPoly.identity()
-        for j in range(1, m + 1):
-            total = X_MINUS_E * total + OperatorPoly.shift(j) * 2
-        return total
-    if family is Family.B:
-        return -(E_MINUS_X ** m)
-    if family is Family.C:
-        return OperatorPoly.shift(m) * 2 + build_family(Family.B, m) * 2 - OperatorPoly.shift(m - 1) * X
-    if family is Family.D:
-        return (E_MINUS_X ** (m - 1)) * (OperatorPoly({0: X}) - OperatorPoly.shift() * 2)
-    return (build_family(Family.A, m - 1) * X + build_family(Family.D, m)) * Fraction(1, 2) + OperatorPoly.shift(m)
+    return next(op for order, op in family_orders(family, m) if order == m)
 
 
 def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
-    """(x-E)^j at base m equals (-y)^j times member m-j, for 0 <= j <= m <= n_max."""
-    seq = SequenceCache(kind)
-    power = OperatorPoly.identity()
+    """(x-E)^j at base m equals (-y)^j times member m-j, for 0 <= j <= m <= n_max.
+
+    By Horner's rule: row j, P_j(m) = ((x-E)^j W)_m for m = j..2 n_max - j, is
+    x P_{j-1}(m) - P_{j-1}(m+1) from row j-1, and row 0 is W_0..W_{2 n_max}.
+    """
+    members = [SHARED_CACHES[kind.value][m] for m in range(2 * n_max + 1)]
+    row = members  # row[i] = P_j(j + i)
     sign_pow = ONE
-    minus_y = -Y
     bad = []
     for j in range(n_max + 1):
-        for m in range(j, n_max + 1):
-            if power.apply(seq, m) != sign_pow * seq[m - j]:
-                bad.append((j, m))
-        power = power * X_MINUS_E
-        sign_pow = sign_pow * minus_y
+        bad.extend((j, m) for m in range(j, n_max + 1) if row[m - j] != sign_pow * members[m - j])
+        row = [X * row[i + 1] - row[i + 2] for i in range(len(row) - 2)]
+        sign_pow = sign_pow * -Y
     return CheckResult.over(f"lemma2.shift-{kind.value.lower()}", bad, f"0 <= j <= m <= {n_max}", at="(j, m)")
 
 
@@ -204,12 +213,10 @@ def check_relation(family: Family, n_max: int) -> CheckResult:
     order-n basis (see ``coefficients.SCHEMES``), based at that member's index.
     """
     scheme = SCHEMES[family]
-    caches = {kind.value: SequenceCache(kind) for kind in SequenceKind}
-    start = MIN_ROW[family]
     bad = []
-    for n in range(start, n_max + 1):
+    for n, op in family_orders(family, n_max):
         letter, base = member_index(BasisSpec(scheme.basis, n), 0)
         expected = ZERO if family in _ANNIHILATING else scheme.target(n)
-        if build_family(family, n).apply(caches[letter], base) != expected:
+        if op.apply(SHARED_CACHES[letter], base) != expected:
             bad.append(n)
-    return CheckResult.over(f"relations.{family.value}", bad, f"n = {start}..{n_max}")
+    return CheckResult.over(f"relations.{family.value}", bad, f"n = {MIN_ROW[family]}..{n_max}")

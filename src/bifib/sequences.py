@@ -65,18 +65,18 @@ class SequenceCache:
         return values[n]
 
 
-_U_CACHE = SequenceCache(SequenceKind.FIBONACCI_U)
-_V_CACHE = SequenceCache(SequenceKind.LUCAS_V)
+# One process-wide cache per sequence, keyed by its letter, read by u_poly, v_poly and the identity checks.
+SHARED_CACHES = {kind.value: SequenceCache(kind) for kind in SequenceKind}
 
 
 def u_poly(n: int) -> BivarPoly:
     """U_n by the recurrence, memoised across calls."""
-    return _U_CACHE[n]
+    return SHARED_CACHES["U"][n]
 
 
 def v_poly(n: int) -> BivarPoly:
     """V_n by the recurrence, memoised across calls."""
-    return _V_CACHE[n]
+    return SHARED_CACHES["V"][n]
 
 
 def u_poly_closed(n: int) -> BivarPoly:

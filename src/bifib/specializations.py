@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bases import BasisSpec, build_basis, combine
+from .bases import BasisSpec, combine, member_index
 from .coefficients import SCHEMES, Family, closed_row
 from .errors import DomainError
-from .poly import ONE, X, BivarPoly, Rational
+from .poly import ONE, X, BivarPoly, Rational, _power_table
 from .report import CheckResult
-from .sequences import SequenceKind, u_poly, v_poly
+from .sequences import SHARED_CACHES, SequenceKind, u_poly, v_poly
 
 
 @dataclass(frozen=True)
@@ -95,17 +95,22 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
     """The family's decomposition identity after substituting the variables.
 
     Both sides are substituted independently (the coefficients are scalars
-    and stay put) and compared exactly under each image pair.
+    and stay put) and compared exactly under each image pair.  Substitution
+    is a ring map, so basis vector x^(n-k) W_i maps to x_image^(n-k) times the
+    image of W_i, and each member is substituted once per image pair.
     """
     scheme = SCHEMES[family]
+    letter = member_index(BasisSpec(scheme.basis, n_max), 0)[0]
+    members = [SHARED_CACHES[letter][i] for i in range(2 * n_max + 2)]
+    images = [(x, y, _power_table(x, n_max), [w.substitute(x, y) for w in members]) for x, y in _TRANSFER_IMAGES]
     bad = []
     for n in range(scheme.min_n, n_max + 1):
-        vectors = build_basis(BasisSpec(scheme.basis, n))
+        spec = BasisSpec(scheme.basis, n)
         coeffs = closed_row(family, n)
         target = scheme.target(n)
-        for x_image, y_image in _TRANSFER_IMAGES:
-            lhs = target.substitute(x_image, y_image)
-            if lhs != combine(coeffs, [vector.substitute(x_image, y_image) for vector in vectors]):
+        for x_image, y_image, x_pows, member_images in images:
+            vectors = [x_pows[n - k] * member_images[member_index(spec, k)[1]] for k in range(len(coeffs))]
+            if target.substitute(x_image, y_image) != combine(coeffs, vectors):
                 bad.append((n, y_image))
     return CheckResult.over(
         f"chebyshev.transfer.{family.value}",

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from bifib.cli import main
+from bifib.sequences import SequenceCache
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -27,3 +28,22 @@ def run_cli(capsys):
 @pytest.fixture
 def golden_dir() -> Path:
     return GOLDEN_DIR
+
+
+@pytest.fixture
+def corrupt_member(monkeypatch):
+    """Make every sequence cache read member ``index`` of U or V (``letter``) as one more than it is.
+
+    Only reads are changed; the caches still store the right members.
+    """
+
+    def _corrupt(letter: str, index: int) -> None:
+        read = SequenceCache.__getitem__
+
+        def wrong(self, n):
+            value = read(self, n)
+            return value + 1 if (self.kind.value, n) == (letter, index) else value
+
+        monkeypatch.setattr(SequenceCache, "__getitem__", wrong)
+
+    return _corrupt

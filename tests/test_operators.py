@@ -1,17 +1,20 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bifib.coefficients import Family, closed_value
+from bifib.coefficients import MIN_ROW, Family, closed_value
 from bifib.errors import DomainError
 from bifib.operators import (
     E_MINUS_X,
     OperatorPoly,
     X_MINUS_E,
     build_family,
+    check_relation,
     check_shift_law,
+    family_orders,
 )
 from bifib.poly import BivarPoly, ONE, X, Y, ZERO
 from bifib.report import all_passed, run_checks
@@ -159,9 +162,7 @@ def test_family_domains():
 
 def test_expansions_match_closed_values_up_to_40():
     for family in Family:
-        start = 0 if family in (Family.A, Family.B) else 1
-        for m in range(start, 41):
-            op = build_family(family, m)
+        for m, op in family_orders(family, 40):
             top = m - 1 if family in (Family.C, Family.E) else m
             for k in range(top + 1):
                 expected = closed_value(family, m, k)
@@ -175,19 +176,36 @@ def test_expansions_match_closed_values_up_to_40():
             assert all(p.is_integral() for _, p in op.items())
 
 
-def test_families_a_and_e_match_their_defining_formulas():
+def test_family_orders_match_their_defining_formulas():
+    # The expected operators are the module docstring's definitions, built with ** and
+    # never by a running product, so a wrong step of family_orders cannot cancel out.
     shift = OperatorPoly.shift
-    defined_a = []
-    for m in range(13):
-        a_m = X_MINUS_E ** m
+
+    def a(m):
+        total = X_MINUS_E ** m
         for k in range(1, m + 1):
-            a_m = a_m + shift(k) * X_MINUS_E ** (m - k) * 2
-        defined_a.append(a_m)
-        assert build_family(Family.A, m) == a_m, m
-    for m in range(1, 13):
-        d_m = E_MINUS_X ** (m - 1) * (OperatorPoly({0: X}) - shift() * 2)
-        e_m = (defined_a[m - 1] * X + d_m) * Fraction(1, 2) + shift(m)
-        assert build_family(Family.E, m) == e_m, m
+            total = total + shift(k) * X_MINUS_E ** (m - k) * 2
+        return total
+
+    def b(m):
+        return -(E_MINUS_X ** m)
+
+    def d(m):
+        return E_MINUS_X ** (m - 1) * (OperatorPoly({0: X}) - shift() * 2)
+
+    defined = {
+        Family.A: a,
+        Family.B: b,
+        Family.C: lambda m: shift(m) * 2 + b(m) * 2 - shift(m - 1) * X,
+        Family.D: d,
+        Family.E: lambda m: (a(m - 1) * X + d(m)) * Fraction(1, 2) + shift(m),
+    }
+    for family, definition in defined.items():
+        orders = list(family_orders(family, 12))
+        assert [m for m, _ in orders] == list(range(MIN_ROW[family], 13)), family
+        for m, op in orders:
+            assert op == definition(m), (family, m)
+        assert build_family(family, 12) == definition(12), family
 
 
 def test_relations_pass_up_to_12():
@@ -196,6 +214,28 @@ def test_relations_pass_up_to_12():
 
 def test_shift_law_passes_up_to_25():
     assert all_passed(check_shift_law(kind, 25) for kind in SequenceKind)
+
+
+@pytest.mark.parametrize(
+    "check, letter, detail",
+    [
+        (partial(check_shift_law, SequenceKind.FIBONACCI_U), "U", "(j, m) = (1, 6), (1, 7), (1, 8), (2, 5), (2, 6)"),
+        (partial(check_shift_law, SequenceKind.LUCAS_V), "V", "(j, m) = (1, 6), (1, 7), (1, 8), (2, 5), (2, 6)"),
+        (partial(check_relation, Family.A), "V", "n = 5, 6, 7"),
+        (partial(check_relation, Family.B), "U", "n = 4, 5, 6, 7"),
+        (partial(check_relation, Family.C), "U", "n = 4, 5, 6, 7"),
+        (partial(check_relation, Family.D), "V", "n = 4, 5, 6, 7, 8"),
+        (partial(check_relation, Family.E), "V", "n = 5, 6, 7"),
+    ],
+    ids=["shift-u", "shift-v", *(f"relations.{f.value}" for f in Family)],
+)
+def test_a_wrong_member_fails_the_check_from_its_first_use(corrupt_member, check, letter, detail):
+    # The shift law first reads W_7 in (x-E) at base 6; a relation first fails at the lowest
+    # order whose operator gives W_7 a non-zero coefficient.
+    corrupt_member(letter, 7)
+    result = check(12)
+    assert not result.passed
+    assert result.detail == "fails at " + detail
 
 
 # -- rendering ---------------------------------------------------------------------

@@ -106,6 +106,20 @@ def test_theorem_transfer_up_to_8():
     assert all_passed(check_transfer(family, 8) for family in Family)
 
 
+@pytest.mark.parametrize(
+    "family, letter, first",
+    [(Family.A, "V", 5), (Family.B, "U", 4), (Family.C, "U", 4), (Family.D, "V", 4), (Family.E, "V", 5)],
+)
+def test_a_wrong_basis_member_fails_the_transfer_from_its_first_use(corrupt_member, family, letter, first):
+    # Order ``first`` is the first whose identity gives W_7 a non-zero coordinate.
+    corrupt_member(letter, 7)
+    result = check_transfer(family, 12)
+    assert not result.passed
+    assert result.detail == (
+        f"fails at (n, y image) = ({first}, 1), ({first}, -1), ({first + 1}, 1), ({first + 1}, -1), ({first + 2}, 1)"
+    )
+
+
 # -- integer evaluation -----------------------------------------------------------------
 
 
