@@ -23,6 +23,8 @@ All linear algebra is exact, with no floating point: after each row is
 multiplied by the lcm of its denominators, fraction-free (Bareiss) elimination
 runs on plain ints with first-nonzero pivoting, and ``decompose`` checks its
 residual by a matrix-vector product (on ints for integral coordinates).
+``det_by_column_reduction`` checks the determinant independently, on the
+integer coordinates of the product-built ``build_basis`` vectors.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, SingularMatrixError
-from .poly import BivarPoly, Rational, _var_string, as_rational
+from .poly import BivarPoly, Rational, as_rational
 from .report import CheckResult
-from .sequences import u_poly, v_poly
+from .sequences import SHARED_CACHES
 
 
 class BasisFamily(Enum):
@@ -97,10 +99,6 @@ def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
     return letter, spec.n + k + offset
 
 
-def _member(letter: str, index: int) -> BivarPoly:
-    return u_poly(index) if letter == "U" else v_poly(index)
-
-
 def _weight(letter: str, index: int) -> int:
     """The canonical degree spanned by U_index or V_index."""
     return index - 1 if letter == "U" else index
@@ -109,7 +107,9 @@ def _weight(letter: str, index: int) -> int:
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
     """The basis vectors in ascending k order."""
     count = ambient_degree(spec) // 2 + 1
-    return [BivarPoly.monomial(spec.n - k, 0) * _member(*member_index(spec, k)) for k in range(count)]
+    letter, first = member_index(spec, 0)
+    members = SHARED_CACHES[letter]
+    return [BivarPoly.monomial(spec.n - k, 0) * members[first + k] for k in range(count)]
 
 
 def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, BasisSpec, bool]:
@@ -130,7 +130,7 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
             f"but {family.value} bases span {needed}-degree spaces"
         )
     doubled = (kind, family) in _DOUBLED
-    member = _member(kind, index)
+    member = SHARED_CACHES[kind][index]
     return (member.scale(2) if doubled else member), BasisSpec(family, (weight + 1) // 2), doubled
 
 
@@ -263,7 +263,7 @@ def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
     columns = []
     for k in range(size):
         letter, index = member_index(spec, k)
-        coords = _member(letter, index).canonical_coordinates(_weight(letter, index))
+        coords = SHARED_CACHES[letter][index].canonical_coordinates(_weight(letter, index))
         columns.append(coords + [0] * (size - len(coords)))
     return RationalMatrix._of([list(row) for row in zip(*columns)])
 
@@ -271,39 +271,29 @@ def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
 def det_by_column_reduction(spec: BasisSpec) -> Rational:
     """Determinant by telescoping column differences, independent of Bareiss.
 
-    Replacing vector k by its difference with vector k-1 leaves a column that
-    is divisible by y and has no x^m component; expanding along the x^m
-    coordinate and dividing the differences by y reduces the problem to the
-    same family one order lower.  The structural facts are verified at every
-    step and violations raise ArithmeticError.
+    The columns are the integer coordinates of the product-built ``build_basis``
+    vectors.  Replacing column k by its difference with column k-1 leaves entry
+    0 (the x^m coordinate) zero; expanding along entry 0 and dropping it from
+    the differences (dividing by y) reduces the problem to the same family one
+    order lower.  Each step is verified; violations raise ArithmeticError.
     """
-    vectors = build_basis(spec)
     degree = ambient_degree(spec)
+    columns = [v.canonical_coordinates(degree) for v in build_basis(spec)]
     scale: Rational = 1
-    while len(vectors) > 1:
-        pivot = vectors[0].coefficient(degree, 0)
+    while len(columns) > 1:
+        pivot = columns[0][0]
         if pivot == 0:
             raise ArithmeticError(f"leading vector lost its x^{degree} component")
         reduced = []
-        for j in range(1, len(vectors)):
-            difference = vectors[j] - vectors[j - 1]
-            if difference.coefficient(degree, 0) != 0:
+        for j in range(1, len(columns)):
+            difference = [a - b for a, b in zip(columns[j], columns[j - 1])]
+            if difference[0] != 0:
                 raise ArithmeticError(f"difference column {j} keeps an x^{degree} component")
-            reduced.append(_divide_by_y(difference))
+            reduced.append(difference[1:])
         scale = as_rational(scale * pivot)
-        vectors = reduced
+        columns = reduced
         degree -= 2
-    last = vectors[0].canonical_coordinates(degree)
-    return as_rational(scale * last[0])
-
-
-def _divide_by_y(poly: BivarPoly) -> BivarPoly:
-    terms = {}
-    for (a, b), coeff in poly._terms.items():
-        if b == 0:
-            raise ArithmeticError(f"{_var_string(a, b) or '1'} is not divisible by y")
-        terms[a, b - 1] = coeff
-    return BivarPoly._of(terms)
+    return as_rational(scale * columns[0][0])
 
 
 @dataclass(frozen=True)

@@ -333,8 +333,8 @@ class CrossCheckReport:
         return not self.mismatches
 
 
-def cross_check(family: Family, n_max: int, include_oracle: bool = True) -> CrossCheckReport:
-    """Compare closed form, recurrence, and (optionally) the solve oracle.
+def cross_check(family: Family, n_max: int) -> CrossCheckReport:
+    """Compare closed form, recurrence, and the solve oracle.
 
     Entries a method does not produce (the k = n seeds of b, c, d, which lie
     past the oracle's coordinate vector) are skipped, not flagged.
@@ -343,7 +343,7 @@ def cross_check(family: Family, n_max: int, include_oracle: bool = True) -> Cros
         "closed": closed_triangle(family, n_max),
         "recurrence": recurrence_triangle(family, n_max),
     }
-    if include_oracle and n_max >= SCHEMES[family].min_n:
+    if n_max >= SCHEMES[family].min_n:
         triangles["oracle"] = oracle_triangle(family, n_max)
     mismatches = []
     for n in range(MIN_ROW[family], n_max + 1):

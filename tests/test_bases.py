@@ -210,6 +210,31 @@ def test_column_reduction_exercises_the_difference_identity():
         assert difference == expected
 
 
+@pytest.mark.parametrize(
+    "k, plant, error, message",
+    [
+        (
+            0,
+            lambda v: v - BivarPoly.monomial(10, 0).scale(v.coefficient(10, 0)),
+            ArithmeticError,
+            "leading vector lost its x^10 component",
+        ),
+        (2, lambda v: v + X**10, ArithmeticError, "difference column 2 keeps an x^10 component"),
+        (3, lambda v: v + Y * X**8, ArithmeticError, "difference column 2 keeps an x^8 component"),
+        (1, lambda v: v + X**9, MalformedElement, "monomial x^9 lies outside the degree-10 canonical family"),
+    ],
+    ids=["pivot-lost", "x10-kept", "x8-kept-one-order-down", "outside-family"],
+)
+def test_column_reduction_rejects_a_corrupted_basis(monkeypatch, k, plant, error, message):
+    spec = BasisSpec(BasisFamily.BU, 5)
+    vectors = build_basis(spec)
+    vectors[k] = plant(vectors[k])
+    monkeypatch.setattr(bases, "build_basis", lambda _spec: vectors)
+    with pytest.raises(error) as excinfo:
+        det_by_column_reduction(spec)
+    assert str(excinfo.value) == message
+
+
 def test_check_determinants_report():
     results = run_checks("lemma1", 6)
     assert all_passed(results)

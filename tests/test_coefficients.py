@@ -166,8 +166,7 @@ def test_closed_rows(family, n_max, table):
 
 def test_closed_matches_recurrence_up_to_40():
     for family in Family:
-        report = cross_check(family, 40, include_oracle=False)
-        assert report.passed, report.mismatches[:3]
+        assert closed_triangle(family, 40).rows == recurrence_triangle(family, 40).rows, family
 
 
 # -- cross-family identities ----------------------------------------------------------
