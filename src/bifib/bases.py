@@ -36,7 +36,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, SingularMatrixError
-from .poly import BivarPoly, Rational, as_rational
+from .poly import BivarPoly, Rational, as_rational, sum_of_products
 from .report import CheckResult
 from .sequences import SHARED_CACHES
 
@@ -136,10 +136,7 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
 
 def combine(coords: Iterable[Rational], vectors: Iterable[BivarPoly]) -> BivarPoly:
     """The linear combination sum_k coords[k] * vectors[k]."""
-    total = BivarPoly()
-    for coeff, vector in zip(coords, vectors):
-        total = total + vector.scale(coeff)
-    return total
+    return sum_of_products((BivarPoly.constant(coeff), vector) for coeff, vector in zip(coords, vectors))
 
 
 class RationalMatrix:
@@ -239,19 +236,19 @@ def _eliminate(rows: list[Sequence[Rational]]) -> Fraction:
         if first != k:
             rows[k], rows[first] = rows[first], rows[k]
             sign = -sign
-        top = rows[k]
-        pivot = top[k]
+        pivot, top = rows[k][k], rows[k][k:]
         for i in range(k + 1, n):
             row = rows[i]
             factor = row[k]
             if factor == 0 and pivot == prev:
                 continue  # the update would leave this row as it is
-            new = [pivot * a - factor * b for a, b in zip(row, top)]
+            tail = zip(row[k:], top)  # columns before k are zero below row k already
+            new = [a - factor * b for a, b in tail] if pivot == 1 else [pivot * a - factor * b for a, b in tail]
             if prev != 1:
                 new, remainders = zip(*(divmod(value, prev) for value in new))
                 if any(remainders):
                     raise ArithmeticError(f"Bareiss division by {prev} is not exact in column {k}")
-            rows[i] = new
+            rows[i] = [*row[:k], *new]
         prev = pivot
     return Fraction(sign, scale)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -64,10 +65,18 @@ def _require(condition: bool, family: str, n: int, k: int) -> None:
         raise IndexError(f"({n}, {k}) outside the domain of family {family}")
 
 
+@lru_cache(maxsize=2)
+def _alternating_sums(n: int) -> tuple[int, ...]:
+    """(T(n), ..., T(0)) for T(m) = sum_{j=0..n} (-1)^j C(j, m), by T(m) = -2 T(m+1) + (-1)^n C(n+1, m+1)."""
+    sums = [(-1) ** n]
+    for m in range(n - 1, -1, -1):
+        sums.append(-2 * sums[-1] + sums[0] * comb(n + 1, m + 1))
+    return tuple(sums)
+
+
 def a_closed(n: int, k: int) -> int:
     _require(n >= 0 and 0 <= k <= n, "a", n, k)
-    alternating = sum((-1) ** j * comb(j, n - k) for j in range(n + 1))
-    return (-1) ** (k + 1) * comb(n, k) + 2 * (-1) ** (n - k) * alternating
+    return (-1) ** (k + 1) * comb(n, k) + 2 * (-1) ** (n - k) * _alternating_sums(n)[k]
 
 
 def b_closed(n: int, k: int) -> int:

@@ -3,7 +3,8 @@
 E sends a sequence (W_n) to (W_{n+1}), so an operator sum_k p_k E^k applied
 at index n evaluates to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y]
 and commute with E, making the operator ring a plain commutative polynomial
-ring over the coefficient ring.
+ring over the coefficient ring.  Products, ``apply`` and the shift-law rows
+expand through ``poly.sum_of_products``, the one multiply-accumulate.
 
 ``family_orders`` yields the five operator families, defined by
 
@@ -42,7 +43,7 @@ from typing import Iterable, Iterator, Mapping, Union
 from .bases import BasisSpec, member_index
 from .coefficients import MIN_ROW, SCHEMES, Family
 from .errors import DomainError
-from .poly import ONE, X, Y, ZERO, BivarPoly, Rational, _power
+from .poly import ONE, X, Y, ZERO, BivarPoly, Rational, _power, sum_of_products
 from .report import CheckResult
 from .sequences import SHARED_CACHES, SequenceCache, SequenceKind
 
@@ -128,12 +129,11 @@ class OperatorPoly:
             return OperatorPoly._of({k: q for k, p in self._coeffs.items() if (q := p * other)})
         if not isinstance(other, OperatorPoly):
             return NotImplemented
-        acc: dict[int, BivarPoly] = {}
+        pairs: dict[int, list[tuple[BivarPoly, BivarPoly]]] = {}
         for k1, p1 in self._coeffs.items():
             for k2, p2 in other._coeffs.items():
-                power = k1 + k2
-                acc[power] = acc[power] + p1 * p2 if power in acc else p1 * p2
-        return OperatorPoly._of({k: p for k, p in acc.items() if p})
+                pairs.setdefault(k1 + k2, []).append((p1, p2))
+        return OperatorPoly._of({k: p for k, group in pairs.items() if (p := sum_of_products(group))})
 
     __rmul__ = __mul__
 
@@ -146,10 +146,7 @@ class OperatorPoly:
         """Evaluate sum_k p_k * seq[base + k]."""
         if base < 0:
             raise DomainError(f"base index must be >= 0, got {base}")
-        total = ZERO
-        for power, poly in self._coeffs.items():
-            total = total + poly * seq[base + power]
-        return total
+        return sum_of_products((poly, seq[base + power]) for power, poly in self._coeffs.items())
 
     # -- rendering -------------------------------------------------------------
 
@@ -160,6 +157,7 @@ class OperatorPoly:
         return f"OperatorPoly({str(self)!r})"
 
 
+MINUS_ONE = BivarPoly.constant(-1)
 X_MINUS_E = OperatorPoly({0: X}) - OperatorPoly.shift()
 E_MINUS_X = -X_MINUS_E
 
@@ -197,7 +195,7 @@ def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
     bad = []
     for j in range(n_max + 1):
         bad.extend((j, m) for m in range(j, n_max + 1) if row[m - j] != sign_pow * members[m - j])
-        row = [X * row[i + 1] - row[i + 2] for i in range(len(row) - 2)]
+        row = [sum_of_products(((X, row[i + 1]), (MINUS_ONE, row[i + 2]))) for i in range(len(row) - 2)]
         sign_pow = sign_pow * -Y
     return CheckResult.over(f"lemma2.shift-{kind.value.lower()}", bad, f"0 <= j <= m <= {n_max}", at="(j, m)")
 

@@ -15,9 +15,9 @@ coordinate vectors over that family.
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
 or negative exponents), and ``items`` and ``canonical_monomials`` return them.
-The ring operations wrap their already canonical results with the trusted
-``BivarPoly._of`` instead of re-validating them.  ``signed_sum`` renders a polynomial, or any other
-signed sum of named terms, as text.
+``sum_of_products``, the one multiply-accumulate behind every product, expands
+sum_i p_i * q_i into one dict; each ring operation canonicalises its result once
+and wraps it with the trusted ``BivarPoly._of``.  ``signed_sum`` renders signed sums as text.
 """
 
 from __future__ import annotations
@@ -153,7 +153,10 @@ class BivarPoly:
             other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return self + (-other)
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc[key] = acc.get(key, 0) - coeff
+        return BivarPoly._of(_canonical(acc))
 
     def __rsub__(self, other: Rational) -> BivarPoly:
         return (-self) + other
@@ -163,12 +166,7 @@ class BivarPoly:
             return self.scale(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        acc: dict[Key, Rational] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return BivarPoly._of(_canonical(acc))
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -246,6 +244,17 @@ class BivarPoly:
                 }
             )
         return records
+
+
+def sum_of_products(pairs: Iterable[tuple[BivarPoly, BivarPoly]]) -> BivarPoly:
+    """sum_i p_i * q_i over (p_i, q_i) pairs, expanded into one accumulator and canonicalised once."""
+    acc: dict[Key, Rational] = {}
+    for p, q in pairs:
+        for (a1, b1), c1 in p._terms.items():
+            for (a2, b2), c2 in q._terms.items():
+                key = (a1 + a2, b1 + b2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return BivarPoly._of(_canonical(acc))
 
 
 def _power(base, exponent: int, one):

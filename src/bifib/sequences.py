@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, IntegralityViolation
-from .poly import ONE, X, Y, ZERO, BivarPoly
+from .poly import ONE, X, Y, ZERO, BivarPoly, sum_of_products
 from .report import CheckResult
 
 
@@ -61,7 +61,7 @@ class SequenceCache:
             return values[n]
         with self._lock:
             while len(values) <= n:
-                values.append(X * values[-1] + Y * values[-2])
+                values.append(sum_of_products(((X, values[-1]), (Y, values[-2]))))
         return values[n]
 
 

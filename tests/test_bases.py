@@ -1,6 +1,8 @@
 import builtins
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,31 @@ def test_det_matches_minor_expansion_on_random_matrices():
             bases._eliminate(eliminated)
             divisors.update(abs(eliminated[k][k]) for k in range(size - 1))
     assert max(divisors) > 1  # later Bareiss steps divided by pivots other than 1
+
+
+def test_elimination_leaves_exact_zeros_below_the_diagonal():
+    rng = random.Random(11)
+    swapped = divided = 0
+    for trial in range(200):
+        size = rng.randint(2, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        rows[0][0] = 0  # the first pivot needs a row swap, or there is none
+        if trial % 2:
+            rows[0], rows[-1] = rows[-1], rows[0]  # the zero-led row goes last; swaps come from later columns
+        eliminated = [list(row) for row in rows]
+        try:
+            sign = bases._eliminate(eliminated)
+        except SingularMatrixError:
+            continue
+        assert all(eliminated[i][j] == 0 and type(eliminated[i][j]) is int for i in range(size) for j in range(i))
+        leibniz = sum(
+            (-1) ** sum(p[b] > p[a] for a in range(size) for b in range(a)) * prod(rows[i][p[i]] for i in range(size))
+            for p in permutations(range(size))
+        )
+        assert sign * eliminated[-1][-1] == leibniz
+        swapped += sign < 0
+        divided += any(abs(eliminated[k][k]) > 1 for k in range(size - 1))
+    assert swapped > 20 and divided > 20
 
 
 def test_inexact_bareiss_division_raises(monkeypatch):

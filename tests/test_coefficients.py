@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -182,6 +183,13 @@ def test_e_is_half_sum_of_a_and_d():
     for n in range(1, 61):
         for k in range(n):
             assert 2 * e_closed(n, k) == a_closed(n - 1, k) + d_closed(n, k)
+
+
+def test_a_closed_matches_the_literal_alternating_sum():
+    for n in range(60):
+        for k in range(n + 1):
+            alternating = sum((-1) ** j * comb(j, n - k) for j in range(n + 1))
+            assert a_closed(n, k) == (-1) ** (k + 1) * comb(n, k) + 2 * (-1) ** (n - k) * alternating, (n, k)
 
 
 def test_diagonal_values():

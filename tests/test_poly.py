@@ -16,6 +16,7 @@ from bifib.poly import (
     canonical_monomials,
     from_canonical_coordinates,
     signed_sum,
+    sum_of_products,
 )
 
 
@@ -160,6 +161,46 @@ def test_internal_results_are_stored_canonically(p, q):
             assert type(coeff) is int or coeff.denominator != 1
         rebuilt = BivarPoly(dict(result.items()))
         assert result == rebuilt and str(result) == str(rebuilt)
+
+
+# -- the multiply-accumulate kernel --------------------------------------------
+
+thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+fraction_polys = st.lists(st.tuples(exponents, exponents, thirds), max_size=4).map(
+    lambda ts: poly_of(*ts)
+)
+
+
+@given(st.lists(st.tuples(fraction_polys, fraction_polys), max_size=4))
+def test_sum_of_products_equals_the_sum_of_the_products(pairs):
+    expected = ZERO
+    for p, q in pairs:
+        expected = expected + p * q
+    result = sum_of_products(pairs)
+    assert result == expected
+    # the constructor accumulates repeated monomials on its own, without the kernel
+    terms = [((a1 + a2, b1 + b2), c1 * c2) for p, q in pairs for (a1, b1), c1 in p.items() for (a2, b2), c2 in q.items()]
+    assert result == BivarPoly(terms)
+    assert all(c != 0 and (type(c) is int or c.denominator != 1) for c in result._terms.values())
+
+
+def test_sum_of_products_of_no_pairs_is_zero():
+    assert sum_of_products([]) == ZERO
+    assert sum_of_products([]).is_zero()
+
+
+def test_sum_of_products_that_cancel_is_the_zero_polynomial():
+    p = poly_of((2, 1, 3), (0, 0, Fraction(1, 2)))
+    q = poly_of((1, 0, 1), (0, 2, -5))
+    result = sum_of_products([(p, q), (-p, q), (X, Y), (Y, -X)])
+    assert result.is_zero() and len(result) == 0 and str(result) == "0"
+
+
+def test_sum_of_products_stores_an_integral_fraction_as_int():
+    half_x = poly_of((1, 0, Fraction(1, 2)))
+    result = sum_of_products([(half_x, poly_of((0, 1, Fraction(2, 3)))), (half_x, poly_of((0, 1, Fraction(4, 3))))])
+    assert result == X * Y
+    assert type(result.coefficient(1, 1)) is int
 
 
 # -- substitution --------------------------------------------------------------
