@@ -99,7 +99,7 @@ def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
     return letter, spec.n + k + offset
 
 
-def _weight(letter: str, index: int) -> int:
+def member_weight(letter: str, index: int) -> int:
     """The canonical degree spanned by U_index or V_index."""
     return index - 1 if letter == "U" else index
 
@@ -121,7 +121,7 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
     """
     if kind == "U" and index == 0:
         raise DomainError("U_0 is the zero polynomial; nothing to decompose")
-    weight = _weight(kind, index)
+    weight = member_weight(kind, index)
     lowest = lowest_order(family)
     if weight % 2 != lowest:
         needed = "odd" if lowest else "even"
@@ -260,7 +260,7 @@ def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
     columns = []
     for k in range(size):
         letter, index = member_index(spec, k)
-        coords = SHARED_CACHES[letter][index].canonical_coordinates(_weight(letter, index))
+        coords = SHARED_CACHES[letter][index].canonical_coordinates(member_weight(letter, index))
         columns.append(coords + [0] * (size - len(coords)))
     return RationalMatrix._of([list(row) for row in zip(*columns)])
 

@@ -8,9 +8,9 @@ stored and integral fractions are normalised back to int on construction.
 
 The degree-n canonical family is the monomial list (x^(n-2k) y^k) for
 0 <= k <= n//2.  A polynomial supported on it is weight homogeneous (every
-term has x_exp + 2*y_exp = n); ``canonical_coordinates`` and
-``from_canonical_coordinates`` convert between such polynomials and their
-coordinate vectors over that family.
+term has x_exp + 2*y_exp = n); ``canonical_coordinates``, ``split_canonical``
+(which also returns the terms outside the family) and ``from_canonical_coordinates``
+convert between such polynomials and their coordinate vectors over that family.
 
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
@@ -213,14 +213,21 @@ class BivarPoly:
         """
         if n < 0:
             raise DomainError(f"canonical degree index must be >= 0, got {n}")
-        coords: list[Rational] = [0] * (n // 2 + 1)
-        for (a, b), coeff in self._terms.items():
-            if a + 2 * b != n:
-                raise MalformedElement(
-                    f"monomial {_var_string(a, b) or '1'} lies outside the degree-{n} canonical family"
-                )
-            coords[b] = coeff
+        coords, rest = self.split_canonical(n)
+        for a, b in rest._terms:  # raised for the first term outside the family, if any
+            raise MalformedElement(f"monomial {_var_string(a, b) or '1'} lies outside the degree-{n} canonical family")
         return coords
+
+    def split_canonical(self, n: int) -> tuple[list[Rational], BivarPoly]:
+        """(coords, rest): coordinates over the degree-n canonical family (none for n = -1) and the other terms."""
+        coords: list[Rational] = [0] * (n // 2 + 1)
+        rest: dict[Key, Rational] = {}
+        for (a, b), coeff in self._terms.items():
+            if a + 2 * b == n:
+                coords[b] = coeff
+            else:
+                rest[a, b] = coeff
+        return coords, BivarPoly._of(rest) if rest else ZERO
 
     # -- rendering ------------------------------------------------------------
 

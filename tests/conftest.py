@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from bifib.cli import main
+from bifib.poly import BivarPoly
 from bifib.sequences import SequenceCache
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -32,17 +33,22 @@ def golden_dir() -> Path:
 
 @pytest.fixture
 def corrupt_member(monkeypatch):
-    """Make every sequence cache read member ``index`` of U or V (``letter``) as one more than it is.
+    """Make every sequence cache read member ``index`` of U or V (``letter``) wrong.
 
-    Only reads are changed; the caches still store the right members.
+    By default the member reads as one more than it is, which puts a term
+    outside its canonical family; with ``in_family`` it reads as itself plus
+    x^w, w its weight, which keeps every term inside the family.  Only reads
+    are changed; the caches still store the right members.
     """
 
-    def _corrupt(letter: str, index: int) -> None:
+    def _corrupt(letter: str, index: int, in_family: bool = False) -> None:
         read = SequenceCache.__getitem__
 
         def wrong(self, n):
             value = read(self, n)
-            return value + 1 if (self.kind.value, n) == (letter, index) else value
+            if (self.kind.value, n) != (letter, index):
+                return value
+            return value + (BivarPoly.monomial(value.homogeneous_weight(), 0) if in_family else 1)
 
         monkeypatch.setattr(SequenceCache, "__getitem__", wrong)
 

@@ -267,6 +267,36 @@ def test_coordinates_reject_foreign_monomials():
         ONE.canonical_coordinates(-1)
 
 
+@given(st.integers(-1, 12), fraction_polys, st.lists(thirds, min_size=7, max_size=7))
+def test_split_canonical_separates_the_family_from_the_rest(n, extra, vector):
+    in_family = from_canonical_coordinates(n, vector[: n // 2 + 1]) if n >= 0 else ZERO
+    p = in_family + extra
+    coords, rest = p.split_canonical(n)
+    assert all(a + 2 * b != n for (a, b), _ in rest.items())
+    if n < 0:
+        assert coords == [] and rest == p
+        return
+    assert from_canonical_coordinates(n, coords) + rest == p
+    if not rest:
+        assert p.canonical_coordinates(n) == coords
+        return
+    # the message names the first out-of-family term in term order
+    (a, b), _ = next(rest.items())
+    with pytest.raises(MalformedElement) as excinfo:
+        p.canonical_coordinates(n)
+    assert str(excinfo.value) == f"monomial {BivarPoly.monomial(a, b)} lies outside the degree-{n} canonical family"
+
+
+def test_split_canonical_examples():
+    p = poly_of((2, 0, 3), (0, 3, Fraction(1, 2)), (1, 1, 5), (0, 1, -1))
+    assert p.split_canonical(2) == ([3, -1], poly_of((0, 3, Fraction(1, 2)), (1, 1, 5)))
+    assert p.split_canonical(-1) == ([], p)
+    assert ZERO.split_canonical(5) == ([0, 0, 0], ZERO)
+    with pytest.raises(MalformedElement) as excinfo:
+        p.canonical_coordinates(2)
+    assert str(excinfo.value) == "monomial y^3 lies outside the degree-2 canonical family"
+
+
 def test_canonical_family_shape():
     assert canonical_monomials(4) == [(4, 0), (2, 1), (0, 2)]
     assert canonical_monomials(1) == [(1, 0)]
