@@ -17,9 +17,18 @@ Closed forms (delta is the Kronecker symbol):
     d(n,k) = (-1)^(n-k+1) (n+k)/n C(n,k)
     e(n,k) = (a(n-1,k) + d(n,k)) / 2 + delta(n,k)
 
-Every family also satisfies a Pascal-like two-term row recurrence; the
-triangles can be generated three independent ways (closed form, recurrence,
-and the exact linear-solve oracle of ``bases.decompose``) and
+Every family also satisfies a Pascal-like two-term row recurrence: after
+the seed row, row n has the entry 0 shown and, for k >= 1, the rule on the
+right, reading 0 past the end of row n-1 (e's rule reads the a recurrence):
+
+    a(0,.) = (1)       a(n,0) = 1              a(n,k) = a(n-1,k) - a(n-1,k-1) + 2 delta(k,n)
+    b(0,.) = (-1)      b(n,0) = (-1)^(n+1)     b(n,k) = -b(n-1,k) + b(n-1,k-1)
+    c(1,.) = (1, -2)   c(n,0) = 2 (-1)^(n+1)   c(n,k) = -c(n-1,k) + c(n-1,k-1) - delta(n,k+2)
+    d(1,.) = (1, -2)   d(n,0) = (-1)^(n+1)     d(n,k) = -d(n-1,k) + d(n-1,k-1)
+    e(1,.) = (1)       e(n,0) = n mod 2        e(n,k) = -e(n-1,k) + e(n-1,k-1) + a(n-1,k)
+
+The triangles can thus be generated three independent ways (closed form,
+recurrence, and the exact linear-solve oracle of ``bases.decompose``) and
 ``cross_check`` compares them entry by entry.
 
 Rows of the b, c and d triangles carry a final k = n entry (for example
@@ -179,82 +188,32 @@ def closed_triangle(family: Family, n_max: int) -> CoeffTriangle:
     return CoeffTriangle(family, "closed", start, rows)
 
 
+# Per family: the seed row, entry 0 of each later row n, the sign s and the extra term.
+# Entry k >= 1 of row n is s * (prev[k] - prev[k-1]) + extra(n, k, a), where prev is row
+# n-1 with a 0 past its end and a holds the a recurrence's rows (only e's extra reads them).
+_RULES: dict[Family, tuple[tuple[int, ...], Callable[[int], int], int, Callable[..., int]]] = {
+    Family.A: ((1,), lambda n: 1, 1, lambda n, k, a: 2 if k == n else 0),
+    Family.B: ((-1,), lambda n: (-1) ** (n + 1), -1, lambda n, k, a: 0),
+    Family.C: ((1, -2), lambda n: 2 * (-1) ** (n + 1), -1, lambda n, k, a: -1 if n == k + 2 else 0),
+    Family.D: ((1, -2), lambda n: (-1) ** (n + 1), -1, lambda n, k, a: 0),
+    Family.E: ((1,), lambda n: n % 2, -1, lambda n, k, a: a[n - 1][k]),
+}
+
+
 def recurrence_triangle(family: Family, n_max: int) -> CoeffTriangle:
-    """Rows built purely from the family's seeds and two-term recurrence."""
+    """Rows built purely from the family's seed row and two-term recurrence, by ``_RULES``."""
     start = MIN_ROW[family]
     if n_max < start:
         raise IndexError(f"n_max {n_max} below first row {start} of family {family.value}")
-    builder = _RECURRENCES[family]
-    return CoeffTriangle(family, "recurrence", start, builder(n_max))
-
-
-def _entry(row: tuple[int, ...], k: int) -> int:
-    return row[k] if 0 <= k < len(row) else 0
-
-
-def _a_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1,)]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [1]
-        for k in range(1, n + 1):
-            row.append(_entry(prev, k) - _entry(prev, k - 1) + (2 if k == n else 0))
+    seed, first, sign, extra = _RULES[family]
+    a = recurrence_triangle(Family.A, n_max - 1).rows if family is Family.E else ()
+    rows = [seed]
+    for n in range(start + 1, n_max + 1):
+        prev = rows[-1] + (0,)
+        row = [first(n)]
+        row += [sign * (prev[k] - prev[k - 1]) + extra(n, k, a) for k in range(1, table_row_length(family, n))]
         rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _b_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(-1,)]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [(-1) ** (n + 1)]
-        for k in range(1, n + 1):
-            row.append(-_entry(prev, k) + _entry(prev, k - 1))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _c_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1, -2)]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
-        row = [2 * (-1) ** (n + 1)]
-        for k in range(1, n + 1):
-            row.append(-_entry(prev, k) + _entry(prev, k - 1) - (1 if n == k + 2 else 0))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _d_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1, -2)]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
-        row = [(-1) ** (n + 1)]
-        for k in range(1, n + 1):
-            row.append(-_entry(prev, k) + _entry(prev, k - 1))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _e_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    a_rows = _a_rows(n_max - 1) if n_max >= 2 else ()
-    rows = [(1,)]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
-        row = [(1 - (-1) ** n) // 2]
-        for k in range(1, n):
-            row.append(-_entry(prev, k) + _entry(prev, k - 1) + _entry(a_rows[n - 1], k))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-_RECURRENCES: dict[Family, Callable[[int], tuple[tuple[int, ...], ...]]] = {
-    Family.A: _a_rows,
-    Family.B: _b_rows,
-    Family.C: _c_rows,
-    Family.D: _d_rows,
-    Family.E: _e_rows,
-}
+    return CoeffTriangle(family, "recurrence", start, tuple(rows))
 
 
 @dataclass(frozen=True)

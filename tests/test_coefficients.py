@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from bifib import coefficients
 from bifib.bases import BasisFamily
 from bifib.coefficients import (
     SCHEMES,
@@ -166,8 +167,28 @@ def test_closed_rows(family, n_max, table):
 
 
 def test_closed_matches_recurrence_up_to_40():
+    # The short triangles are the seed row alone and e at n_max 1 and 2, which reads
+    # no row or one row of the a recurrence.
     for family in Family:
-        assert closed_triangle(family, 40).rows == recurrence_triangle(family, 40).rows, family
+        for n_max in [*range(MIN_ROW[family], 7), 40]:
+            assert closed_triangle(family, n_max).rows == recurrence_triangle(family, n_max).rows, (family, n_max)
+
+
+def test_recurrence_route_reads_neither_closed_forms_nor_the_oracle(monkeypatch):
+    expected = {family: recurrence_triangle(family, 30).rows for family in Family}
+
+    def forbidden(*args):
+        raise AssertionError("the recurrence route called another route")
+
+    monkeypatch.setattr(coefficients, "comb", forbidden)
+    monkeypatch.setattr(coefficients, "decompose", forbidden)
+    for family in Family:
+        monkeypatch.setitem(coefficients._CLOSED, family, forbidden)
+    for route in (closed_triangle, oracle_triangle):
+        with pytest.raises(AssertionError, match="another route"):
+            route(Family.E, 2)
+    for family in Family:
+        assert recurrence_triangle(family, 30).rows == expected[family], family
 
 
 # -- cross-family identities ----------------------------------------------------------
