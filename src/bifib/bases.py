@@ -17,13 +17,14 @@ Their coordinate matrices over the canonical family are square with exact
 determinant 1 (BU, BUstar) or 2 (BV, BVstar), so ``decompose`` can solve for
 the coordinates of any member of the ambient space.  That solver is the
 independent oracle against which the closed-form coefficient families are
-checked.
+checked.  It peels the basis one order at a time: adjacent vectors differ by
+y times a vector of the order below, so the x^m coordinate fixes the sum of
+the coordinates and the rest is the same problem one order lower, O(n^2) per
+solve.  ``decompose`` then checks its residual by a matrix-vector product.
 
-All linear algebra is exact, with no floating point: after each row is
-multiplied by the lcm of its denominators, fraction-free (Bareiss) elimination
-runs on plain ints with first-nonzero pivoting, and ``decompose`` checks its
-residual by a matrix-vector product (on ints for integral coordinates).
-``det_by_column_reduction`` checks the determinant independently, on the
+All linear algebra is exact, with no floating point.  ``RationalMatrix`` runs
+fraction-free (Bareiss) elimination on int rows scaled by the lcm of their
+denominators, and ``det_by_column_reduction`` checks its determinant on the
 integer coordinates of the product-built ``build_basis`` vectors.
 """
 
@@ -293,6 +294,25 @@ def det_by_column_reduction(spec: BasisSpec) -> Rational:
     return as_rational(scale * columns[0][0])
 
 
+def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational]) -> list[Rational]:
+    """Coordinates over the basis of the vector whose canonical coordinates are ``rhs``.
+
+    As v_k - v_(k-1) = y w_(k-1), sum c_k v_k = S v_0 + y sum c'_j w_j, where
+    S = sum c_k, c'_j = sum_(i>j) c_i and w is the basis one order lower.
+    """
+    letter, offset = _MEMBERS[spec.family]
+    residual, sums = list(rhs), []
+    for index in range(spec.n + offset, lowest_order(spec.family) + offset - 1, -1):
+        lead = SHARED_CACHES[letter][index].canonical_coordinates(member_weight(letter, index))
+        total = residual[0] if lead[0] == 1 else as_rational(Fraction(residual[0], lead[0]))  # 2 for V_0
+        sums.append(total)
+        residual = [a - total * b for a, b in zip(residual, lead)][1:] + residual[len(lead) :]
+    coords: list[Rational] = []
+    for total in reversed(sums):  # c_0 = S - c'_0, c_k = c'_(k-1) - c'_k, c_last = c'_last
+        coords = [a - b for a, b in zip([total, *coords], [*coords, 0])]
+    return [as_rational(c) for c in coords]
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Exact coordinates of a target polynomial over one sequence basis."""
@@ -326,7 +346,7 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
     """
     rhs = target.canonical_coordinates(ambient_degree(spec))
     matrix = coordinate_matrix(spec)
-    coords = tuple(matrix.solve(rhs))
+    coords = tuple(_peel_solve(spec, rhs))
     if any(sum(a * x for a, x in zip(row, coords)) != value for row, value in zip(matrix._rows, rhs)):
         raise ArithmeticError("internal error: decomposition residual is not zero")
     return Decomposition(target, spec, coords)

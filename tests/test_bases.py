@@ -313,16 +313,41 @@ def test_decomposition_reconstructs_target():
 
 
 def test_decompose_raises_on_a_nonzero_residual(monkeypatch):
-    solve = RationalMatrix.solve
+    solve = bases._peel_solve
 
-    def perturbed(self, rhs):
-        coords = solve(self, rhs)
+    def perturbed(spec, rhs):
+        coords = solve(spec, rhs)
         coords[1] += 1
         return coords
 
-    monkeypatch.setattr(RationalMatrix, "solve", perturbed)
+    monkeypatch.setattr(bases, "_peel_solve", perturbed)
     with pytest.raises(ArithmeticError, match="residual is not zero"):
         decompose(u_poly(8), BasisSpec(BasisFamily.BU_STAR, 4))
+
+
+@pytest.mark.parametrize("family", SEQUENCE_BASES, ids=lambda family: family.value)
+def test_peel_solve_matches_bareiss(family):
+    rng = random.Random(17)
+    fractional = 0
+    for n in range(lowest_order(family), 16):
+        spec = BasisSpec(family, n)
+        degree = ambient_degree(spec)
+        matrix = coordinate_matrix(spec)
+        targets = [
+            [rng.randint(-99, 99) for _ in range(matrix.rows)],
+            [Fraction(rng.randint(-99, 99), rng.randint(1, 6)) for _ in range(matrix.rows)],
+            # both members spanning the ambient degree, never doubled: U over BV has half-integer coordinates
+            u_poly(degree + 1).canonical_coordinates(degree),
+            v_poly(degree).canonical_coordinates(degree),
+        ]
+        for rhs in targets:
+            peeled, reference = bases._peel_solve(spec, rhs), matrix.solve(rhs)
+            assert peeled == reference, (spec, rhs)
+            assert [type(c) for c in peeled] == [type(c) for c in reference], (spec, rhs)
+            fractional += any(isinstance(c, Fraction) for c in reference)
+    # at least the Fraction target and each member that pairs with this basis only doubled, at every order
+    doubled = sum(basis is family for _, basis in bases._DOUBLED)
+    assert fractional >= (16 - lowest_order(family)) * (1 + doubled)
 
 
 def test_decompose_rejects_foreign_monomials():

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from bifib import coefficients
-from bifib.bases import BasisFamily
+from bifib.bases import BasisFamily, RationalMatrix
 from bifib.coefficients import (
     SCHEMES,
     CoeffTriangle,
@@ -189,6 +189,30 @@ def test_recurrence_route_reads_neither_closed_forms_nor_the_oracle(monkeypatch)
             route(Family.E, 2)
     for family in Family:
         assert recurrence_triangle(family, 30).rows == expected[family], family
+
+
+def test_oracle_route_reads_neither_closed_forms_nor_recurrences_nor_bareiss(monkeypatch):
+    expected = {family: oracle_triangle(family, 30).rows for family in Family}
+
+    def forbidden(*args):
+        raise AssertionError("the oracle route called another route")
+
+    class ForbiddenRules(dict):
+        def __getitem__(self, family):
+            forbidden()
+
+    monkeypatch.setattr(coefficients, "comb", forbidden)
+    monkeypatch.setattr(coefficients, "_RULES", ForbiddenRules())
+    monkeypatch.setattr(RationalMatrix, "solve", forbidden)
+    for family in Family:
+        monkeypatch.setitem(coefficients._CLOSED, family, forbidden)
+    for route in (closed_triangle, recurrence_triangle):
+        with pytest.raises(AssertionError, match="another route"):
+            route(Family.E, 2)
+    with pytest.raises(AssertionError, match="another route"):
+        RationalMatrix.identity(2).solve([1, 0])
+    for family in Family:
+        assert oracle_triangle(family, 30).rows == expected[family], family
 
 
 # -- cross-family identities ----------------------------------------------------------
