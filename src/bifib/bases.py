@@ -348,7 +348,7 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
     matrix = coordinate_matrix(spec)
     coords = tuple(_peel_solve(spec, rhs))
     if any(sum(a * x for a, x in zip(row, coords)) != value for row, value in zip(matrix._rows, rhs)):
-        raise ArithmeticError("internal error: decomposition residual is not zero")
+        raise ArithmeticError(f"internal error: decomposition residual is not zero ({spec.family.value}, n = {spec.n})")
     return Decomposition(target, spec, coords)
 
 

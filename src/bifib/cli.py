@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .bases import (
     BasisFamily,
@@ -40,7 +39,7 @@ from .coefficients import (
 )
 from .errors import BifibError
 from .poly import _var_string, signed_sum
-from .report import CheckResult, checks
+from .report import all_passed, checks, run_checks
 from .sequences import u_poly, v_poly
 from .specializations import chebyshev_t, chebyshev_u
 
@@ -65,22 +64,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-n",
-        type=int,
-        default=500,
-        metavar="CAP",
-        help="hard cap on index arguments (default 500)",
-    )
+    def verb(name: str, summary: str) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=summary)
+        command.add_argument(
+            "--max-n",
+            type=int,
+            default=500,
+            metavar="CAP",
+            help="hard cap on index arguments (default 500)",
+        )
+        return command
 
-    gen = sub.add_parser("gen", parents=[common], help="print one sequence member")
+    gen = verb("gen", "print one sequence member")
     gen.add_argument("kind", choices=["U", "V"])
     gen.add_argument("n", type=int)
     gen.add_argument("--format", choices=["text", "json"], default="text")
     gen.set_defaults(handler=_cmd_member, members={"U": u_poly, "V": v_poly})
 
-    table = sub.add_parser("table", parents=[common], help="emit a coefficient triangle")
+    table = verb("table", "emit a coefficient triangle")
     table.add_argument("family", choices=[f.value for f in Family])
     table.add_argument("n_max", type=int)
     table.add_argument("--format", choices=["text", "csv", "json", "latex"], default="text")
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     table.set_defaults(handler=_cmd_table)
 
-    det = sub.add_parser("det", parents=[common], help="exact basis determinant")
+    det = verb("det", "exact basis determinant")
     det.add_argument("basis", choices=_SEQUENCE_BASES)
     det.add_argument("n", type=int)
     det.add_argument("--format", choices=["text", "json"], default="text")
@@ -103,14 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     det.set_defaults(handler=_cmd_det)
 
-    dec = sub.add_parser("decompose", parents=[common], help="coordinates over a sequence basis")
+    dec = verb("decompose", "coordinates over a sequence basis")
     dec.add_argument("kind", choices=["U", "V"])
     dec.add_argument("n", type=int)
     dec.add_argument("basis", choices=_SEQUENCE_BASES)
     dec.add_argument("--format", choices=["text", "json"], default="text")
     dec.set_defaults(handler=_cmd_decompose)
 
-    verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    verify = verb("verify", "run the verification suite")
     verify.add_argument("n_max", type=int)
     verify.add_argument(
         "scope",
@@ -121,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.set_defaults(handler=_cmd_verify)
 
-    cheb = sub.add_parser("chebyshev", parents=[common], help="print a Chebyshev polynomial")
+    cheb = verb("chebyshev", "print a Chebyshev polynomial")
     cheb.add_argument("kind", choices=["T", "U"])
     cheb.add_argument("n", type=int)
     cheb.add_argument("--format", choices=["text", "json"], default="text")
@@ -167,13 +168,9 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                     file=sys.stderr,
                 )
             return 1
-        triangle = recurrence_triangle(family, args.n_max)
-    elif args.method == "closed":
-        triangle = closed_triangle(family, args.n_max)
-    elif args.method == "oracle":
-        triangle = oracle_triangle(family, args.n_max)
-    else:
-        triangle = recurrence_triangle(family, args.n_max)
+    # once the methods agree, 'all' prints the recurrence triangle
+    build = {"closed": closed_triangle, "oracle": oracle_triangle}.get(args.method, recurrence_triangle)
+    triangle = build(family, args.n_max)
 
     if args.format == "text":
         print(triangle.to_text())
@@ -232,13 +229,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     _enforce_cap(parser, args, args.n_max)
     if args.n_max < 1:
         parser.error("verify needs n_max >= 1")
-    timed: list[tuple[CheckResult, float]] = []
-    for _, check in checks(args.scope):
-        start = time.perf_counter()
-        result = check(args.n_max)
-        timed.append((result, time.perf_counter() - start))
-    timed.sort(key=lambda pair: pair[0].name)
-    passed = all(result.passed for result, _ in timed)
+    results = run_checks(args.scope, args.n_max)
+    passed = all_passed(results)
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -251,15 +243,15 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                     "name": result.name,
                     "passed": result.passed,
                     "detail": result.detail,
-                    "seconds": round(elapsed, 6),
+                    "seconds": round(result.seconds, 6),
                 }
-                for result, elapsed in timed
+                for result in results
             ],
         }
         print(json.dumps(payload))
     else:
-        for result, _ in timed:
+        for result in results:
             print(result.line())
-        ok = sum(1 for result, _ in timed if result.passed)
-        print(f"{ok}/{len(timed)} checks passed")
+        ok = sum(1 for result in results if result.passed)
+        print(f"{ok}/{len(results)} checks passed")
     return 0 if passed else 1

@@ -189,11 +189,7 @@ class BivarPoly:
         y_image = y_image if isinstance(y_image, BivarPoly) else BivarPoly.constant(y_image)
         x_pows = _power_table(x_image, max((a for a, _ in self._terms), default=0))
         y_pows = _power_table(y_image, max((b for _, b in self._terms), default=0))
-        acc: dict[Key, Rational] = {}
-        for (a, b), coeff in self._terms.items():
-            for key, c in (x_pows[a] * y_pows[b])._terms.items():
-                acc[key] = acc.get(key, 0) + coeff * c
-        return BivarPoly._of(_canonical(acc))
+        return sum_of_products((x_pows[a].scale(coeff), y_pows[b]) for (a, b), coeff in self._terms.items())
 
     def evaluate(self, x0: Rational, y0: Rational) -> Rational:
         """Exact value at a rational point."""

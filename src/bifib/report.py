@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainError
+from .errors import BifibError, DomainError
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named verification check."""
+    """Outcome of one named verification check; ``seconds`` is its run time, left out of equality."""
 
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
     @classmethod
     def over(cls, name: str, bad: Sequence[object], passed_detail: str, at: str = "n") -> CheckResult:
@@ -75,7 +77,15 @@ def checks(scope: str = "all") -> list[tuple[str, Check]]:
 
 
 def run_checks(scope: str, n_max: int) -> list[CheckResult]:
-    """Run every registered check of ``scope`` up to ``n_max``; failures are reported, never raised."""
+    """Run and time every registered check of ``scope`` up to ``n_max``; the results sorted by name."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    return [check(n_max) for _, check in checks(scope)]
+    results = []
+    for name, check in checks(scope):
+        start = time.perf_counter()
+        try:
+            result = check(n_max)
+        except (ArithmeticError, BifibError) as exc:  # a wrong value met partway; other errors are bugs
+            result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return sorted(results, key=lambda result: result.name)

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import bifib
-from bifib.errors import DomainError
-from bifib.report import checks
+from bifib import sequences
+from bifib.errors import DomainError, MalformedElement
+from bifib.report import CheckResult, checks, run_checks
 from cli_sweep import digests
 
 
@@ -269,6 +270,87 @@ def test_verify_json_deterministic_after_dropping_seconds(run_cli):
 def test_verify_rejects_bad_arguments(run_cli):
     assert run_cli(["verify", "0"])[0] == 2
     assert run_cli(["verify", "5", "everything"])[0] == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "letter, index, in_family, lines",
+    [
+        pytest.param(
+            "V",
+            7,
+            True,
+            {
+                "lemma1.det-cross.BV": "FAIL lemma1.det-cross.BV: raised ArithmeticError: "
+                "difference column 3 keeps an x^8 component",
+                "theorems.a": "FAIL theorems.a: raised ArithmeticError: "
+                "internal error: decomposition residual is not zero (BV, n = 8)",
+            },
+            id="V7-in-family",
+        ),
+        pytest.param(
+            "U",
+            8,
+            False,
+            {
+                "theorems.b": "FAIL theorems.b: raised MalformedElement: "
+                "monomial 1 lies outside the degree-7 canonical family",
+            },
+            id="U8",
+        ),
+    ],
+)
+def test_verify_reports_every_check_when_one_meets_a_wrong_value(
+    run_cli, corrupt_member, letter, index, in_family, lines, fmt
+):
+    # A check that raises partway through is a failed check: the report still lists all 32.
+    corrupt_member(letter, index, in_family)
+    code, out, err = run_cli(["verify", "12", "all", "--format", fmt])
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        body = [CheckResult(c["name"], c["passed"], c["detail"]).line() for c in payload["checks"]]
+    else:
+        *body, summary = out.splitlines()
+        assert summary == f"{sum(line.startswith('PASS ') for line in body)}/32 checks passed"
+    assert all(line.startswith(("PASS ", "FAIL ")) for line in body)
+    by_name = {line.split()[1].rstrip(":"): line for line in body}
+    assert list(by_name) == sorted(name for name, _ in checks())
+    for name, line in lines.items():
+        assert by_name[name] == line
+
+
+@pytest.mark.parametrize("error", [ArithmeticError("wrong value"), MalformedElement("wrong value")])
+def test_run_checks_reports_a_check_that_meets_a_wrong_value(monkeypatch, error):
+    def raising(n_max):
+        raise error
+
+    monkeypatch.setattr(sequences, "check_v_even_simple", raising)
+    results = {result.name: result for result in run_checks("lemma2", 4)}
+    assert len(results) == 6
+    assert results["lemma2.v-even-simple"] == CheckResult(
+        "lemma2.v-even-simple", False, f"raised {type(error).__name__}: wrong value"
+    )
+    assert all(result.passed for name, result in results.items() if name != "lemma2.v-even-simple")
+
+
+@pytest.mark.parametrize("error", [TypeError, IndexError])
+def test_run_checks_lets_a_programming_error_propagate(monkeypatch, error):
+    def raising(n_max):
+        raise error("a bug, not a wrong value")
+
+    monkeypatch.setattr(sequences, "check_v_even_simple", raising)
+    with pytest.raises(error, match="a bug"):
+        run_checks("lemma2", 4)
+
+
+def test_check_results_compare_without_their_seconds():
+    timed = CheckResult("lemma1.det.BU", True, "det = 1", seconds=0.25)
+    assert timed == CheckResult("lemma1.det.BU", True, "det = 1", seconds=1.5)
+    assert timed == CheckResult("lemma1.det.BU", True, "det = 1")
+    assert timed.line() == "PASS lemma1.det.BU: det = 1"
+    assert all(result.seconds > 0 for result in run_checks("lemma2", 3))
 
 
 # -- chebyshev -----------------------------------------------------------------------

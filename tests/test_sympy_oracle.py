@@ -1,0 +1,143 @@
+"""Differential tests against sympy, an exact algebra system written independently of bifib.
+
+Polynomial arithmetic, substitution and evaluation are compared with
+``sympy.Poly``; determinants and solves with ``sympy.Matrix``; the Chebyshev
+specializations with ``sympy.chebyshevt``/``chebyshevu``; and U_n(1, 1),
+V_n(1, 1) with the Fibonacci and Lucas numbers.  The module is skipped when
+sympy is not installed.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from bifib.bases import BasisFamily, BasisSpec, RationalMatrix, coordinate_matrix, lowest_order  # noqa: E402
+from bifib.errors import SingularMatrixError  # noqa: E402
+from bifib.poly import BivarPoly  # noqa: E402
+from bifib.sequences import u_poly, v_poly  # noqa: E402
+from bifib.specializations import chebyshev_t, chebyshev_u  # noqa: E402
+
+x, y = sympy.symbols("x y")
+
+
+def to_sympy(value):
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def to_fraction(value) -> Fraction:
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+def as_poly(p: BivarPoly) -> sympy.Poly:
+    return sympy.Poly.from_dict({key: to_sympy(Fraction(c)) for key, c in p.items()}, x, y, domain=sympy.QQ)
+
+
+# -- BivarPoly against sympy.Poly ------------------------------------------------
+
+thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+polys = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), thirds), max_size=4).map(
+    lambda terms: BivarPoly([((a, b), c) for a, b, c in terms])
+)
+small_polys = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), thirds), max_size=3).map(
+    lambda terms: BivarPoly([((a, b), c) for a, b, c in terms])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys)
+def test_sum_and_product_match_sympy(p, q):
+    assert as_poly(p + q) == as_poly(p) + as_poly(q)
+    assert as_poly(p - q) == as_poly(p) - as_poly(q)
+    assert as_poly(p * q) == as_poly(p) * as_poly(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, small_polys, small_polys)
+def test_substitute_matches_sympy(p, x_image, y_image):
+    images = {x: as_poly(x_image).as_expr(), y: as_poly(y_image).as_expr()}
+    expected = sympy.Poly(as_poly(p).as_expr().xreplace(images), x, y, domain=sympy.QQ)
+    assert as_poly(p.substitute(x_image, y_image)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, thirds, thirds)
+def test_evaluate_matches_sympy(p, x0, y0):
+    assert p.evaluate(x0, y0) == to_fraction(as_poly(p).eval({x: to_sympy(x0), y: to_sympy(y0)}))
+
+
+# -- RationalMatrix against sympy.Matrix -----------------------------------------
+
+
+def random_matrix(rng: random.Random, size: int, fractions: bool) -> list[list]:
+    """Entries mostly in -2..2, so that zero pivots (row swaps) and singular matrices are common."""
+
+    def entry():
+        value = rng.randint(-2, 2)
+        return Fraction(value, rng.randint(1, 3)) if fractions else value
+
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+def compare_with_sympy(rows: list[list], rhs: list) -> bool:
+    """Check det and solve against sympy; return whether the matrix is singular."""
+    reference = sympy.Matrix([[to_sympy(Fraction(v)) for v in row] for row in rows])
+    matrix = RationalMatrix(rows)
+    det = reference.det(method="domain-ge")  # Gaussian elimination over QQ, not Bareiss
+    assert matrix.det() == to_fraction(det)
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            matrix.solve(rhs)
+        return True
+    solution = reference.solve(sympy.Matrix([to_sympy(Fraction(v)) for v in rhs]))
+    assert matrix.solve(rhs) == [to_fraction(v) for v in solution]
+    return False
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_det_and_solve_match_sympy_on_random_matrices(fractions):
+    rng = random.Random(1451 + fractions)
+    singular = swapped = 0
+    for _ in range(50):
+        size = rng.randint(1, 5)
+        rows = random_matrix(rng, size, fractions)
+        rhs = [rng.randint(-5, 5) for _ in range(size)]
+        singular += compare_with_sympy(rows, rhs)
+        swapped += rows[0][0] == 0
+    assert singular and swapped  # the sample reaches both paths
+
+
+def test_det_and_solve_match_sympy_on_a_forced_swap_and_a_singular_matrix():
+    assert not compare_with_sympy([[0, 1, 2], [1, 0, 3], [4, -3, 8]], [1, 2, 3])
+    assert not compare_with_sympy([[0, Fraction(1, 2)], [Fraction(2, 3), 5]], [1, Fraction(1, 3)])
+    assert compare_with_sympy([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [1, 2, 3])
+
+
+@pytest.mark.parametrize("family", list(BasisFamily), ids=lambda f: f.value)
+def test_coordinate_matrices_match_sympy_to_n_20(family):
+    rng = random.Random(20)
+    for n in range(lowest_order(family), 21):
+        rows = coordinate_matrix(BasisSpec(family, n)).row_list()
+        assert not compare_with_sympy(rows, [rng.randint(-9, 9) for _ in rows])
+
+
+# -- sequences and their specializations -----------------------------------------
+
+
+def test_chebyshev_polynomials_match_sympy_to_n_40():
+    for n in range(41):
+        assert as_poly(chebyshev_t(n)) == sympy.Poly(sympy.chebyshevt(n, x), x, y, domain=sympy.QQ)
+        assert as_poly(chebyshev_u(n)) == sympy.Poly(sympy.chebyshevu(n, x), x, y, domain=sympy.QQ)
+
+
+def test_u_and_v_at_one_one_are_the_fibonacci_and_lucas_numbers_to_n_40():
+    for n in range(41):
+        assert u_poly(n).evaluate(1, 1) == sympy.fibonacci(n)
+        assert v_poly(n).evaluate(1, 1) == sympy.lucas(n)
