@@ -20,7 +20,8 @@ independent oracle against which the closed-form coefficient families are
 checked.  It peels the basis one order at a time: adjacent vectors differ by
 y times a vector of the order below, so the x^m coordinate fixes the sum of
 the coordinates and the rest is the same problem one order lower, O(n^2) per
-solve.  ``decompose`` then checks its residual by a matrix-vector product.
+solve.  ``decompose`` then checks its residual, accumulating M * coords by
+columns from the members' coordinates, which each member computes once.
 
 All linear algebra is exact, with no floating point.  ``RationalMatrix`` runs
 fraction-free (Bareiss) elimination on int rows scaled by the lcm of their
@@ -33,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, SingularMatrixError
@@ -103,6 +106,11 @@ def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
 def member_weight(letter: str, index: int) -> int:
     """The canonical degree spanned by U_index or V_index."""
     return index - 1 if letter == "U" else index
+
+
+def member_coordinates(letter: str, index: int) -> list[Rational]:
+    """The canonical coordinates of U_index or V_index, read through its sequence cache."""
+    return SHARED_CACHES[letter][index].canonical_coordinates(member_weight(letter, index))
 
 
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
@@ -260,8 +268,7 @@ def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
     size = ambient_degree(spec) // 2 + 1
     columns = []
     for k in range(size):
-        letter, index = member_index(spec, k)
-        coords = SHARED_CACHES[letter][index].canonical_coordinates(member_weight(letter, index))
+        coords = member_coordinates(*member_index(spec, k))
         columns.append(coords + [0] * (size - len(coords)))
     return RationalMatrix._of([list(row) for row in zip(*columns)])
 
@@ -303,14 +310,15 @@ def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational]) -> list[Rational]:
     letter, offset = _MEMBERS[spec.family]
     residual, sums = list(rhs), []
     for index in range(spec.n + offset, lowest_order(spec.family) + offset - 1, -1):
-        lead = SHARED_CACHES[letter][index].canonical_coordinates(member_weight(letter, index))
+        lead = member_coordinates(letter, index)
         total = residual[0] if lead[0] == 1 else as_rational(Fraction(residual[0], lead[0]))  # 2 for V_0
         sums.append(total)
-        residual = [a - total * b for a, b in zip(residual, lead)][1:] + residual[len(lead) :]
+        residual[: len(lead)] = map(sub, residual, map(mul, repeat(total), lead))
+        del residual[0]
     coords: list[Rational] = []
     for total in reversed(sums):  # c_0 = S - c'_0, c_k = c'_(k-1) - c'_k, c_last = c'_last
-        coords = [a - b for a, b in zip([total, *coords], [*coords, 0])]
-    return [as_rational(c) for c in coords]
+        coords = list(map(sub, [total, *coords], [*coords, 0]))
+    return list(map(as_rational, coords))
 
 
 @dataclass(frozen=True)
@@ -345,9 +353,12 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
     non-zero residual would be an internal defect and raises.
     """
     rhs = target.canonical_coordinates(ambient_degree(spec))
-    matrix = coordinate_matrix(spec)
     coords = tuple(_peel_solve(spec, rhs))
-    if any(sum(a * x for a, x in zip(row, coords)) != value for row, value in zip(matrix._rows, rhs)):
+    product: list[Rational] = [0] * len(rhs)
+    for k, c in enumerate(coords):  # column k of the coordinate matrix is member k's coordinates
+        column = member_coordinates(*member_index(spec, k))
+        product[: len(column)] = map(add, product, map(mul, repeat(c), column))
+    if product != rhs:
         raise ArithmeticError(f"internal error: decomposition residual is not zero ({spec.family.value}, n = {spec.n})")
     return Decomposition(target, spec, coords)
 

@@ -168,9 +168,10 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                     file=sys.stderr,
                 )
             return 1
-    # once the methods agree, 'all' prints the recurrence triangle
-    build = {"closed": closed_triangle, "oracle": oracle_triangle}.get(args.method, recurrence_triangle)
-    triangle = build(family, args.n_max)
+        triangle = report.recurrence  # once the methods agree, 'all' prints the recurrence triangle
+    else:
+        build = {"closed": closed_triangle, "oracle": oracle_triangle}.get(args.method, recurrence_triangle)
+        triangle = build(family, args.n_max)
 
     if args.format == "text":
         print(triangle.to_text())

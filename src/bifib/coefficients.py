@@ -295,6 +295,7 @@ class CrossCheckReport:
     n_max: int
     methods: tuple[str, ...]
     mismatches: tuple[MethodMismatch, ...]
+    recurrence: CoeffTriangle
 
     @property
     def passed(self) -> bool:
@@ -320,13 +321,14 @@ def cross_check(family: Family, n_max: int) -> CrossCheckReport:
             for method, triangle in triangles.items()
             if n >= triangle.start_row
         }
-        width = max(len(row) for row in rows.values())
-        for k in range(width):
-            values = {method: (row[k] if k < len(row) else None) for method, row in rows.items()}
-            seen = {v for v in values.values() if v is not None}
-            if len(seen) > 1:
-                mismatches.append(MethodMismatch(n, k, values))
-    return CrossCheckReport(family, n_max, tuple(triangles), tuple(mismatches))
+        longest = max(rows.values(), key=len)
+        if any(row != longest[: len(row)] for row in rows.values()):  # rows that all prefix the longest agree
+            for k in range(len(longest)):
+                values = {method: (row[k] if k < len(row) else None) for method, row in rows.items()}
+                seen = {v for v in values.values() if v is not None}
+                if len(seen) > 1:
+                    mismatches.append(MethodMismatch(n, k, values))
+    return CrossCheckReport(family, n_max, tuple(triangles), tuple(mismatches), triangles["recurrence"])
 
 
 def check_theorem(family: Family, n_max: int) -> CheckResult:

@@ -63,10 +63,11 @@ class BivarPoly:
     """Immutable sparse polynomial in x and y with exact coefficients.
 
     Values are never mutated after construction; operations return fresh
-    polynomials, so instances can be shared freely across threads.
+    polynomials, so instances can be shared freely across threads.  Each
+    instance caches the canonical coordinates of the last degree asked of it.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_coords")
 
     def __init__(self, terms: TermsInput = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -207,11 +208,15 @@ class BivarPoly:
 
         Raises MalformedElement when a term falls outside that family.
         """
+        memo = getattr(self, "_coords", None)
+        if memo is not None and memo[0] == n:
+            return list(memo[1])
         if n < 0:
             raise DomainError(f"canonical degree index must be >= 0, got {n}")
         coords, rest = self.split_canonical(n)
         for a, b in rest._terms:  # raised for the first term outside the family, if any
             raise MalformedElement(f"monomial {_var_string(a, b) or '1'} lies outside the degree-{n} canonical family")
+        self._coords = (n, tuple(coords))
         return coords
 
     def split_canonical(self, n: int) -> tuple[list[Rational], BivarPoly]:

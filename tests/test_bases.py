@@ -20,7 +20,9 @@ from bifib.bases import (
     decompose,
     det_by_column_reduction,
     lowest_order,
+    pairing,
 )
+from bifib.coefficients import Family, oracle_triangle
 from bifib.errors import (
     DimensionError,
     DomainError,
@@ -323,6 +325,29 @@ def test_decompose_raises_on_a_nonzero_residual(monkeypatch):
     monkeypatch.setattr(bases, "_peel_solve", perturbed)
     with pytest.raises(ArithmeticError, match="residual is not zero"):
         decompose(u_poly(8), BasisSpec(BasisFamily.BU_STAR, 4))
+
+    # the last column and exact rationals are covered too
+    def perturbed_last(spec, rhs):
+        coords = solve(spec, rhs)
+        coords[-1] += Fraction(1, 3)
+        return coords
+
+    monkeypatch.setattr(bases, "_peel_solve", perturbed_last)
+    for target, spec in [
+        (u_poly(8), BasisSpec(BasisFamily.BU_STAR, 4)),
+        (u_poly(8).scale(Fraction(2, 3)), BasisSpec(BasisFamily.BU_STAR, 4)),
+        (u_poly(9).scale(Fraction(-1, 5)), BasisSpec(BasisFamily.BV, 4)),
+    ]:
+        with pytest.raises(ArithmeticError, match="residual is not zero"):
+            decompose(target, spec)
+
+
+def test_a_warm_oracle_still_meets_a_corrupted_member(corrupt_member):
+    oracle_triangle(Family.A, 12)
+    corrupt_member("V", 7, in_family=True)
+    target, spec, _ = pairing("U", 17, BasisFamily.BV)
+    with pytest.raises(ArithmeticError, match=r"residual is not zero \(BV, n = 8\)"):
+        decompose(target, spec)
 
 
 @pytest.mark.parametrize("family", SEQUENCE_BASES, ids=lambda family: family.value)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import bifib
-from bifib import sequences
+from bifib import cli, coefficients, sequences
 from bifib.errors import DomainError, MalformedElement
 from bifib.report import CheckResult, checks, run_checks
 from cli_sweep import digests
@@ -53,6 +53,20 @@ def test_table_methods_agree(run_cli):
     base = run_cli(["table", "d", "6"])[1]
     assert run_cli(["table", "d", "6", "--method", "closed"])[1] == base
     assert run_cli(["table", "d", "6", "--method", "all"])[1] == base
+
+
+def test_table_all_builds_the_recurrence_triangle_once(run_cli, monkeypatch):
+    expected = run_cli(["table", "a", "10"])[1]
+    build, calls = coefficients.recurrence_triangle, []
+
+    def counted(family, n_max):
+        calls.append((family, n_max))
+        return build(family, n_max)
+
+    monkeypatch.setattr(coefficients, "recurrence_triangle", counted)
+    monkeypatch.setattr(cli, "recurrence_triangle", counted)
+    assert run_cli(["table", "a", "10", "--method", "all"]) == (0, expected, "")
+    assert calls == [(coefficients.Family.A, 10)]
 
 
 def test_table_all_gate_passes_at_30(run_cli):

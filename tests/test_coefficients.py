@@ -272,6 +272,18 @@ def test_cross_check_with_oracle_passes():
         assert cross_check(family, 12).passed
 
 
+def test_cross_check_lists_every_planted_mismatch(monkeypatch):
+    planted = {(4, 3), (5, 5), (7, 0)}  # (5, 5) is a k = n seed, which the oracle does not produce
+    monkeypatch.setitem(
+        coefficients._CLOSED, Family.D, lambda n, k: d_closed(n, k) + ((n, k) in planted)
+    )
+    report = cross_check(Family.D, 8)
+    assert [(m.n, m.k) for m in report.mismatches] == sorted(planted)
+    assert report.mismatches[0].values == {"closed": 8, "recurrence": 7, "oracle": 7}
+    assert report.mismatches[1].values == {"closed": -1, "recurrence": -2, "oracle": None}
+    assert report.recurrence == recurrence_triangle(Family.D, 8)
+
+
 def test_pairing_gives_each_scheme_its_target():
     """The five identities as the paper lists them, built without ``bases.pairing``."""
     paper = {

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from bifib.poly import (
     signed_sum,
     sum_of_products,
 )
+from bifib.sequences import u_poly, u_poly_closed
 
 
 def poly_of(*terms):
@@ -295,6 +298,53 @@ def test_split_canonical_examples():
     with pytest.raises(MalformedElement) as excinfo:
         p.canonical_coordinates(2)
     assert str(excinfo.value) == "monomial y^3 lies outside the degree-2 canonical family"
+
+
+def test_cached_coordinates_answer_only_their_own_degree():
+    u9 = u_poly(9)
+    assert u9.canonical_coordinates(8) == [1, 7, 15, 10, 1]
+    with pytest.raises(MalformedElement) as excinfo:
+        u9.canonical_coordinates(10)
+    assert str(excinfo.value) == "monomial x^8 lies outside the degree-10 canonical family"
+    with pytest.raises(DomainError):
+        u9.canonical_coordinates(-1)
+    assert u9.canonical_coordinates(8) == [1, 7, 15, 10, 1]
+
+
+def test_mutating_returned_coordinates_leaves_the_next_call_alone():
+    p = u_by_recurrence(9)
+    first = p.canonical_coordinates(8)
+    first[0] = 99
+    first.append(5)
+    second = p.canonical_coordinates(8)
+    assert second == [1, 7, 15, 10, 1]
+    second[-1] = -1
+    assert p.canonical_coordinates(8) == [1, 7, 15, 10, 1]
+
+
+def test_racing_threads_get_equal_coordinates():
+    p = u_poly_closed(301)
+    expected = p.split_canonical(300)[0]
+    start = threading.Barrier(8)
+    results = []
+
+    def work():
+        start.wait(timeout=10)
+        results.append([p.canonical_coordinates(300) for _ in range(20)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    assert all(coords == expected for calls in results for coords in calls)
 
 
 def test_canonical_family_shape():
