@@ -25,8 +25,9 @@ columns from the members' coordinates, which each member computes once.
 
 All linear algebra is exact, with no floating point.  ``RationalMatrix`` runs
 fraction-free (Bareiss) elimination on int rows scaled by the lcm of their
-denominators, and ``det_by_column_reduction`` checks its determinant on the
-integer coordinates of the product-built ``build_basis`` vectors.
+denominators.  ``det_by_column_reduction`` gives the determinants of every
+order up to n from one chain of reductions that starts at the product-built
+order-n vectors and checks each lower level against that order's members.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -273,32 +274,36 @@ def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
     return RationalMatrix._of([list(row) for row in zip(*columns)])
 
 
-def det_by_column_reduction(spec: BasisSpec) -> Rational:
-    """Determinant by telescoping column differences, independent of Bareiss.
+def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
+    """Determinants of orders lowest..n from one chain of column reductions, independent of Bareiss.
 
-    The columns are the integer coordinates of the product-built ``build_basis``
-    vectors.  Replacing column k by its difference with column k-1 leaves entry
-    0 (the x^m coordinate) zero; expanding along entry 0 and dropping it from
-    the differences (dividing by y) reduces the problem to the same family one
-    order lower.  Each step is verified; violations raise ArithmeticError.
+    The chain starts at the integer coordinates of the product-built ``build_basis`` vectors of
+    order n.  Replacing column k by its difference with column k-1 leaves entry 0 (the x^m
+    coordinate) zero; expanding along entry 0 and dropping it from the differences (dividing by y)
+    leaves the columns of the same family one order lower, so det(m) = pivot(m) * det(m - 1).
+    Each step is verified, and below order n the columns must equal the coordinates of that
+    order's members, read once per chain; violations raise ArithmeticError.
     """
-    degree = ambient_degree(spec)
+    lowest, degree = lowest_order(spec.family), ambient_degree(spec)
+    letter, first = member_index(BasisSpec(spec.family, lowest), 0)
+    members = [member_coordinates(letter, i) for i in range(first, first + 2 * (spec.n - lowest) - 1)]
     columns = [v.canonical_coordinates(degree) for v in build_basis(spec)]
-    scale: Rational = 1
-    while len(columns) > 1:
-        pivot = columns[0][0]
-        if pivot == 0:
+    pivots: list[Rational] = []
+    for order in range(spec.n, lowest - 1, -1):
+        if order > lowest and columns[0][0] == 0:
             raise ArithmeticError(f"leading vector lost its x^{degree} component")
-        reduced = []
-        for j in range(1, len(columns)):
-            difference = [a - b for a, b in zip(columns[j], columns[j - 1])]
+        differences = [list(map(sub, b, a)) for a, b in zip(columns, columns[1:])]
+        for j, difference in enumerate(differences, 1):
             if difference[0] != 0:
                 raise ArithmeticError(f"difference column {j} keeps an x^{degree} component")
-            reduced.append(difference[1:])
-        scale = as_rational(scale * pivot)
-        columns = reduced
+        if order < spec.n:  # the top order's columns are the product-built vectors themselves
+            for j, (column, coords) in enumerate(zip(columns, members[order - lowest :])):
+                if column[: len(coords)] != coords or any(column[len(coords) :]):
+                    raise ArithmeticError(f"order {order} column {j} is not {letter}_{first + order - lowest + j}")
+        pivots.append(columns[0][0])
+        columns = [difference[1:] for difference in differences]
         degree -= 2
-    return as_rational(scale * columns[0][0])
+    return list(map(as_rational, accumulate(reversed(pivots), mul)))
 
 
 def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational]) -> list[Rational]:
@@ -364,14 +369,15 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
 
 
 def check_determinant(family: BasisFamily, n_max: int) -> CheckResult:
-    """Exact determinants for orders 1..n_max against the known value."""
+    """The column-reduction chain's determinants for orders 1..n_max against the known value."""
     expected = EXPECTED_DETERMINANTS[family]
-    bad = [n for n in range(1, n_max + 1) if coordinate_matrix(BasisSpec(family, n)).det() != expected]
+    chain = det_by_column_reduction(BasisSpec(family, n_max))[-n_max:]  # orders 1..n_max
+    bad = [n for n, det in enumerate(chain, 1) if det != expected]
     return CheckResult.over(f"lemma1.det.{family.value}", bad, f"det = {expected} for n = 1..{n_max}")
 
 
 def check_determinant_cross(family: BasisFamily, n_max: int) -> CheckResult:
-    """Column reduction and Bareiss give the same determinant for orders 1..n_max."""
-    specs = [BasisSpec(family, n) for n in range(1, n_max + 1)]
-    bad = [s.n for s in specs if det_by_column_reduction(s) != coordinate_matrix(s).det()]
+    """The column-reduction chain and Bareiss give the same determinant for orders 1..n_max."""
+    chain = det_by_column_reduction(BasisSpec(family, n_max))[-n_max:]  # orders 1..n_max
+    bad = [n for n, det in enumerate(chain, 1) if det != coordinate_matrix(BasisSpec(family, n)).det()]
     return CheckResult.over(f"lemma1.det-cross.{family.value}", bad, f"matches Bareiss for n = 1..{n_max}")

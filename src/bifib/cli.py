@@ -189,7 +189,7 @@ def _cmd_det(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = BasisSpec(BasisFamily(args.basis), args.n)
     value = coordinate_matrix(spec).det()
     if args.cross_check:
-        reduction = det_by_column_reduction(spec)
+        reduction = det_by_column_reduction(spec)[-1]
         if reduction != value:
             print(
                 f"determinant mismatch for {args.basis} n={args.n}: "

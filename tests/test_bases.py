@@ -223,10 +223,12 @@ def test_determinant_values_up_to_10():
 
 
 def test_column_reduction_agrees_with_elimination():
+    # one chain from order 12 gives the determinant of every order from the lowest up
     for family in SEQUENCE_BASES:
-        for n in range(1, 9):
-            spec = BasisSpec(family, n)
-            assert det_by_column_reduction(spec) == coordinate_matrix(spec).det()
+        chain = det_by_column_reduction(BasisSpec(family, 12))
+        assert len(chain) == 13 - lowest_order(family)
+        for n, det in enumerate(chain, lowest_order(family)):
+            assert det == coordinate_matrix(BasisSpec(family, n)).det()
 
 
 def test_column_reduction_exercises_the_difference_identity():
@@ -251,8 +253,11 @@ def test_column_reduction_exercises_the_difference_identity():
         (2, lambda v: v + X**10, ArithmeticError, "difference column 2 keeps an x^10 component"),
         (3, lambda v: v + Y * X**8, ArithmeticError, "difference column 2 keeps an x^8 component"),
         (1, lambda v: v + X**9, MalformedElement, "monomial x^9 lies outside the degree-10 canonical family"),
+        # y^5 passes every pivot and difference check; the order-4 columns then differ from their members
+        (5, lambda v: v + Y**5, ArithmeticError, "order 4 column 4 is not U_9"),
+        (1, lambda v: v + Y**5, ArithmeticError, "order 4 column 0 is not U_5"),  # past U_5's last coordinate
     ],
-    ids=["pivot-lost", "x10-kept", "x8-kept-one-order-down", "outside-family"],
+    ids=["pivot-lost", "x10-kept", "x8-kept-one-order-down", "outside-family", "y5-in-the-last-column", "y5-past-a-member"],
 )
 def test_column_reduction_rejects_a_corrupted_basis(monkeypatch, k, plant, error, message):
     spec = BasisSpec(BasisFamily.BU, 5)
@@ -277,6 +282,66 @@ def test_check_determinants_report():
         "lemma1.det-cross.BUstar",
         "lemma1.det-cross.BVstar",
     }
+
+
+def test_lemma1_runs_one_chain_per_check_and_one_elimination_per_order(monkeypatch):
+    chain, det, calls = bases.det_by_column_reduction, RationalMatrix.det, []
+
+    def counted_chain(spec):
+        calls.append("chain")
+        return chain(spec)
+
+    def counted_det(matrix):
+        calls.append("det")
+        return det(matrix)
+
+    monkeypatch.setattr(bases, "det_by_column_reduction", counted_chain)
+    monkeypatch.setattr(RationalMatrix, "det", counted_det)
+    assert all_passed(run_checks("lemma1", 10))
+    assert (calls.count("chain"), calls.count("det")) == (8, 40)
+
+
+def test_lemma1_checks_read_the_chain_order_by_order(monkeypatch):
+    chain = bases.det_by_column_reduction
+
+    def planted(spec):  # a wrong determinant at order 3 only
+        dets = chain(spec)
+        dets[3 - lowest_order(spec.family)] += 1
+        return dets
+
+    monkeypatch.setattr(bases, "det_by_column_reduction", planted)
+    results = run_checks("lemma1", 6)
+    assert [result.detail for result in results] == ["fails at n = 3"] * 8
+
+
+@pytest.mark.parametrize(
+    "letter, index, in_family, error, messages",
+    [
+        ("V", 7, True, "ArithmeticError", {"BV": "order 7 column 0 is not V_7", "BVstar": "order 8 column 0 is not V_7"}),
+        ("U", 8, True, "ArithmeticError", {"BU": "order 7 column 0 is not U_8", "BUstar": "order 8 column 0 is not U_8"}),
+        ("U", 1, True, "ArithmeticError", {"BU": "order 0 column 0 is not U_1", "BUstar": "order 1 column 0 is not U_1"}),
+        (
+            "U",
+            8,
+            False,
+            "MalformedElement",
+            dict.fromkeys(["BU", "BUstar"], "monomial 1 lies outside the degree-7 canonical family"),
+        ),
+    ],
+    ids=["V7-in-family", "U8-in-family", "U1-in-family", "U8"],
+)
+def test_lemma1_names_a_wrong_member_below_the_top_order(corrupt_member, letter, index, in_family, error, messages):
+    # in_family keeps every term inside the member's family and makes its leading coordinate read 2
+    corrupt_member(letter, index, in_family)
+    results = {result.name: result for result in run_checks("lemma1", 12)}
+    for family in SEQUENCE_BASES:
+        for check in ("det", "det-cross"):
+            result = results[f"lemma1.{check}.{family.value}"]
+            if family.value in messages:
+                assert result.detail == f"raised {error}: {messages[family.value]}"
+                assert not result.passed
+            else:
+                assert result.passed
 
 
 # -- decomposition -------------------------------------------------------------------
