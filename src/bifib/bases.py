@@ -281,8 +281,9 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
     order n.  Replacing column k by its difference with column k-1 leaves entry 0 (the x^m
     coordinate) zero; expanding along entry 0 and dropping it from the differences (dividing by y)
     leaves the columns of the same family one order lower, so det(m) = pivot(m) * det(m - 1).
-    Each step is verified, and below order n the columns must equal the coordinates of that
-    order's members, read once per chain; violations raise ArithmeticError.
+    Each step is verified, and the columns must equal the coordinates of that order's members,
+    read once per chain: all at order n-1, only column 0 below (column j > 0 there comes from the
+    same two members as column j-1 one order up); violations raise ArithmeticError.
     """
     lowest, degree = lowest_order(spec.family), ambient_degree(spec)
     letter, first = member_index(BasisSpec(spec.family, lowest), 0)
@@ -297,7 +298,8 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
             if difference[0] != 0:
                 raise ArithmeticError(f"difference column {j} keeps an x^{degree} component")
         if order < spec.n:  # the top order's columns are the product-built vectors themselves
-            for j, (column, coords) in enumerate(zip(columns, members[order - lowest :])):
+            checked = columns if order == spec.n - 1 else columns[:1]
+            for j, (column, coords) in enumerate(zip(checked, members[order - lowest :])):
                 if column[: len(coords)] != coords or any(column[len(coords) :]):
                     raise ArithmeticError(f"order {order} column {j} is not {letter}_{first + order - lowest + j}")
         pivots.append(columns[0][0])

@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from bifib import coefficients
-from bifib.bases import BasisFamily, RationalMatrix
+from bifib import bases, coefficients
+from bifib.bases import BasisFamily, BasisSpec, RationalMatrix
 from bifib.coefficients import (
     SCHEMES,
     CoeffTriangle,
@@ -282,6 +282,7 @@ def test_cross_check_lists_every_planted_mismatch(monkeypatch):
     assert report.mismatches[0].values == {"closed": 8, "recurrence": 7, "oracle": 7}
     assert report.mismatches[1].values == {"closed": -1, "recurrence": -2, "oracle": None}
     assert report.recurrence == recurrence_triangle(Family.D, 8)
+    assert check_theorem(Family.D, 8).detail == "fails at n = 4, 5, 7"  # the k = n seed counts too
 
 
 def test_pairing_gives_each_scheme_its_target():
@@ -305,6 +306,26 @@ def test_theorem_checks_pass():
     assert all_passed(results)
     assert {r.name for r in results} == {f"theorems.{f.value}" for f in Family}
     assert check_theorem(Family.A, 3).passed
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_theorem_check_fails_at_the_first_row_a_planted_rule_changes(monkeypatch, family):
+    seed, first, sign, extra = coefficients._RULES[family]
+    monkeypatch.setitem(coefficients._RULES, family, (seed, lambda n: first(n) + (n == 6), sign, extra))
+    assert check_theorem(family, 8).detail == "fails at n = 6, 7, 8"
+
+
+def test_theorem_check_reads_neither_the_product_built_basis_nor_combine(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the theorem check rebuilt a row")
+
+    for name in ("build_basis", "combine"):
+        monkeypatch.setattr(bases, name, forbidden)
+        monkeypatch.setattr(coefficients, name, forbidden, raising=False)  # catches a re-import too
+    with pytest.raises(AssertionError, match="rebuilt a row"):
+        bases.build_basis(BasisSpec(BasisFamily.BV, 2))
+    for family in Family:
+        assert check_theorem(family, 12).passed, family
 
 
 # -- triangle container and rendering ----------------------------------------------------
