@@ -43,7 +43,6 @@ from .poly import (
     Y,
     ZERO,
     canonical_monomials,
-    from_canonical_coordinates,
 )
 from .report import CheckResult
 from .sequences import (
@@ -104,7 +103,6 @@ __all__ = [
     "decompose",
     "det_by_column_reduction",
     "evaluate_numbers",
-    "from_canonical_coordinates",
     "oracle_triangle",
     "recurrence_triangle",
     "u_poly",

@@ -98,6 +98,11 @@ _MEMBERS = {
 _DOUBLED = {("U", BasisFamily.BV), ("U", BasisFamily.BV_STAR), ("V", BasisFamily.BV_STAR)}
 
 
+def is_doubled(kind: str, family: BasisFamily) -> bool:
+    """Whether U or V (``kind``) pairs with a family doubled, for integer coordinates; reads no member."""
+    return (kind, family) in _DOUBLED
+
+
 def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
     """Sequence letter and index of the member in vector k, e.g. ("U", 7) for U_7."""
     letter, offset = _MEMBERS[spec.family]
@@ -139,14 +144,9 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
             f"{kind}_{index} spans canonical degree {weight}, "
             f"but {family.value} bases span {needed}-degree spaces"
         )
-    doubled = (kind, family) in _DOUBLED
+    doubled = is_doubled(kind, family)
     member = SHARED_CACHES[kind][index]
     return (member.scale(2) if doubled else member), BasisSpec(family, (weight + 1) // 2), doubled
-
-
-def combine(coords: Iterable[Rational], vectors: Iterable[BivarPoly]) -> BivarPoly:
-    """The linear combination sum_k coords[k] * vectors[k]."""
-    return sum_of_products((BivarPoly.constant(coeff), vector) for coeff, vector in zip(coords, vectors))
 
 
 class RationalMatrix:
@@ -166,10 +166,6 @@ class RationalMatrix:
         matrix = object.__new__(cls)
         matrix._rows = rows
         return matrix
-
-    @classmethod
-    def identity(cls, n: int) -> RationalMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:
@@ -337,7 +333,8 @@ class Decomposition:
     coords: tuple[Rational, ...]
 
     def reconstruct(self) -> BivarPoly:
-        return combine(self.coords, build_basis(self.spec))
+        """The linear combination sum_k coords[k] * vector k of the product-built basis."""
+        return sum_of_products((BivarPoly.constant(c), v) for c, v in zip(self.coords, build_basis(self.spec)))
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coords)

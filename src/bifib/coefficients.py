@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable
 
-from .bases import BasisFamily, BasisSpec, decompose, lowest_order, pairing
+from .bases import BasisFamily, BasisSpec, decompose, is_doubled, lowest_order, pairing
 from .errors import DomainError, IntegralityViolation
 from .poly import BivarPoly
 from .report import CheckResult
@@ -220,8 +220,8 @@ def recurrence_triangle(family: Family, n_max: int) -> CoeffTriangle:
 class DecompositionScheme:
     """One family's identity: member 2n + shift of U or V over a basis family.
 
-    The target, its doubling and the first row all come from ``bases.pairing``
-    and ``bases.lowest_order``.
+    The target comes from ``bases.pairing``, its doubling from ``bases.is_doubled``
+    (which ``pairing`` reads too) and the first row from ``bases.lowest_order``.
     """
 
     kind: str
@@ -238,9 +238,8 @@ class DecompositionScheme:
     @property
     def description(self) -> str:
         """For example "2*U[2n+1] over BV"."""
-        doubled = pairing(self.kind, 2 * self.min_n + self.shift, self.basis)[2]
         shift = f"{self.shift:+d}" if self.shift else ""
-        return f"{'2*' if doubled else ''}{self.kind}[2n{shift}] over {self.basis.value}"
+        return f"{'2*' if is_doubled(self.kind, self.basis) else ''}{self.kind}[2n{shift}] over {self.basis.value}"
 
 
 SCHEMES: dict[Family, DecompositionScheme] = {

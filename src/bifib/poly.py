@@ -8,9 +8,9 @@ stored and integral fractions are normalised back to int on construction.
 
 The degree-n canonical family is the monomial list (x^(n-2k) y^k) for
 0 <= k <= n//2.  A polynomial supported on it is weight homogeneous (every
-term has x_exp + 2*y_exp = n); ``canonical_coordinates``, ``split_canonical``
-(which also returns the terms outside the family) and ``from_canonical_coordinates``
-convert between such polynomials and their coordinate vectors over that family.
+term has x_exp + 2*y_exp = n); ``canonical_coordinates`` and ``split_canonical``
+(which also returns the terms outside the family) read off the coordinate vector
+of such a polynomial over that family.
 
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
@@ -309,17 +309,6 @@ def canonical_monomials(n: int) -> list[Key]:
     if n < 0:
         raise DomainError(f"canonical degree index must be >= 0, got {n}")
     return [(n - 2 * k, k) for k in range(n // 2 + 1)]
-
-
-def from_canonical_coordinates(n: int, coords: Iterable[Rational]) -> BivarPoly:
-    """Rebuild sum coords[k] * x^(n-2k) y^k; the left inverse of canonical_coordinates."""
-    coords = list(coords)
-    family = canonical_monomials(n)
-    if len(coords) != len(family):
-        raise DomainError(
-            f"expected {len(family)} coordinates for degree {n}, got {len(coords)}"
-        )
-    return BivarPoly(dict(zip(family, coords)))
 
 
 ZERO = BivarPoly()

@@ -8,10 +8,10 @@ polynomials (seeds 1, 2x).  The second variable must map to -1, not +1:
 with +1 the recurrence's minus sign is lost, which is exactly what
 ``check_recurrence`` pins down.
 
-``check_transfer`` confirms that a decomposition identity survives
-substitution of the variables, checked here for both (2x, 1) and the
-Chebyshev image (2x, -1): each side is substituted separately and the
-results compared exactly.
+``check_transfer`` checks each decomposition identity on its univariate images
+under (x, y) -> (2x, y0): Chebyshev at y0 = -1 (U_i -> U_(i-1), V_i -> 2T_i),
+Pell and Pell-Lucas type at y0 = +1.  They come from their own recurrence, not
+from the bivariate members; ``check_recurrence`` ties the two routes together.
 
 ``evaluate_numbers`` specialises the sequences at integer points instead:
 (1, 1) yields the Fibonacci and Lucas numbers, (1, 2) the Jacobsthal-type
@@ -22,13 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
-from .bases import BasisSpec, combine, member_index
+from .bases import BasisSpec, is_doubled, member_index
 from .coefficients import SCHEMES, Family, closed_row
 from .errors import DomainError
-from .poly import ONE, X, BivarPoly, Rational, _power_table
+from .poly import ONE, X, BivarPoly, Rational
 from .report import CheckResult
-from .sequences import SHARED_CACHES, SequenceKind, u_poly, v_poly
+from .sequences import SequenceKind, u_poly, v_poly
 
 
 @dataclass(frozen=True)
@@ -88,30 +90,41 @@ def check_recurrence(kind: str, n_max: int) -> CheckResult:
     return CheckResult.over(f"chebyshev.recurrence-{kind}", bad, f"seeds and recurrence, n = 0..{n_max}")
 
 
-_TRANSFER_IMAGES = ((X * 2, 1), (X * 2, -1))
+# The images of (U_0, U_1) and (V_0, V_1) under (x, y) -> (2x, y0), as coefficient lists in x.
+_SEEDS = {"U": ((0,), (1,)), "V": ((2,), (0, 2))}
+
+
+def univariate_images(letter: str, y0: int, count: int) -> list[list[int]]:
+    """W_0..W_(count-1) of U or V under (x, y) -> (2x, y0) as dense coefficient lists in x,
+    by W_i = 2x W_(i-1) + y0 W_(i-2) from the seeds, reading no bivariate member."""
+    images = [list(seed) for seed in _SEEDS[letter]]
+    while len(images) < count:
+        images.append(list(map(add, [0, *(2 * c for c in images[-1])], [*(y0 * c for c in images[-2]), 0, 0])))
+    return images
 
 
 def check_transfer(family: Family, n_max: int) -> CheckResult:
-    """The family's decomposition identity after substituting the variables.
+    """The family's decomposition identity for the univariate images under (2x, 1) and (2x, -1).
 
-    Both sides are substituted independently (the coefficients are scalars
-    and stay put) and compared exactly under each image pair.  Substitution
-    is a ring map, so basis vector x^(n-k) W_i maps to x_image^(n-k) times the
-    image of W_i, and each member is substituted once per image pair.
+    Row n states that the image of the target (doubled where ``bases.is_doubled`` says)
+    equals sum_k c_k 2^(n-k) x^(n-k) W_(i_k), with the closed-form coefficients c_k and the
+    images W_(i_k) of the basis members taken from ``univariate_images``.
     """
     scheme = SCHEMES[family]
-    letter = member_index(BasisSpec(scheme.basis, n_max), 0)[0]
-    members = [SHARED_CACHES[letter][i] for i in range(2 * n_max + 2)]
-    images = [(x, y, _power_table(x, n_max), [w.substitute(x, y) for w in members]) for x, y in _TRANSFER_IMAGES]
+    doubling = 2 if is_doubled(scheme.kind, scheme.basis) else 1
+    images = {y0: {letter: univariate_images(letter, y0, 2 * n_max + 2) for letter in "UV"} for y0 in (1, -1)}
     bad = []
     for n in range(scheme.min_n, n_max + 1):
         spec = BasisSpec(scheme.basis, n)
         coeffs = closed_row(family, n)
-        target = scheme.target(n)
-        for x_image, y_image, x_pows, member_images in images:
-            vectors = [x_pows[n - k] * member_images[member_index(spec, k)[1]] for k in range(len(coeffs))]
-            if target.substitute(x_image, y_image) != combine(coeffs, vectors):
-                bad.append((n, y_image))
+        for y0, image in images.items():
+            target = [doubling * c for c in image[scheme.kind][2 * n + scheme.shift]]
+            row = [0] * len(target)
+            for k, c in enumerate(coeffs):  # (2x)^(n-k) is a shift by n - k and a scale by 2^(n-k)
+                letter, index = member_index(spec, k)
+                row[n - k :] = map(add, row[n - k :], map(mul, repeat(c << (n - k)), image[letter][index]))
+            if row != target:
+                bad.append((n, y0))
     return CheckResult.over(
         f"chebyshev.transfer.{family.value}",
         bad,

@@ -210,7 +210,7 @@ def test_oracle_route_reads_neither_closed_forms_nor_recurrences_nor_bareiss(mon
         with pytest.raises(AssertionError, match="another route"):
             route(Family.E, 2)
     with pytest.raises(AssertionError, match="another route"):
-        RationalMatrix.identity(2).solve([1, 0])
+        RationalMatrix([[1, 0], [0, 1]]).solve([1, 0])
     for family in Family:
         assert oracle_triangle(family, 30).rows == expected[family], family
 
@@ -315,15 +315,17 @@ def test_theorem_check_fails_at_the_first_row_a_planted_rule_changes(monkeypatch
     assert check_theorem(family, 8).detail == "fails at n = 6, 7, 8"
 
 
-def test_theorem_check_reads_neither_the_product_built_basis_nor_combine(monkeypatch):
+def test_theorem_check_reads_neither_the_product_built_basis_nor_a_reconstruction(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the theorem check rebuilt a row")
 
-    for name in ("build_basis", "combine"):
-        monkeypatch.setattr(bases, name, forbidden)
-        monkeypatch.setattr(coefficients, name, forbidden, raising=False)  # catches a re-import too
+    monkeypatch.setattr(bases, "build_basis", forbidden)
+    monkeypatch.setattr(coefficients, "build_basis", forbidden, raising=False)  # catches a re-import too
+    monkeypatch.setattr(bases.Decomposition, "reconstruct", forbidden)
     with pytest.raises(AssertionError, match="rebuilt a row"):
         bases.build_basis(BasisSpec(BasisFamily.BV, 2))
+    with pytest.raises(AssertionError, match="rebuilt a row"):
+        bases.decompose(u_poly(3).scale(2), BasisSpec(BasisFamily.BV, 1)).reconstruct()
     for family in Family:
         assert check_theorem(family, 12).passed, family
 

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from bifib import bases, specializations
+from bifib.bases import BasisFamily, BasisSpec
 from bifib.coefficients import Family
 from bifib.errors import DomainError
 from bifib.poly import BivarPoly, ONE, X
 from bifib.report import all_passed
-from bifib.sequences import SequenceKind, u_poly, v_poly
+from bifib.sequences import SHARED_CACHES, SequenceCache, SequenceKind, u_poly, v_poly
 from bifib.specializations import (
     CHEBYSHEV_T,
     CHEBYSHEV_U,
@@ -18,6 +20,7 @@ from bifib.specializations import (
     chebyshev_t,
     chebyshev_u,
     evaluate_numbers,
+    univariate_images,
 )
 
 
@@ -106,18 +109,57 @@ def test_theorem_transfer_up_to_8():
     assert all_passed(check_transfer(family, 8) for family in Family)
 
 
-@pytest.mark.parametrize(
-    "family, letter, first",
-    [(Family.A, "V", 5), (Family.B, "U", 4), (Family.C, "U", 4), (Family.D, "V", 4), (Family.E, "V", 5)],
-)
-def test_a_wrong_basis_member_fails_the_transfer_from_its_first_use(corrupt_member, family, letter, first):
-    # Order ``first`` is the first whose identity gives W_7 a non-zero coordinate.
-    corrupt_member(letter, 7)
-    result = check_transfer(family, 12)
-    assert not result.passed
-    assert result.detail == (
-        f"fails at (n, y image) = ({first}, 1), ({first}, -1), ({first + 1}, 1), ({first + 1}, -1), ({first + 2}, 1)"
-    )
+@pytest.mark.parametrize("y0", [1, -1], ids=["pell", "chebyshev"])
+@pytest.mark.parametrize("letter", ["U", "V"])
+def test_univariate_images_are_the_substituted_members(letter, y0):
+    images = univariate_images(letter, y0, 41)
+    assert len(images) == 41
+    for i, image in enumerate(images):
+        assert from_dense(image) == SHARED_CACHES[letter][i].substitute(X * 2, y0), (letter, y0, i)
+        assert len(image) == (max(i, 1) if letter == "U" else i + 1)  # no trailing zero
+        if y0 == -1:
+            chebyshev = chebyshev_t(i).scale(2) if letter == "V" else chebyshev_u(i - 1) if i else BivarPoly()
+            assert from_dense(image) == chebyshev, (letter, i)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_a_wrong_closed_coefficient_fails_the_transfer_at_its_row(monkeypatch, family):
+    closed_row = specializations.closed_row
+
+    def planted(family, n):
+        row = closed_row(family, n)
+        return [row[0] + 1, *row[1:]] if n == 7 else row
+
+    monkeypatch.setattr(specializations, "closed_row", planted)
+    assert check_transfer(family, 12).detail == "fails at (n, y image) = (7, 1), (7, -1)"
+
+
+def test_the_transfer_reads_no_bivariate_member(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the transfer read a bivariate member")
+
+    monkeypatch.setattr(BivarPoly, "substitute", forbidden)
+    monkeypatch.setattr(bases, "build_basis", forbidden)
+    monkeypatch.setattr(SequenceCache, "__getitem__", forbidden)
+    with pytest.raises(AssertionError, match="bivariate member"):
+        SHARED_CACHES["U"][3]
+    with pytest.raises(AssertionError, match="bivariate member"):
+        bases.build_basis(BasisSpec(BasisFamily.BV, 2))
+    for family in Family:
+        assert check_transfer(family, 30).passed, family
+
+
+@pytest.mark.parametrize("in_family", [False, True], ids=["plus-one", "in-family"])
+@pytest.mark.parametrize("letter, index, kind", [("V", 7, "T"), ("U", 8, "U")], ids=["V7", "U8"])
+def test_a_wrong_basis_member_fails_the_chebyshev_recurrence_but_not_the_transfer(
+    corrupt_member, letter, index, kind, in_family
+):
+    # V_7 is T_7's image and U_8 is U_7's: the recurrence fails from that index on, at the
+    # member and at the next two, which read it.  The transfer reads no bivariate member.
+    corrupt_member(letter, index, in_family)
+    assert check_recurrence(kind, 12).detail == "fails at n = 7, 8, 9"
+    assert check_recurrence("U" if kind == "T" else "T", 12).passed
+    assert all_passed(check_transfer(family, 12) for family in Family)
 
 
 # -- integer evaluation -----------------------------------------------------------------
