@@ -150,16 +150,19 @@ def test_the_transfer_reads_no_bivariate_member(monkeypatch):
 
 
 @pytest.mark.parametrize("in_family", [False, True], ids=["plus-one", "in-family"])
-@pytest.mark.parametrize("letter, index, kind", [("V", 7, "T"), ("U", 8, "U")], ids=["V7", "U8"])
-def test_a_wrong_basis_member_fails_the_chebyshev_recurrence_but_not_the_transfer(
-    corrupt_member, letter, index, kind, in_family
-):
-    # V_7 is T_7's image and U_8 is U_7's: the recurrence fails from that index on, at the
-    # member and at the next two, which read it.  The transfer reads no bivariate member.
-    corrupt_member(letter, index, in_family)
-    assert check_recurrence(kind, 12).detail == "fails at n = 7, 8, 9"
+@pytest.mark.parametrize(
+    "family, letter",
+    [pytest.param(family, letter, id=family.value) for family, letter in zip(Family, "VUUVV")],
+)
+def test_a_wrong_member_fails_the_recurrence_not_the_transfer(corrupt_member, family, letter, in_family):
+    # W_7 of the letter the family's basis is built from.  V_7 is T_7's image and U_7 is
+    # U_6's: the recurrence fails at that index and at the next two, which read it.  The
+    # transfer reads no bivariate member, so the family's transfer still passes.
+    corrupt_member(letter, 7, in_family)
+    kind, first = ("T", 7) if letter == "V" else ("U", 6)
+    assert check_recurrence(kind, 12).detail == f"fails at n = {first}, {first + 1}, {first + 2}"
     assert check_recurrence("U" if kind == "T" else "T", 12).passed
-    assert all_passed(check_transfer(family, 12) for family in Family)
+    assert check_transfer(family, 12).passed
 
 
 # -- integer evaluation -----------------------------------------------------------------
