@@ -35,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import lcm
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, DomainError, SingularMatrixError
-from .poly import BivarPoly, Rational, as_rational, sum_of_products
+from .errors import DimensionError, DomainError, MalformedElement, SingularMatrixError
+from .poly import BivarPoly, Rational, add_multiple, as_rational, sum_of_products
 from .report import CheckResult
 from .sequences import SHARED_CACHES
 
@@ -115,8 +115,17 @@ def member_weight(letter: str, index: int) -> int:
 
 
 def member_coordinates(letter: str, index: int) -> list[Rational]:
-    """The canonical coordinates of U_index or V_index, read through its sequence cache."""
-    return SHARED_CACHES[letter][index].canonical_coordinates(member_weight(letter, index))
+    """The canonical coordinates of U_index or V_index, read through its sequence cache; U_0 reads as [].
+
+    A member with a term outside its family raises MalformedElement led by its name ("U_8: monomial 1 ...").
+    """
+    member, weight = SHARED_CACHES[letter][index], member_weight(letter, index)
+    try:
+        if weight < 0 and member:  # U_0 spans the empty family of weight -1
+            raise MalformedElement(f"reads {member}, not 0")
+        return member.canonical_coordinates(weight) if weight >= 0 else []
+    except MalformedElement as exc:
+        raise MalformedElement(f"{letter}_{index}: {exc}") from None
 
 
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
@@ -316,7 +325,7 @@ def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational]) -> list[Rational]:
         lead = member_coordinates(letter, index)
         total = residual[0] if lead[0] == 1 else as_rational(Fraction(residual[0], lead[0]))  # 2 for V_0
         sums.append(total)
-        residual[: len(lead)] = map(sub, residual, map(mul, repeat(total), lead))
+        add_multiple(residual, -total, lead)
         del residual[0]
     coords: list[Rational] = []
     for total in reversed(sums):  # c_0 = S - c'_0, c_k = c'_(k-1) - c'_k, c_last = c'_last
@@ -360,8 +369,7 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
     coords = tuple(_peel_solve(spec, rhs))
     product: list[Rational] = [0] * len(rhs)
     for k, c in enumerate(coords):  # column k of the coordinate matrix is member k's coordinates
-        column = member_coordinates(*member_index(spec, k))
-        product[: len(column)] = map(add, product, map(mul, repeat(c), column))
+        add_multiple(product, c, member_coordinates(*member_index(spec, k)))
     if product != rhs:
         raise ArithmeticError(f"internal error: decomposition residual is not zero ({spec.family.value}, n = {spec.n})")
     return Decomposition(target, spec, coords)

@@ -14,7 +14,7 @@ class DomainError(BifibError):
 
 
 class DimensionError(BifibError):
-    """Matrix dimensions do not fit the requested operation."""
+    """Matrix or vector dimensions do not fit the requested operation."""
 
 
 class SingularMatrixError(BifibError):

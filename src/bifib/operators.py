@@ -4,7 +4,7 @@ E sends a sequence (W_n) to (W_{n+1}), so an operator sum_k p_k E^k applied
 at index n evaluates to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y]
 and commute with E, making the operator ring a plain commutative polynomial
 ring over the coefficient ring.  Products and ``apply`` use ``poly.sum_of_products``;
-``check_shift_law`` and ``check_relation`` work on canonical coordinate vectors.
+``check_shift_law`` and ``check_relation`` work on canonical coordinate vectors alone.
 
 ``family_orders`` yields the five operator families, defined by
 
@@ -37,15 +37,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator, Mapping, Union
 
-from .bases import BasisSpec, member_index, member_weight
+from .bases import BasisSpec, is_doubled, member_coordinates, member_index, member_weight
 from .coefficients import MIN_ROW, SCHEMES, Family
 from .errors import DomainError
-from .poly import ONE, X, ZERO, BivarPoly, Rational, _power, sum_of_products
+from .poly import ONE, X, ZERO, BivarPoly, Rational, _power, add_multiple, sum_of_products
 from .report import CheckResult
-from .sequences import SHARED_CACHES, SequenceCache, SequenceKind
+from .sequences import SequenceCache, SequenceKind
 
 CoeffsInput = Union[Mapping, Iterable]
 
@@ -182,67 +182,53 @@ def build_family(family: Family, m: int) -> OperatorPoly:
     return next(op for order, op in family_orders(family, m) if order == m)
 
 
-def _split_members(letter: str, top: int) -> list[tuple[BivarPoly, list[Rational], BivarPoly]]:
-    """(W_i, coords, rest) for members 0..top of U or V, each split over its own canonical family."""
-    return [(w, *w.split_canonical(member_weight(letter, i))) for i in range(top + 1) for w in [SHARED_CACHES[letter][i]]]
-
-
 def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
     """(x-E)^j at base m equals (-y)^j times member m-j, for 0 <= j <= m <= n_max.
 
     By Horner's rule: row j, P_j(m) = ((x-E)^j W)_m for m = j..2 n_max - j, is
-    x P_{j-1}(m) - P_{j-1}(m+1) from row j-1, and row 0 is W_0..W_{2 n_max}.
-    Each P_j(m) is split as (coords, rest): x keeps coords (0-padded when the family grows), (-y)^j prepends j zeros.
+    x P_{j-1}(m) - P_{j-1}(m+1) from row j-1, and row 0 is W_0..W_{2 n_max}, all as coordinate vectors:
+    x keeps a vector (0-padded when the family grows), (-y)^j prepends j zeros and the sign (-1)^j.
     """
-    members = _split_members(kind.value, 2 * n_max)
-    row = [(coords, rest) for _, coords, rest in members]  # row[i] = P_j(j + i)
+    members = [member_coordinates(kind.value, i) for i in range(2 * n_max + 1)]
+    row = members  # row[i] = P_j(j + i)
     bad = []
     for j in range(n_max + 1):
-        sign, y_j = (-1) ** j, BivarPoly.monomial(0, j, (-1) ** j)
-        bad.extend((j, j + i) for i, (_, coords, rest) in enumerate(members[: n_max - j + 1])
-                   if row[i] != ([0] * j + [sign * c for c in coords], rest * y_j if rest else ZERO))
-        row = [([a - b for a, b in zip(p + [0] * (len(q) - len(p)), q)], X * pr - qr if pr or qr else ZERO)
-               for (p, pr), (q, qr) in zip(row[1:], row[2:])]
+        sign = (-1) ** j
+        bad.extend((j, j + i) for i, coords in enumerate(members[: n_max - j + 1])
+                   if row[i] != [0] * j + [sign * c for c in coords])
+        row = [list(map(sub, p + [0] * (len(q) - len(p)), q)) for p, q in zip(row[1:], row[2:])]
     return CheckResult.over(f"lemma2.shift-{kind.value.lower()}", bad, f"0 <= j <= m <= {n_max}", at="(j, m)")
 
 
-# The families whose operator annihilates its sequence; the others step it to their scheme's target.
+# The families whose operator annihilates its sequence, giving 0 times their scheme's target.
 _ANNIHILATING = (Family.B, Family.D)
 
 
-def _apply_split(op: OperatorPoly, members, base: int, order: int, weight: int) -> tuple[list[Rational], BivarPoly]:
-    """``op.apply`` at ``base`` split over degree ``weight``; members[base + k] is W split over weight - order + k.
-
-    A term c x^a y^b of the E^k coefficient with a + 2b = order - k adds c times W's coordinates from entry b on;
-    the other terms, and W's rest, go through one ``sum_of_products`` whose split is added.
-    """
-    coords: list[Rational] = [0] * (weight // 2 + 1)
-    pairs = []
+def _apply_coordinates(op: OperatorPoly, members: list[list[Rational]], base: int, order: int, weight: int) -> list[Rational]:
+    """``op.apply`` at ``base`` over degree ``weight``, ``members[i]`` the coordinates of W_i: a term
+    c x^(order-k-2b) y^b of the E^k coefficient adds c times those of W_(base+k) from entry b on."""
+    applied: list[Rational] = [0] * (weight // 2 + 1)
     for k, poly in op.items():
-        member, member_coords, member_rest = members[base + k]
-        poly_coords, poly_rest = poly.split_canonical(order - k)
-        for b, c in enumerate(poly_coords):
+        for b, c in enumerate(poly.canonical_coordinates(order - k)):
             if c:
-                coords[b : b + len(member_coords)] = [s + c * v for s, v in zip(coords[b:], member_coords)]
-        if poly_rest or member_rest:
-            pairs += [(poly_rest, member), (poly - poly_rest, member_rest)]
-    extra, rest = sum_of_products(pairs).split_canonical(weight)
-    return [a + b for a, b in zip(coords, extra)], rest
+                add_multiple(applied, c, members[base + k], at=b)
+    return applied
 
 
 def check_relation(family: Family, n_max: int) -> CheckResult:
     """Verify one operator relation by exact application for every order.
 
-    The order-n operator acts, in coordinates (``_apply_split``), on the sequence of vector 0
+    The order-n operator acts, in coordinates (``_apply_coordinates``), on the sequence of vector 0
     of the family's order-n basis (see ``coefficients.SCHEMES``), based at that member's index.
     """
     scheme = SCHEMES[family]
-    members = _split_members(*member_index(BasisSpec(scheme.basis, n_max), n_max))  # up to the last member read
+    scale = 0 if family in _ANNIHILATING else 2 if is_doubled(scheme.kind, scheme.basis) else 1
+    letter, top = member_index(BasisSpec(scheme.basis, n_max), n_max)  # the last member read
+    members = [member_coordinates(letter, i) for i in range(top + 1)]
     bad = []
     for n, op in family_orders(family, n_max):
-        letter, base = member_index(BasisSpec(scheme.basis, n), 0)
-        weight = n + member_weight(letter, base)
-        expected = ZERO if family in _ANNIHILATING else scheme.target(n)
-        if _apply_split(op, members, base, n, weight) != expected.split_canonical(weight):
+        base = member_index(BasisSpec(scheme.basis, n), 0)[1]
+        expected = [scale * c for c in member_coordinates(scheme.kind, 2 * n + scheme.shift)]
+        if _apply_coordinates(op, members, base, n, n + member_weight(letter, base)) != expected:
             bad.append(n)
     return CheckResult.over(f"relations.{family.value}", bad, f"n = {MIN_ROW[family]}..{n_max}")

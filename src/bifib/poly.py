@@ -8,9 +8,9 @@ stored and integral fractions are normalised back to int on construction.
 
 The degree-n canonical family is the monomial list (x^(n-2k) y^k) for
 0 <= k <= n//2.  A polynomial supported on it is weight homogeneous (every
-term has x_exp + 2*y_exp = n); ``canonical_coordinates`` and ``split_canonical``
-(which also returns the terms outside the family) read off the coordinate vector
-of such a polynomial over that family.
+term has x_exp + 2*y_exp = n); ``canonical_coordinates`` reads off its coordinate
+vector over that family, and raises on any other polynomial.  ``add_multiple``, the
+one step of every linear combination over a basis, adds c times a vector at an offset.
 
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
@@ -23,9 +23,11 @@ and wraps it with the trusted ``BivarPoly._of``.  ``signed_sum`` renders signed 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DomainError, MalformedElement
+from .errors import DimensionError, DomainError, MalformedElement
 
 Rational = Union[int, Fraction]
 
@@ -206,29 +208,20 @@ class BivarPoly:
     def canonical_coordinates(self, n: int) -> list[Rational]:
         """Coordinates over the degree-n canonical family, entry k for x^(n-2k) y^k.
 
-        Raises MalformedElement when a term falls outside that family.
+        Raises MalformedElement at the first term, in term order, outside that family.
         """
         memo = getattr(self, "_coords", None)
         if memo is not None and memo[0] == n:
             return list(memo[1])
         if n < 0:
             raise DomainError(f"canonical degree index must be >= 0, got {n}")
-        coords, rest = self.split_canonical(n)
-        for a, b in rest._terms:  # raised for the first term outside the family, if any
-            raise MalformedElement(f"monomial {_var_string(a, b) or '1'} lies outside the degree-{n} canonical family")
+        coords: list[Rational] = [0] * (n // 2 + 1)
+        for (a, b), coeff in self._terms.items():
+            if a + 2 * b != n:
+                raise MalformedElement(f"monomial {_var_string(a, b) or '1'} lies outside the degree-{n} canonical family")
+            coords[b] = coeff
         self._coords = (n, tuple(coords))
         return coords
-
-    def split_canonical(self, n: int) -> tuple[list[Rational], BivarPoly]:
-        """(coords, rest): coordinates over the degree-n canonical family (none for n = -1) and the other terms."""
-        coords: list[Rational] = [0] * (n // 2 + 1)
-        rest: dict[Key, Rational] = {}
-        for (a, b), coeff in self._terms.items():
-            if a + 2 * b == n:
-                coords[b] = coeff
-            else:
-                rest[a, b] = coeff
-        return coords, BivarPoly._of(rest) if rest else ZERO
 
     # -- rendering ------------------------------------------------------------
 
@@ -263,6 +256,14 @@ def sum_of_products(pairs: Iterable[tuple[BivarPoly, BivarPoly]]) -> BivarPoly:
                 key = (a1 + a2, b1 + b2)
                 acc[key] = acc.get(key, 0) + c1 * c2
     return BivarPoly._of(_canonical(acc))
+
+
+def add_multiple(acc: list[Rational], c: Rational, vec: Sequence[Rational], at: int = 0) -> None:
+    """acc[at + i] += c * vec[i] for every i, in place; raises DimensionError when vec overruns acc."""
+    end = at + len(vec)
+    if end > len(acc):
+        raise DimensionError(f"a vector of length {len(vec)} at offset {at} overruns one of length {len(acc)}")
+    acc[at:end] = map(add, acc[at:end], map(mul, repeat(c), vec))
 
 
 def _power(base, exponent: int, one):

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
+from operator import add
 
 from .bases import BasisSpec, is_doubled, member_index
 from .coefficients import SCHEMES, Family, closed_row
 from .errors import DomainError
-from .poly import ONE, X, BivarPoly, Rational
+from .poly import ONE, X, BivarPoly, Rational, add_multiple
 from .report import CheckResult
 from .sequences import SequenceKind, u_poly, v_poly
 
@@ -112,7 +111,8 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
     """
     scheme = SCHEMES[family]
     doubling = 2 if is_doubled(scheme.kind, scheme.basis) else 1
-    images = {y0: {letter: univariate_images(letter, y0, 2 * n_max + 2) for letter in "UV"} for y0 in (1, -1)}
+    letters = {scheme.kind, member_index(BasisSpec(scheme.basis, scheme.min_n), 0)[0]}  # one letter for b and d
+    images = {y0: {letter: univariate_images(letter, y0, 2 * n_max + 2) for letter in letters} for y0 in (1, -1)}
     bad = []
     for n in range(scheme.min_n, n_max + 1):
         spec = BasisSpec(scheme.basis, n)
@@ -122,7 +122,7 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
             row = [0] * len(target)
             for k, c in enumerate(coeffs):  # (2x)^(n-k) is a shift by n - k and a scale by 2^(n-k)
                 letter, index = member_index(spec, k)
-                row[n - k :] = map(add, row[n - k :], map(mul, repeat(c << (n - k)), image[letter][index]))
+                add_multiple(row, c << (n - k), image[letter][index], at=n - k)
             if row != target:
                 bad.append((n, y0))
     return CheckResult.over(

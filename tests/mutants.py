@@ -1,0 +1,129 @@
+"""A mutation gate: each entry plants one bug and runs the tests that must catch it.
+
+An entry is (file, exact old text, new text, pytest selection).  The script
+copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary directory and
+first runs every selection there unchanged, which must pass.  Then, for each
+entry, it replaces the old text, which must occur exactly once in the file,
+runs that entry's selection, and restores the file.  A mutant is killed when
+its selection fails and survives when it passes; a run that ends in any other
+way (a collection or usage error) is an error.  Bytecode is never written, so
+no stale ``.pyc`` can hide a mutant.
+
+The exit status is 1 when a mutant survives, an old text does not occur
+exactly once, or a run ends in an error, and 0 otherwise.  Stdlib only; it is
+not collected by pytest.  From a checkout root:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+OPERATORS = "src/bifib/operators.py"
+BASES = "src/bifib/bases.py"
+POLY = "src/bifib/poly.py"
+SPECIALIZATIONS = "src/bifib/specializations.py"
+COEFFICIENTS = "src/bifib/coefficients.py"
+
+SHIFT_LAW = ["tests/test_operators.py::test_shift_law_passes_up_to_25"]
+RELATIONS = ["tests/test_operators.py::test_relations_pass_up_to_12"]
+APPLICATION = ["tests/test_operators.py", "-k", "coordinate_application"]
+WRONG_MEMBER = ["tests/test_operators.py", "-k", "wrong_member or nonzero_u0"]
+KERNEL = ["tests/test_poly.py", "-k", "add_multiple"]
+COORDINATES = ["tests/test_poly.py", "-k", "coordinates"]
+DECOMPOSE = ["tests/test_bases.py", "-k", "peel or residual or decompos"]
+LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
+TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
+THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
+
+MUTANTS: list[tuple[str, str, str, list[str]]] = [
+    # the shift law: Horner's difference, the sign of (-y)^j, its j leading zeros, the pad
+    (OPERATORS, "list(map(sub, p + [0] * (len(q) - len(p)), q))", "list(map(sub, q, p + [0] * (len(q) - len(p))))", SHIFT_LAW),
+    (OPERATORS, "sign = (-1) ** j", "sign = 1", SHIFT_LAW),
+    (OPERATORS, "[0] * j + [sign * c for c in coords]", "[sign * c for c in coords] + [0] * j", SHIFT_LAW),
+    (OPERATORS, "map(sub, p + [0] * (len(q) - len(p)), q)", "map(sub, p, q)", SHIFT_LAW),
+    # the relations: the entry b a y^b term starts at, the member it reads, the zero target of B and D
+    (OPERATORS, "members[base + k], at=b)", "members[base + k], at=0)", APPLICATION),
+    (OPERATORS, "members[base + k], at=b)", "members[base + k + 1], at=b)", RELATIONS),
+    (OPERATORS, "scale = 0 if family in _ANNIHILATING", "scale = 1 if family in _ANNIHILATING", RELATIONS),
+    # a wrong member is named, and a non-zero U_0 is caught
+    (BASES, 'raise MalformedElement(f"{letter}_{index}: {exc}") from None', "raise MalformedElement(str(exc)) from None", WRONG_MEMBER),
+    (BASES, "if weight < 0 and member:", "if False:", WRONG_MEMBER),
+    # the coordinate reader and the one accumulation kernel
+    (POLY, "if a + 2 * b != n:", "if a + 2 * b > n:", COORDINATES),
+    (POLY, "if end > len(acc):", "if end > len(acc) + 1:", KERNEL),
+    # the peel and decompose's residual check
+    (BASES, "add_multiple(residual, -total, lead)", "add_multiple(residual, total, lead)", DECOMPOSE),
+    (BASES, "if product != rhs:", "if product[:1] != rhs[:1]:", DECOMPOSE),
+    (BASES, "add_multiple(product, c, member_coordinates(*member_index(spec, k)))", "add_multiple(product, c, member_coordinates(*member_index(spec, 0)))", DECOMPOSE),
+    # the lemma 1 chain: its pivot and difference checks, the entry it drops, and which columns each order is compared with
+    (BASES, "if order > lowest and columns[0][0] == 0:", "if False:", LEMMA1),
+    (BASES, "if difference[0] != 0:", "if False:", LEMMA1),
+    (BASES, "columns = [difference[1:] for difference in differences]", "columns = [difference[:-1] for difference in differences]", LEMMA1),
+    (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns[:1]", LEMMA1),
+    (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns if order == spec.n - 1 else []", LEMMA1),
+    (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns if order == spec.n - 1 else columns[1:2]", LEMMA1),
+    # the transfers: the images they build, the 2^(n-k) scale, the x^(n-k) offset, the doubling, the images' V seed and y0 sign
+    (SPECIALIZATIONS, "for letter in letters}", 'for letter in "UV"}', TRANSFER),
+    (SPECIALIZATIONS, "add_multiple(row, c << (n - k),", "add_multiple(row, c,", TRANSFER),
+    (SPECIALIZATIONS, "image[letter][index], at=n - k)", "image[letter][index], at=0)", TRANSFER),
+    (SPECIALIZATIONS, "doubling = 2 if is_doubled(scheme.kind, scheme.basis) else 1", "doubling = 1", TRANSFER),
+    (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', TRANSFER),
+    (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", TRANSFER),
+    # the theorems read the three-way comparison
+    (COEFFICIENTS, "bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})", "bad = []", THEOREMS),
+]
+
+
+def _pytest(copy: Path, selection: list[str]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection]
+    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory() as temp:
+        copy = Path(temp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        paths = sorted({arg for *_, selection in MUTANTS for arg in selection if arg.startswith("tests/")})
+        if _pytest(copy, paths) != 0:
+            print(f"the unmutated selections do not pass: {' '.join(paths)}")
+            return 1
+        for number, (file, old, new, selection) in enumerate(MUTANTS, 1):
+            path = copy / file
+            original = path.read_text()
+            label = f"mutant {number} ({file}: {old!r} -> {new!r})"
+            if original.count(old) != 1:
+                failures.append(f"{label}: the old text occurs {original.count(old)} times, not once")
+                continue
+            path.write_text(original.replace(old, new))
+            start = time.perf_counter()
+            try:
+                code = _pytest(copy, selection)
+            finally:
+                path.write_text(original)
+            outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            print(f"{outcome:>8}  {label} in {time.perf_counter() - start:.1f} s")
+            if code != 1:
+                failures.append(f"{label}: {outcome}")
+    for failure in failures:
+        print(failure)
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -325,7 +325,7 @@ def test_lemma1_checks_read_the_chain_order_by_order(monkeypatch):
             8,
             False,
             "MalformedElement",
-            dict.fromkeys(["BU", "BUstar"], "monomial 1 lies outside the degree-7 canonical family"),
+            dict.fromkeys(["BU", "BUstar"], "U_8: monomial 1 lies outside the degree-7 canonical family"),
         ),
     ],
     ids=["V7-in-family", "U8-in-family", "U1-in-family", "U8"],
@@ -405,6 +405,17 @@ def test_decompose_raises_on_a_nonzero_residual(monkeypatch):
     ]:
         with pytest.raises(ArithmeticError, match="residual is not zero"):
             decompose(target, spec)
+
+    # a change that keeps the coordinates' sum, which the x^m coordinate alone cannot see
+    def perturbed_pair(spec, rhs):
+        coords = solve(spec, rhs)
+        coords[0] -= 1
+        coords[1] += 1
+        return coords
+
+    monkeypatch.setattr(bases, "_peel_solve", perturbed_pair)
+    with pytest.raises(ArithmeticError, match="residual is not zero"):
+        decompose(u_poly(8), BasisSpec(BasisFamily.BU_STAR, 4))
 
 
 def test_a_warm_oracle_still_meets_a_corrupted_member(corrupt_member):

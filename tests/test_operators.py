@@ -1,26 +1,23 @@
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bifib import operators as operators_module
-from bifib.bases import member_weight
+from bifib.bases import member_coordinates, member_weight
 from bifib.coefficients import MIN_ROW, Family, closed_value
 from bifib.errors import DomainError
 from bifib.operators import (
     E_MINUS_X,
     OperatorPoly,
     X_MINUS_E,
-    _apply_split,
-    _split_members,
+    _apply_coordinates,
     build_family,
-    check_relation,
     check_shift_law,
     family_orders,
 )
-from bifib.poly import BivarPoly, ONE, X, Y, ZERO
+from bifib.poly import BivarPoly, ONE, X, Y, ZERO, canonical_monomials
 from bifib.report import all_passed, run_checks
 from bifib.sequences import SHARED_CACHES, SequenceCache, SequenceKind
 
@@ -220,67 +217,83 @@ def test_shift_law_passes_up_to_25():
     assert all_passed(check_shift_law(kind, 25) for kind in SequenceKind)
 
 
-# The first failure of each check when member 7 of its sequence reads wrong.  The shift law
-# first reads W_7 in (x-E) at base 6; a relation first fails at the lowest order whose
-# operator gives W_7 a non-zero coefficient.
+# The first failure of each check when member 7 of its sequence reads wrong inside its family.
+# The shift law first reads W_7 in (x-E) at base 6; a relation first fails at the lowest order
+# whose operator gives W_7 a non-zero coefficient.
 _FIRST_FAILURES = {
-    "shift-u": (partial(check_shift_law, SequenceKind.FIBONACCI_U), "U", "(j, m) = (1, 6), (1, 7), (1, 8), (2, 5), (2, 6)"),
-    "shift-v": (partial(check_shift_law, SequenceKind.LUCAS_V), "V", "(j, m) = (1, 6), (1, 7), (1, 8), (2, 5), (2, 6)"),
-    "relations.a": (partial(check_relation, Family.A), "V", "n = 5, 6, 7"),
-    "relations.b": (partial(check_relation, Family.B), "U", "n = 4, 5, 6, 7"),
-    "relations.c": (partial(check_relation, Family.C), "U", "n = 4, 5, 6, 7"),
-    "relations.d": (partial(check_relation, Family.D), "V", "n = 4, 5, 6, 7, 8"),
-    "relations.e": (partial(check_relation, Family.E), "V", "n = 5, 6, 7"),
+    "shift-u": ("lemma2.shift-u", "U", "fails at (j, m) = (1, 6), (1, 7), (1, 8), (2, 5), (2, 6)"),
+    "shift-v": ("lemma2.shift-v", "V", "fails at (j, m) = (1, 6), (1, 7), (1, 8), (2, 5), (2, 6)"),
+    "relations.a": ("relations.a", "V", "fails at n = 5, 6, 7"),
+    "relations.b": ("relations.b", "U", "fails at n = 4, 5, 6, 7"),
+    "relations.c": ("relations.c", "U", "fails at n = 4, 5, 6, 7"),
+    "relations.d": ("relations.d", "V", "fails at n = 4, 5, 6, 7, 8"),
+    "relations.e": ("relations.e", "V", "fails at n = 5, 6, 7"),
 }
 
 
+def _report_line(name, n_max=12):
+    return next(result.line() for result in run_checks(name.split(".")[0], n_max) if result.name == name)
+
+
 @pytest.mark.parametrize(
-    "in_family, check, letter, detail",
+    "in_family, name, letter, detail",
     [
-        pytest.param(in_family, *case, id=name + ("-in-family" if in_family else ""))
+        pytest.param(in_family, *case, id=key + ("-in-family" if in_family else ""))
         for in_family in (False, True)
-        for name, case in _FIRST_FAILURES.items()
+        for key, case in _FIRST_FAILURES.items()
     ],
 )
-def test_a_wrong_member_fails_the_check_from_its_first_use(corrupt_member, in_family, check, letter, detail):
-    # Adding 1 puts the error in the member's rest, outside its canonical family; adding x^w
-    # puts it in the member's coordinates.  Both must fail the same (j, m) or n.
+def test_a_wrong_member_fails_the_check_from_its_first_use(corrupt_member, in_family, name, letter, detail):
+    # Adding x^w changes the member's coordinates, so the check lists where they fail; adding 1
+    # puts a term outside the member's family, and reading it raises an error that names it.
     corrupt_member(letter, 7, in_family)
-    result = check(12)
-    assert not result.passed
-    assert result.detail == "fails at " + detail
+    if not in_family:
+        detail = f"raised MalformedElement: {letter}_7: monomial 1 lies outside the degree-{member_weight(letter, 7)} canonical family"
+    assert _report_line(name) == f"FAIL {name}: {detail}"
+
+
+def test_a_nonzero_u0_fails_the_checks_that_read_it(corrupt_member):
+    corrupt_member("U", 0)
+    for name in ("lemma2.shift-u", "relations.b"):
+        assert _report_line(name) == f"FAIL {name}: raised MalformedElement: U_0: reads 1, not 0"
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_an_out_of_family_term_in_one_order_fails_that_order(monkeypatch, family):
-    # x*y at shift 0 of order 5 lies outside the weight-5 coefficient family, so it reaches
-    # the check only through the coefficients' rest parts.
+    # x*y at shift 0 of order 5 lies outside the degree-5 family of that coefficient.
     orders = family_orders
 
     def planted(f, m_max):
         return ((m, op + OperatorPoly({0: X * Y}) if m == 5 else op) for m, op in orders(f, m_max))
 
     monkeypatch.setattr(operators_module, "family_orders", planted)
-    result = check_relation(family, 12)
-    assert not result.passed
-    assert result.detail == "fails at n = 5"
+    name = f"relations.{family.value}"
+    assert _report_line(name) == f"FAIL {name}: raised MalformedElement: monomial xy lies outside the degree-5 canonical family"
 
 
-@given(operators, st.sampled_from(list(SequenceKind)), st.integers(0, 20), st.integers(0, 8))
-@example(OperatorPoly({1: poly_of((1, 1, 3))}), SequenceKind.LUCAS_V, 4, 4)  # x*y at E^1 adds from entry 1 on
-def test_coordinate_application_equals_the_split_of_apply_on_the_sequences(op, kind, base, order):
-    members = _split_members(kind.value, base + 4)
-    weight = order + member_weight(kind.value, base)
-    seq = SHARED_CACHES[kind.value]
-    assert _apply_split(op, members, base, order, weight) == op.apply(seq, base).split_canonical(weight)
+@st.composite
+def homogeneous_operators(draw):
+    """(order, op) with each E^k coefficient of op, k <= order, in the degree order - k canonical family."""
+    order = draw(st.integers(0, 6))
+    coeffs = {}
+    for k in draw(st.lists(st.integers(0, order), max_size=3, unique=True)):
+        family = canonical_monomials(order - k)
+        values = draw(st.lists(st.integers(-9, 9), min_size=len(family), max_size=len(family)))
+        coeffs[k] = BivarPoly(dict(zip(family, values)))
+    return order, OperatorPoly(coeffs)
 
 
-@given(operators, st.lists(small_polys, min_size=9, max_size=9), st.integers(0, 4), st.integers(0, 6), st.integers(-1, 3))
-def test_coordinate_application_equals_the_split_of_apply_on_any_members(op, polys, base, order, first_weight):
-    # Member i is split over degree first_weight + i, so member base + k over weight - order + k.
-    members = [(w, *w.split_canonical(first_weight + i)) for i, w in enumerate(polys)]
-    weight = order + first_weight + base
-    assert _apply_split(op, members, base, order, weight) == op.apply(polys, base).split_canonical(weight)
+@given(homogeneous_operators(), st.sampled_from(list(SequenceKind)), st.integers(0, 20))
+@example((4, OperatorPoly({1: poly_of((1, 1, 3))})), SequenceKind.LUCAS_V, 4)  # x*y at E^1 adds from entry 1 on
+def test_coordinate_application_equals_apply_on_the_sequences(order_op, kind, base):
+    order, op = order_op
+    letter = kind.value
+    members = [member_coordinates(letter, i) for i in range(base + order + 1)]
+    weight = order + member_weight(letter, base)
+    applied = op.apply(SHARED_CACHES[letter], base)
+    expected = applied.canonical_coordinates(weight) if weight >= 0 else []  # U_0 times a constant at order 0
+    assert _apply_coordinates(op, members, base, order, weight) == expected
+    assert weight >= 0 or applied.is_zero()
 
 
 # -- rendering ---------------------------------------------------------------------

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bifib.errors import DomainError, MalformedElement
+from bifib.errors import DimensionError, DomainError, MalformedElement
 from bifib.poly import (
     BivarPoly,
     ONE,
     X,
     Y,
     ZERO,
+    add_multiple,
     as_rational,
     canonical_monomials,
     signed_sum,
@@ -270,38 +271,24 @@ def test_coordinates_reject_foreign_monomials():
         ONE.canonical_coordinates(2)
     with pytest.raises(MalformedElement):
         poly_of((2, 0, 1), (1, 0, 1)).canonical_coordinates(2)
+    with pytest.raises(MalformedElement, match=r"^monomial y\^3 lies outside the degree-2 canonical family$"):
+        poly_of((2, 0, 3), (0, 3, Fraction(1, 2)), (1, 1, 5), (0, 1, -1)).canonical_coordinates(2)
     with pytest.raises(DomainError):
         ONE.canonical_coordinates(-1)
 
 
-@given(st.integers(-1, 12), fraction_polys, st.lists(thirds, min_size=7, max_size=7))
-def test_split_canonical_separates_the_family_from_the_rest(n, extra, vector):
-    in_family = in_canonical_family(n, vector[: n // 2 + 1]) if n >= 0 else ZERO
-    p = in_family + extra
-    coords, rest = p.split_canonical(n)
-    assert all(a + 2 * b != n for (a, b), _ in rest.items())
-    if n < 0:
-        assert coords == [] and rest == p
-        return
-    assert in_canonical_family(n, coords) + rest == p
-    if not rest:
-        assert p.canonical_coordinates(n) == coords
+@given(st.integers(0, 12), fraction_polys, st.lists(thirds, min_size=7, max_size=7))
+def test_coordinates_read_the_family_or_name_the_first_term_outside(n, extra, vector):
+    p = in_canonical_family(n, vector[: n // 2 + 1]) + extra
+    outside = [(a, b) for (a, b), _ in p.items() if a + 2 * b != n]
+    if not outside:
+        coords = p.canonical_coordinates(n)
+        assert len(coords) == n // 2 + 1 and in_canonical_family(n, coords) == p
         return
     # the message names the first out-of-family term in term order
-    (a, b), _ = next(rest.items())
     with pytest.raises(MalformedElement) as excinfo:
         p.canonical_coordinates(n)
-    assert str(excinfo.value) == f"monomial {BivarPoly.monomial(a, b)} lies outside the degree-{n} canonical family"
-
-
-def test_split_canonical_examples():
-    p = poly_of((2, 0, 3), (0, 3, Fraction(1, 2)), (1, 1, 5), (0, 1, -1))
-    assert p.split_canonical(2) == ([3, -1], poly_of((0, 3, Fraction(1, 2)), (1, 1, 5)))
-    assert p.split_canonical(-1) == ([], p)
-    assert ZERO.split_canonical(5) == ([0, 0, 0], ZERO)
-    with pytest.raises(MalformedElement) as excinfo:
-        p.canonical_coordinates(2)
-    assert str(excinfo.value) == "monomial y^3 lies outside the degree-2 canonical family"
+    assert str(excinfo.value) == f"monomial {BivarPoly.monomial(*outside[0])} lies outside the degree-{n} canonical family"
 
 
 def test_cached_coordinates_answer_only_their_own_degree():
@@ -328,7 +315,7 @@ def test_mutating_returned_coordinates_leaves_the_next_call_alone():
 
 def test_racing_threads_get_equal_coordinates():
     p = u_poly_closed(301)
-    expected = p.split_canonical(300)[0]
+    expected = [p.coefficient(300 - 2 * k, k) for k in range(151)]
     start = threading.Barrier(8)
     results = []
 
@@ -349,6 +336,18 @@ def test_racing_threads_get_equal_coordinates():
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 8
     assert all(coords == expected for calls in results for coords in calls)
+
+
+def test_add_multiple_accumulates_in_place_and_rejects_an_overrun():
+    acc = [1, 2, 3, 4]
+    add_multiple(acc, 2, [1, -1], at=1)
+    assert acc == [1, 4, 1, 4]
+    add_multiple(acc, Fraction(1, 2), [2, 2, 2, 2])
+    assert acc == [2, 5, 2, 5]
+    for vec, at in (([1, 1], 3), ([1] * 5, 0)):
+        with pytest.raises(DimensionError, match=f"^a vector of length {len(vec)} at offset {at} overruns one of length 4$"):
+            add_multiple(acc, 1, vec, at=at)
+    assert acc == [2, 5, 2, 5]
 
 
 def test_canonical_family_shape():

@@ -149,6 +149,16 @@ def test_the_transfer_reads_no_bivariate_member(monkeypatch):
         assert check_transfer(family, 30).passed, family
 
 
+def test_the_transfer_builds_only_the_images_it_reads(monkeypatch):
+    # the target's letter and the basis's, once per y0: b (U over BUstar) and d (V over BVstar) need one
+    images, built = univariate_images, []
+    monkeypatch.setattr(specializations, "univariate_images", lambda *args: built.append(args[:2]) or images(*args))
+    for family, letters in zip(Family, ["UV", "U", "UV", "V", "UV"]):
+        built.clear()
+        assert check_transfer(family, 6).passed, family
+        assert sorted(built) == sorted((letter, y0) for letter in letters for y0 in (1, -1)), family
+
+
 @pytest.mark.parametrize("in_family", [False, True], ids=["plus-one", "in-family"])
 @pytest.mark.parametrize(
     "family, letter",
