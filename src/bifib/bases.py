@@ -153,6 +153,7 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
             f"{kind}_{index} spans canonical degree {weight}, "
             f"but {family.value} bases span {needed}-degree spaces"
         )
+    member_coordinates(kind, index)  # a member with a term outside its family raises here, named
     doubled = is_doubled(kind, family)
     member = SHARED_CACHES[kind][index]
     return (member.scale(2) if doubled else member), BasisSpec(family, (weight + 1) // 2), doubled

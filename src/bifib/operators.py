@@ -1,10 +1,10 @@
 """Polynomials in the forward shift operator E with bivariate coefficients.
 
-E sends a sequence (W_n) to (W_{n+1}), so an operator sum_k p_k E^k applied
-at index n evaluates to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y]
-and commute with E, making the operator ring a plain commutative polynomial
-ring over the coefficient ring.  Products and ``apply`` use ``poly.sum_of_products``;
-``check_shift_law`` and ``check_relation`` work on canonical coordinate vectors alone.
+E sends a sequence (W_n) to (W_{n+1}), so an operator sum_k p_k E^k applied at index n evaluates
+to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y] and commute with E, making the operator ring
+a plain commutative polynomial ring over the coefficient ring.  An operator is one flat term map
+{(k, x_exp, y_exp): coeff}, so a product is one accumulation over term pairs and only ``apply``
+calls ``poly.sum_of_products``; ``check_shift_law`` and ``check_relation`` read coordinates only.
 
 ``family_orders`` yields the five operator families, defined by
 
@@ -38,38 +38,36 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import mul, sub
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .bases import BasisSpec, is_doubled, member_coordinates, member_index, member_weight
 from .coefficients import MIN_ROW, SCHEMES, Family
-from .errors import DomainError
-from .poly import ONE, X, ZERO, BivarPoly, Rational, _power, add_multiple, sum_of_products
+from .errors import DomainError, MalformedElement
+from .poly import ONE, X, BivarPoly, Rational, _canonical, _power, _var_string, add_multiple, sum_of_products
 from .report import CheckResult
 from .sequences import SequenceCache, SequenceKind
-
-CoeffsInput = Union[Mapping, Iterable]
 
 
 class OperatorPoly:
     """Immutable finite sum of powers of E with BivarPoly coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, coeffs: CoeffsInput = ()):
+    def __init__(self, coeffs: Mapping | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, BivarPoly] = {}
+        acc: dict[tuple[int, int, int], Rational] = {}
         for power, value in items:
             if not isinstance(power, int) or power < 0:
                 raise ValueError(f"shift power must be a non-negative integer, got {power!r}")
-            poly = value if isinstance(value, BivarPoly) else BivarPoly.constant(value)
-            acc[power] = acc[power] + poly if power in acc else poly
-        self._coeffs = {k: p for k, p in acc.items() if p}
+            for (a, b), c in (value if isinstance(value, BivarPoly) else BivarPoly.constant(value)).items():
+                acc[power, a, b] = acc.get((power, a, b), 0) + c
+        self._terms = _canonical(acc)
 
     @classmethod
-    def _of(cls, coeffs: dict[int, BivarPoly]) -> OperatorPoly:
-        """Wrap a dict of non-zero coefficients without copying or checking it."""
+    def _of(cls, terms: dict[tuple[int, int, int], Rational]) -> OperatorPoly:
+        """Wrap an already canonical term map without copying or checking it."""
         op = object.__new__(cls)
-        op._coeffs = coeffs
+        op._terms = terms
         return op
 
     # -- constructors ------------------------------------------------------
@@ -85,55 +83,59 @@ class OperatorPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, BivarPoly]]:
-        return iter(self._coeffs.items())
+        return ((k, self.coefficient(k)) for k in self.shift_powers())
 
     def coefficient(self, power: int) -> BivarPoly:
-        return self._coeffs.get(power, ZERO)
+        return BivarPoly._of({(a, b): c for (k, a, b), c in self._terms.items() if k == power})
 
     def shift_powers(self) -> list[int]:
-        return sorted(self._coeffs)
+        return sorted({k for k, _, _ in self._terms})
 
     @property
     def degree(self) -> int:
         """Largest shift power, or -1 for the zero operator."""
-        return max(self._coeffs, default=-1)
+        return max((k for k, _, _ in self._terms), default=-1)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._terms == other._terms
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: OperatorPoly) -> OperatorPoly:
+    def _plus(self, other: OperatorPoly, sign: int) -> OperatorPoly:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
-        acc = dict(self._coeffs)
-        for power, poly in other._coeffs.items():
-            acc[power] = acc[power] + poly if power in acc else poly
-        return OperatorPoly._of({k: p for k, p in acc.items() if p})
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            acc[key] = acc.get(key, 0) + sign * c
+        return OperatorPoly._of(_canonical(acc))
+
+    def __add__(self, other: OperatorPoly) -> OperatorPoly:
+        return self._plus(other, 1)
 
     def __neg__(self) -> OperatorPoly:
-        return OperatorPoly._of({k: -p for k, p in self._coeffs.items()})
+        return OperatorPoly._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: OperatorPoly) -> OperatorPoly:
-        if not isinstance(other, OperatorPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: OperatorPoly | BivarPoly | Rational) -> OperatorPoly:
-        if isinstance(other, (BivarPoly, int, Fraction)):
-            return OperatorPoly._of({k: q for k, p in self._coeffs.items() if (q := p * other)})
-        if not isinstance(other, OperatorPoly):
+        if isinstance(other, (int, Fraction)):
+            return OperatorPoly._of(_canonical({key: c * other for key, c in self._terms.items()}))
+        if isinstance(other, BivarPoly):
+            other = OperatorPoly({0: other})
+        elif not isinstance(other, OperatorPoly):
             return NotImplemented
-        pairs: dict[int, list[tuple[BivarPoly, BivarPoly]]] = {}
-        for k1, p1 in self._coeffs.items():
-            for k2, p2 in other._coeffs.items():
-                pairs.setdefault(k1 + k2, []).append((p1, p2))
-        return OperatorPoly._of({k: p for k, group in pairs.items() if (p := sum_of_products(group))})
+        acc: dict[tuple[int, int, int], Rational] = {}
+        for (k1, a1, b1), c1 in self._terms.items():
+            for (k2, a2, b2), c2 in other._terms.items():
+                key = (k1 + k2, a1 + a2, b1 + b2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return OperatorPoly._of(_canonical(acc))
 
     __rmul__ = __mul__
 
@@ -146,12 +148,12 @@ class OperatorPoly:
         """Evaluate sum_k p_k * seq[base + k]."""
         if base < 0:
             raise DomainError(f"base index must be >= 0, got {base}")
-        return sum_of_products((poly, seq[base + power]) for power, poly in self._coeffs.items())
+        return sum_of_products((poly, seq[base + power]) for power, poly in self.items())
 
     # -- rendering -------------------------------------------------------------
 
     def __str__(self) -> str:
-        return " + ".join(f"({self._coeffs[k]})·E^{k}" for k in self.shift_powers()) or "0"
+        return " + ".join(f"({poly})·E^{k}" for k, poly in self.items()) or "0"
 
     def __repr__(self) -> str:
         return f"OperatorPoly({str(self)!r})"
@@ -205,13 +207,14 @@ _ANNIHILATING = (Family.B, Family.D)
 
 
 def _apply_coordinates(op: OperatorPoly, members: list[list[Rational]], base: int, order: int, weight: int) -> list[Rational]:
-    """``op.apply`` at ``base`` over degree ``weight``, ``members[i]`` the coordinates of W_i: a term
-    c x^(order-k-2b) y^b of the E^k coefficient adds c times those of W_(base+k) from entry b on."""
+    """``op.apply`` at ``base`` over degree ``weight``, ``members[i]`` the coordinates of W_i: a term c x^(order-k-2b)
+    y^b E^k adds c times those of W_(base+k) from entry b on; any other term raises MalformedElement."""
     applied: list[Rational] = [0] * (weight // 2 + 1)
-    for k, poly in op.items():
-        for b, c in enumerate(poly.canonical_coordinates(order - k)):
-            if c:
-                add_multiple(applied, c, members[base + k], at=b)
+    for (k, a, b), c in op._terms.items():
+        if a + 2 * b != order - k:
+            raise MalformedElement(f"order {order}, E^{k}: monomial {_var_string(a, b) or '1'} "
+                                   f"lies outside the degree-{order - k} canonical family")
+        add_multiple(applied, c, members[base + k], at=b)
     return applied
 
 

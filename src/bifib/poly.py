@@ -15,9 +15,9 @@ one step of every linear combination over a basis, adds c times a vector at an o
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
 or negative exponents), and ``items`` and ``canonical_monomials`` return them.
-``sum_of_products``, the one multiply-accumulate behind every product, expands
-sum_i p_i * q_i into one dict; each ring operation canonicalises its result once
-and wraps it with the trusted ``BivarPoly._of``.  ``signed_sum`` renders signed sums as text.
+``sum_of_products``, the one multiply-accumulate behind every ``BivarPoly`` product, expands
+sum_i p_i * q_i into one dict; each ring operation canonicalises its result once (``_canonical``,
+which ``operators`` shares) and wraps it with ``BivarPoly._of``.  ``signed_sum`` renders sums as text.
 """
 
 from __future__ import annotations

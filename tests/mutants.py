@@ -37,6 +37,8 @@ COEFFICIENTS = "src/bifib/coefficients.py"
 SHIFT_LAW = ["tests/test_operators.py::test_shift_law_passes_up_to_25"]
 RELATIONS = ["tests/test_operators.py::test_relations_pass_up_to_12"]
 APPLICATION = ["tests/test_operators.py", "-k", "coordinate_application"]
+RING = ["tests/test_operators.py", "-k", "product or commutes or distributivity"]
+OUT_OF_FAMILY = ["tests/test_operators.py", "-k", "out_of_family"]
 WRONG_MEMBER = ["tests/test_operators.py", "-k", "wrong_member or nonzero_u0"]
 KERNEL = ["tests/test_poly.py", "-k", "add_multiple"]
 COORDINATES = ["tests/test_poly.py", "-k", "coordinates"]
@@ -51,10 +53,15 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (OPERATORS, "sign = (-1) ** j", "sign = 1", SHIFT_LAW),
     (OPERATORS, "[0] * j + [sign * c for c in coords]", "[sign * c for c in coords] + [0] * j", SHIFT_LAW),
     (OPERATORS, "map(sub, p + [0] * (len(q) - len(p)), q)", "map(sub, p, q)", SHIFT_LAW),
+    # the flat operator product: the y exponent of its key, which the y-free families never test, and its power of E
+    (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (k1 + k2, a1 + a2, b1)", RING),
+    (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (max(k1, k2), a1 + a2, b1 + b2)", RELATIONS),
     # the relations: the entry b a y^b term starts at, the member it reads, the zero target of B and D
     (OPERATORS, "members[base + k], at=b)", "members[base + k], at=0)", APPLICATION),
     (OPERATORS, "members[base + k], at=b)", "members[base + k + 1], at=b)", RELATIONS),
     (OPERATORS, "scale = 0 if family in _ANNIHILATING", "scale = 1 if family in _ANNIHILATING", RELATIONS),
+    # an operator term outside its canonical family is caught where it sits
+    (OPERATORS, "if a + 2 * b != order - k:", "if False:", OUT_OF_FAMILY),
     # a wrong member is named, and a non-zero U_0 is caught
     (BASES, 'raise MalformedElement(f"{letter}_{index}: {exc}") from None', "raise MalformedElement(str(exc)) from None", WRONG_MEMBER),
     (BASES, "if weight < 0 and member:", "if False:", WRONG_MEMBER),

@@ -95,6 +95,21 @@ fraction_operators = st.lists(
 ).map(OperatorPoly)
 
 
+@given(operators, operators, small_polys, halves)
+def test_the_flat_product_matches_the_product_of_coefficients(p, q, poly, factor):
+    # The coefficient of E^k in p * q is the sum over k1 + k2 = k, in BivarPoly arithmetic; powers run to 4 + 4.
+    product = p * q
+    assert set(product.shift_powers()) <= set(range(9))
+    for k in range(9):
+        expected = ZERO
+        for k1 in range(k + 1):
+            expected = expected + p.coefficient(k1) * q.coefficient(k - k1)
+        assert product.coefficient(k) == expected, k
+    assert OperatorPoly(dict(p.items())) == p
+    for scalar in (poly, factor):
+        assert p * scalar == scalar * p == OperatorPoly({k: c * scalar for k, c in p.items()})
+
+
 @given(fraction_operators, fraction_operators)
 def test_results_store_no_zero_coefficients(a, b):
     assert (a - a).is_zero() and (a - a).degree == -1
@@ -268,7 +283,9 @@ def test_an_out_of_family_term_in_one_order_fails_that_order(monkeypatch, family
 
     monkeypatch.setattr(operators_module, "family_orders", planted)
     name = f"relations.{family.value}"
-    assert _report_line(name) == f"FAIL {name}: raised MalformedElement: monomial xy lies outside the degree-5 canonical family"
+    assert _report_line(name) == (
+        f"FAIL {name}: raised MalformedElement: order 5, E^0: monomial xy lies outside the degree-5 canonical family"
+    )
 
 
 @st.composite
