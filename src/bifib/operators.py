@@ -4,7 +4,10 @@ E sends a sequence (W_n) to (W_{n+1}), so an operator sum_k p_k E^k applied at i
 to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y] and commute with E, making the operator ring
 a plain commutative polynomial ring over the coefficient ring.  An operator is one flat term map
 {(k, x_exp, y_exp): coeff}, so a product is one accumulation over term pairs and only ``apply``
-calls ``poly.sum_of_products``; ``check_shift_law`` and ``check_relation`` read coordinates only.
+calls ``poly.sum_of_products``.  ``check_shift_law`` packs coordinate vectors into ints (``poly.pack``):
+a Horner step is one subtraction and (-y)^j a shift by j slots, and as entries at most double per row,
+``slot_width`` slots keep unequal vectors unequal.  ``check_relation`` dots each power of y's coefficients
+with the members, unpacked: slots wide enough for its products c * (member entry) were slower at n = 400.
 
 ``family_orders`` yields the five operator families, defined by
 
@@ -17,7 +20,7 @@ calls ``poly.sum_of_products``; ``check_shift_law`` and ``check_relation`` read 
 order by order, each from the one before: A_m = (x-E) A_{m-1} + 2 E^m from
 A_0 = 1 (Horner's rule for the defining sum), B_m = (E-x) B_{m-1} from B_0 = -1
 and D_m = (E-x) D_{m-1} from D_1 = x - 2E.  C_m is assembled from B_m, and E_m
-from A_{m-1} and D_m, by their defining sums; ``build_family`` returns the
+from A_{m-1} and D_m, by their defining sums, halved in ints; ``build_family`` returns the
 last order.  Expanded, family F_m equals sum_k f(m,k) x^(m-k) E^k with f the
 matching integer triangle from ``coefficients``; C_m and E_m have zero
 coefficient at k = m.  Applied at the right base index the
@@ -36,14 +39,14 @@ back j places (the shift law checked by ``check_shift_law``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count, repeat
-from operator import mul, sub
+from itertools import accumulate, count, repeat, zip_longest
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .bases import BasisSpec, is_doubled, member_coordinates, member_index, member_weight
 from .coefficients import MIN_ROW, SCHEMES, Family
-from .errors import DomainError, MalformedElement
-from .poly import ONE, X, BivarPoly, Rational, _canonical, _power, _var_string, add_multiple, sum_of_products
+from .errors import DomainError, IntegralityViolation, MalformedElement
+from .poly import ONE, X, BivarPoly, Rational, _canonical, _power, _var_string, add_multiple, pack, sum_of_products
 from .report import CheckResult
 from .sequences import SequenceCache, SequenceKind
 
@@ -126,10 +129,8 @@ class OperatorPoly:
     def __mul__(self, other: OperatorPoly | BivarPoly | Rational) -> OperatorPoly:
         if isinstance(other, (int, Fraction)):
             return OperatorPoly._of(_canonical({key: c * other for key, c in self._terms.items()}))
-        if isinstance(other, BivarPoly):
-            other = OperatorPoly({0: other})
-        elif not isinstance(other, OperatorPoly):
-            return NotImplemented
+        if not isinstance(other, OperatorPoly):
+            other = OperatorPoly({0: other})  # a BivarPoly, as the E^0 operator it is
         acc: dict[tuple[int, int, int], Rational] = {}
         for (k1, a1, b1), c1 in self._terms.items():
             for (k2, a2, b2), c2 in other._terms.items():
@@ -163,6 +164,14 @@ X_MINUS_E = OperatorPoly({0: X}) - OperatorPoly.shift()
 E_MINUS_X = -X_MINUS_E
 
 
+def _halved(op: OperatorPoly, m: int) -> OperatorPoly:
+    for (k, a, b), c in op._terms.items():
+        if c % 2:
+            raise IntegralityViolation(f"order {m}, E^{k}: monomial {_var_string(a, b) or '1'} "
+                                       f"has the odd coefficient {c}")
+    return OperatorPoly._of({key: c // 2 for key, c in op._terms.items()})
+
+
 def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, OperatorPoly]]:
     """Yield (m, F_m) for m = MIN_ROW[family]..m_max, each order built from the one before."""
     shift = OperatorPoly.shift
@@ -172,7 +181,7 @@ def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, OperatorPol
     orders = {
         Family.A: a, Family.B: b, Family.D: d,
         Family.C: (shift(m) * 2 + b_m * 2 - shift(m - 1) * X for m, b_m in enumerate(b) if m),
-        Family.E: ((a_m * X + d_m) * Fraction(1, 2) + shift(m) for m, (a_m, d_m) in enumerate(zip(a, d), 1)),
+        Family.E: (_halved(a_m * X + d_m, m) + shift(m) for m, (a_m, d_m) in enumerate(zip(a, d), 1)),
     }[family]
     return zip(range(MIN_ROW[family], m_max + 1), orders)
 
@@ -184,37 +193,36 @@ def build_family(family: Family, m: int) -> OperatorPoly:
     return next(op for order, op in family_orders(family, m) if order == m)
 
 
-def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
-    """(x-E)^j at base m equals (-y)^j times member m-j, for 0 <= j <= m <= n_max.
+def slot_width(members: list[list[int]], n_max: int) -> int:
+    """Bits a slot of ``check_shift_law`` needs: the largest entry's bit length + n_max + 2, in whole bytes."""
+    return (int(max((abs(c) for coords in members for c in coords), default=0)).bit_length() + n_max + 2 + 7) // 8 * 8
 
-    By Horner's rule: row j, P_j(m) = ((x-E)^j W)_m for m = j..2 n_max - j, is
-    x P_{j-1}(m) - P_{j-1}(m+1) from row j-1, and row 0 is W_0..W_{2 n_max}, all as coordinate vectors:
-    x keeps a vector (0-padded when the family grows), (-y)^j prepends j zeros and the sign (-1)^j.
-    """
+
+def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
+    """(x-E)^j at base m equals (-y)^j times member m-j, for 0 <= j <= m <= n_max, by Horner's rule on packed rows."""
     members = [member_coordinates(kind.value, i) for i in range(2 * n_max + 1)]
-    row = members  # row[i] = P_j(j + i)
+    width = slot_width(members, n_max)
+    packed = row = [pack(coords, width) for coords in members]  # row[i] = P_j(j + i) = ((x-E)^j W)_(j+i)
     bad = []
     for j in range(n_max + 1):
-        sign = (-1) ** j
-        bad.extend((j, j + i) for i, coords in enumerate(members[: n_max - j + 1])
-                   if row[i] != [0] * j + [sign * c for c in coords])
-        row = [list(map(sub, p + [0] * (len(q) - len(p)), q)) for p, q in zip(row[1:], row[2:])]
+        bad.extend((j, j + i) for i, p in enumerate(packed[: n_max - j + 1]) if row[i] != (-1) ** j * p << width * j)
+        row = [p - q for p, q in zip(row[1:], row[2:])]  # P_j(m) = x P_(j-1)(m) - P_(j-1)(m+1)
     return CheckResult.over(f"lemma2.shift-{kind.value.lower()}", bad, f"0 <= j <= m <= {n_max}", at="(j, m)")
 
 
-# The families whose operator annihilates its sequence, giving 0 times their scheme's target.
-_ANNIHILATING = (Family.B, Family.D)
-
-
 def _apply_coordinates(op: OperatorPoly, members: list[list[Rational]], base: int, order: int, weight: int) -> list[Rational]:
-    """``op.apply`` at ``base`` over degree ``weight``, ``members[i]`` the coordinates of W_i: a term c x^(order-k-2b)
-    y^b E^k adds c times those of W_(base+k) from entry b on; any other term raises MalformedElement."""
-    applied: list[Rational] = [0] * (weight // 2 + 1)
+    """``op.apply`` at ``base`` over degree ``weight``, ``members[i]`` the coordinates of W_i: the terms c x^(order-k-2b)
+    y^b E^k of one b dot the members' entries over k from entry b on; any other term raises MalformedElement."""
+    rows: dict[int, list[Rational]] = {}  # b -> the coefficients over k = 0..order-2b of the y^b terms
     for (k, a, b), c in op._terms.items():
         if a + 2 * b != order - k:
             raise MalformedElement(f"order {order}, E^{k}: monomial {_var_string(a, b) or '1'} "
                                    f"lies outside the degree-{order - k} canonical family")
-        add_multiple(applied, c, members[base + k], at=b)
+        rows.setdefault(b, [0] * (order - 2 * b + 1))[k] = c
+    applied: list[Rational] = [0] * (weight // 2 + 1)
+    for b, coeffs in rows.items():
+        columns = zip_longest(*members[base: base + len(coeffs)], fillvalue=0)
+        add_multiple(applied, 1, [sum(map(mul, column, coeffs)) for column in columns], at=b)
     return applied
 
 
@@ -225,7 +233,7 @@ def check_relation(family: Family, n_max: int) -> CheckResult:
     of the family's order-n basis (see ``coefficients.SCHEMES``), based at that member's index.
     """
     scheme = SCHEMES[family]
-    scale = 0 if family in _ANNIHILATING else 2 if is_doubled(scheme.kind, scheme.basis) else 1
+    scale = 0 if family in (Family.B, Family.D) else 2 if is_doubled(scheme.kind, scheme.basis) else 1
     letter, top = member_index(BasisSpec(scheme.basis, n_max), n_max)  # the last member read
     members = [member_coordinates(letter, i) for i in range(top + 1)]
     bad = []

@@ -10,7 +10,8 @@ The degree-n canonical family is the monomial list (x^(n-2k) y^k) for
 0 <= k <= n//2.  A polynomial supported on it is weight homogeneous (every
 term has x_exp + 2*y_exp = n); ``canonical_coordinates`` reads off its coordinate
 vector over that family, and raises on any other polynomial.  ``add_multiple``, the
-one step of every linear combination over a basis, adds c times a vector at an offset.
+one step of every linear combination over a basis, adds c times a vector at an offset.  ``pack`` makes an
+int vector one int, a ``bits``-wide slot per entry; entries differing by under 2^bits pack equal only if equal.
 
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
@@ -27,9 +28,10 @@ from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DimensionError, DomainError, MalformedElement
+from .errors import DimensionError, DomainError, IntegralityViolation, MalformedElement
 
 Rational = Union[int, Fraction]
+Key = tuple[int, int]
 
 
 def as_rational(value: Rational) -> Rational:
@@ -44,16 +46,10 @@ def as_rational(value: Rational) -> Rational:
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
-TermsInput = Union[Mapping, Iterable]
-
-
 def _var_string(x_exp: int, y_exp: int) -> str:
     x = "" if x_exp == 0 else ("x" if x_exp == 1 else f"x^{x_exp}")
     y = "" if y_exp == 0 else ("y" if y_exp == 1 else f"y^{y_exp}")
     return x + y
-
-
-Key = tuple[int, int]
 
 
 def _canonical(acc: dict[Key, Rational]) -> dict[Key, Rational]:
@@ -71,7 +67,7 @@ class BivarPoly:
 
     __slots__ = ("_terms", "_coords")
 
-    def __init__(self, terms: TermsInput = ()):
+    def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Key, Rational] = {}
         for (a, b), value in items:
@@ -264,6 +260,17 @@ def add_multiple(acc: list[Rational], c: Rational, vec: Sequence[Rational], at: 
     if end > len(acc):
         raise DimensionError(f"a vector of length {len(vec)} at offset {at} overruns one of length {len(acc)}")
     acc[at:end] = map(add, acc[at:end], map(mul, repeat(c), vec))
+
+
+def pack(vec: Sequence[int], bits: int) -> int:
+    """sum_i vec[i] * 2^(bits*i) in linear time, ``bits`` a multiple of 8: each entry leaves its residue mod 2^bits
+    in its slot and carries the rest one slot up, negated so that a borrow packs as 1 and a small vector stops."""
+    if not all(isinstance(v, int) for v in vec):
+        raise IntegralityViolation(f"only int entries pack, got {next(v for v in vec if not isinstance(v, int))!r}")
+    mask, size = (1 << bits) - 1, bits // 8
+    packed = int.from_bytes(b"".join((v & mask).to_bytes(size, "little") for v in vec), "little")
+    carry = [-(v >> bits) for v in vec]
+    return packed - (pack(carry, bits) << bits) if any(carry) else packed
 
 
 def _power(base, exponent: int, one):

@@ -35,6 +35,9 @@ SPECIALIZATIONS = "src/bifib/specializations.py"
 COEFFICIENTS = "src/bifib/coefficients.py"
 
 SHIFT_LAW = ["tests/test_operators.py::test_shift_law_passes_up_to_25"]
+SLOT_WIDTH = ["tests/test_operators.py", "-k", "slot_width"]
+PACK = ["tests/test_poly.py", "-k", "pack"]
+HALVING = ["tests/test_operators.py", "-k", "halving"]
 RELATIONS = ["tests/test_operators.py::test_relations_pass_up_to_12"]
 APPLICATION = ["tests/test_operators.py", "-k", "coordinate_application"]
 RING = ["tests/test_operators.py", "-k", "product or commutes or distributivity"]
@@ -48,18 +51,24 @@ TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
-    # the shift law: Horner's difference, the sign of (-y)^j, its j leading zeros, the pad
-    (OPERATORS, "list(map(sub, p + [0] * (len(q) - len(p)), q))", "list(map(sub, q, p + [0] * (len(q) - len(p))))", SHIFT_LAW),
-    (OPERATORS, "sign = (-1) ** j", "sign = 1", SHIFT_LAW),
-    (OPERATORS, "[0] * j + [sign * c for c in coords]", "[sign * c for c in coords] + [0] * j", SHIFT_LAW),
-    (OPERATORS, "map(sub, p + [0] * (len(q) - len(p)), q)", "map(sub, p, q)", SHIFT_LAW),
+    # the packed shift law: Horner's difference and the rows it reads, the sign of (-y)^j, its shift by j slots
+    # (not bits), the slot width, and the carry of an entry past its slot
+    (OPERATORS, "row = [p - q for p, q in zip(row[1:], row[2:])]", "row = [q - p for p, q in zip(row[1:], row[2:])]", SHIFT_LAW),
+    (OPERATORS, "if row[i] != (-1) ** j * p", "if row[i] != p", SHIFT_LAW),
+    (OPERATORS, "<< width * j)", "<< j)", SHIFT_LAW),
+    (OPERATORS, "for p, q in zip(row[1:], row[2:])]", "for p, q in zip(row, row[1:])]", SHIFT_LAW),
+    (OPERATORS, "bit_length() + n_max + 2 + 7)", "bit_length() + 2 + 7)", SLOT_WIDTH),
+    (POLY, "return packed - (pack(carry, bits) << bits) if any(carry) else packed", "return packed", PACK),
     # the flat operator product: the y exponent of its key, which the y-free families never test, and its power of E
     (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (k1 + k2, a1 + a2, b1)", RING),
     (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (max(k1, k2), a1 + a2, b1 + b2)", RELATIONS),
-    # the relations: the entry b a y^b term starts at, the member it reads, the zero target of B and D
-    (OPERATORS, "members[base + k], at=b)", "members[base + k], at=0)", APPLICATION),
-    (OPERATORS, "members[base + k], at=b)", "members[base + k + 1], at=b)", RELATIONS),
-    (OPERATORS, "scale = 0 if family in _ANNIHILATING", "scale = 1 if family in _ANNIHILATING", RELATIONS),
+    # the relations: the entry b a y^b row starts at, the members it reads and how many, the zero target of B and D
+    (OPERATORS, "for column in columns], at=b)", "for column in columns], at=0)", APPLICATION),
+    (OPERATORS, "members[base: base + len(coeffs)]", "members[base + 1: base + len(coeffs) + 1]", RELATIONS),
+    (OPERATORS, "[0] * (order - 2 * b + 1)", "[0] * (order + 1)", APPLICATION),
+    (OPERATORS, "scale = 0 if family in (Family.B, Family.D)", "scale = 1 if family in (Family.B, Family.D)", RELATIONS),
+    # E_m's halving in ints stops at an odd coefficient
+    (OPERATORS, "if c % 2:", "if False:", HALVING),
     # an operator term outside its canonical family is caught where it sits
     (OPERATORS, "if a + 2 * b != order - k:", "if False:", OUT_OF_FAMILY),
     # a wrong member is named, and a non-zero U_0 is caught

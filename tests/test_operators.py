@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import example, given
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from bifib import operators as operators_module
 from bifib.bases import member_coordinates, member_weight
 from bifib.coefficients import MIN_ROW, Family, closed_value
-from bifib.errors import DomainError
+from bifib.errors import DomainError, IntegralityViolation
 from bifib.operators import (
     E_MINUS_X,
     OperatorPoly,
@@ -16,9 +18,10 @@ from bifib.operators import (
     build_family,
     check_shift_law,
     family_orders,
+    slot_width,
 )
 from bifib.poly import BivarPoly, ONE, X, Y, ZERO, canonical_monomials
-from bifib.report import all_passed, run_checks
+from bifib.report import CheckResult, all_passed, run_checks
 from bifib.sequences import SHARED_CACHES, SequenceCache, SequenceKind
 
 
@@ -232,6 +235,65 @@ def test_shift_law_passes_up_to_25():
     assert all_passed(check_shift_law(kind, 25) for kind in SequenceKind)
 
 
+def _listed_shift_law(members, n_max):
+    """The shift law's Horner rows on coordinate lists: the failing (j, m) and the largest entry of
+    any row's difference from its expected vector (the reference for the packed rows)."""
+    row, bad, largest = members, [], 0
+    for j in range(n_max + 1):
+        sign = (-1) ** j
+        for i, coords in enumerate(members[: n_max - j + 1]):
+            expected = [0] * j + [sign * c for c in coords]
+            got = row[i] + [0] * (len(expected) - len(row[i]))
+            expected += [0] * (len(got) - len(expected))
+            largest = max([largest, *(abs(g - e) for g, e in zip(got, expected))])
+            if got != expected:
+                bad.append((j, j + i))
+        row = [list(map(sub, p + [0] * (len(q) - len(p)), q)) for p, q in zip(row[1:], row[2:])]
+    return bad, largest
+
+
+@pytest.mark.parametrize("corrupted", [None, 3, 7], ids=["members", "member-3-in-family", "member-7-in-family"])
+@pytest.mark.parametrize("kind", list(SequenceKind), ids=lambda k: k.value)
+def test_the_packed_shift_law_matches_the_listed_rows(monkeypatch, corrupt_member, kind, corrupted):
+    if corrupted is not None:
+        corrupt_member(kind.value, corrupted, True)
+    found = []
+    monkeypatch.setattr(CheckResult, "over", classmethod(lambda cls, name, bad, *args, **kwargs: found.append(bad)))
+    for n_max in range(1, 31):
+        check_shift_law(kind, n_max)
+        members = [member_coordinates(kind.value, i) for i in range(2 * n_max + 1)]
+        assert found.pop() == _listed_shift_law(members, n_max)[0], n_max
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 30])
+@pytest.mark.parametrize("top", [1, 255, 3 ** 40])
+def test_the_slot_width_holds_every_horner_difference(n_max, top):
+    # Alternating members double every row, the fastest growth a Horner difference allows.
+    for members in ([[(-1) ** i * top] for i in range(2 * n_max + 1)],
+                    [member_coordinates("V", i) for i in range(2 * n_max + 1)]):
+        width = slot_width(members, n_max)
+        assert width % 8 == 0
+        assert _listed_shift_law(members, n_max)[1] < 2 ** (width - 1)
+    assert slot_width([[top]], n_max) == -(-(top.bit_length() + n_max + 2) // 8) * 8
+
+
+def test_a_non_int_member_entry_fails_the_shift_law_with_a_line(monkeypatch):
+    # The largest entry, so the slot width is read from it before pack rejects it.
+    read, entry = operators_module.member_coordinates, Fraction(2 ** 200 + 1, 2)
+    monkeypatch.setattr(operators_module, "member_coordinates",
+                        lambda letter, i: [entry, *read(letter, i)[1:]] if i == 7 else read(letter, i))
+    assert _report_line("lemma2.shift-u") == f"FAIL lemma2.shift-u: raised IntegralityViolation: only int entries pack, got {entry!r}"
+
+
+def test_an_odd_coefficient_in_the_halving_of_e_is_located(monkeypatch):
+    # With x - 2E for x - E, x A_1 + D_2 = 3xE - 2E^2, whose E^1 coefficient 3 does not halve.
+    monkeypatch.setattr(operators_module, "X_MINUS_E", OperatorPoly({0: X}) - OperatorPoly.shift() * 2)
+    text = "order 2, E^1: monomial x has the odd coefficient 3"
+    with pytest.raises(IntegralityViolation, match=f"^{re.escape(text)}$"):
+        build_family(Family.E, 4)
+    assert _report_line("relations.e") == f"FAIL relations.e: raised IntegralityViolation: {text}"
+
+
 # The first failure of each check when member 7 of its sequence reads wrong inside its family.
 # The shift law first reads W_7 in (x-E) at base 6; a relation first fails at the lowest order
 # whose operator gives W_7 a non-zero coefficient.
@@ -302,6 +364,8 @@ def homogeneous_operators(draw):
 
 @given(homogeneous_operators(), st.sampled_from(list(SequenceKind)), st.integers(0, 20))
 @example((4, OperatorPoly({1: poly_of((1, 1, 3))})), SequenceKind.LUCAS_V, 4)  # x*y at E^1 adds from entry 1 on
+@example((4, OperatorPoly({0: poly_of((2, 1, 5), (4, 0, 1)), 1: poly_of((3, 0, -2), (1, 1, 3)), 4: poly_of((0, 0, 7))})),
+         SequenceKind.FIBONACCI_U, 3)  # y-powers 0 and 1 in one order: the y^1 row reads to E^1, the y^0 row to E^4
 def test_coordinate_application_equals_apply_on_the_sequences(order_op, kind, base):
     order, op = order_op
     letter = kind.value

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bifib.errors import DimensionError, DomainError, MalformedElement
+from bifib.errors import DimensionError, DomainError, IntegralityViolation, MalformedElement
 from bifib.poly import (
     BivarPoly,
     ONE,
@@ -17,6 +18,7 @@ from bifib.poly import (
     add_multiple,
     as_rational,
     canonical_monomials,
+    pack,
     signed_sum,
     sum_of_products,
 )
@@ -348,6 +350,39 @@ def test_add_multiple_accumulates_in_place_and_rejects_an_overrun():
         with pytest.raises(DimensionError, match=f"^a vector of length {len(vec)} at offset {at} overruns one of length 4$"):
             add_multiple(acc, 1, vec, at=at)
     assert acc == [2, 5, 2, 5]
+
+
+@pytest.mark.parametrize("bits", [8, 16, 48])
+def test_packings_collide_one_step_past_the_bound(bits):
+    # 2^bits at slot 0 is 1 at slot 1, so the two unequal vectors pack alike
+    assert pack([2 ** bits, -1], bits) == 0 == pack([0, 0], bits)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5])
+def test_pack_rejects_a_non_int_entry(entry):
+    with pytest.raises(IntegralityViolation, match=f"^only int entries pack, got {re.escape(repr(entry))}$"):
+        pack([1, entry, 2], 8)
+
+
+slot_bits = st.sampled_from([8, 16, 48])
+big_ints = st.integers(-(2 ** 70), 2 ** 70)
+
+
+@given(slot_bits, st.lists(st.tuples(big_ints, big_ints), max_size=6), big_ints)
+def test_pack_is_linear(bits, pairs, c):
+    u = [a for a, _ in pairs]
+    v = [b for _, b in pairs]
+    assert pack(u, bits) - c * pack(v, bits) == pack([a - c * b for a, b in pairs], bits)
+    assert pack(u, bits) == sum(a << (bits * i) for i, a in enumerate(u))
+
+
+@given(st.data(), slot_bits, st.integers(0, 6))
+def test_packings_are_equal_exactly_when_vectors_under_the_bound_are(data, bits, length):
+    half = 2 ** (bits - 1)
+    entries = st.lists(st.integers(-half + 1, half - 1), min_size=length, max_size=length)
+    u = data.draw(entries)
+    v = data.draw(st.one_of(st.just(list(u)), entries))
+    assert (pack(u, bits) == pack(v, bits)) == (u == v)
 
 
 def test_canonical_family_shape():
