@@ -20,8 +20,9 @@ independent oracle against which the closed-form coefficient families are
 checked.  It peels the basis one order at a time: adjacent vectors differ by
 y times a vector of the order below, so the x^m coordinate fixes the sum of
 the coordinates and the rest is the same problem one order lower, O(n^2) per
-solve.  ``decompose`` then checks its residual, accumulating M * coords by
-columns from the members' coordinates, which each member computes once.
+solve.  ``decompose`` then checks its residual, M * coords with one dot product
+per row.  Both read the members' coordinates from one ``member_window``, which
+``coefficients.oracle_triangle`` reads once for all its rows.
 
 All linear algebra is exact, with no floating point.  ``RationalMatrix`` runs
 fraction-free (Bareiss) elimination on int rows scaled by the lcm of their
@@ -35,13 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import lcm
 from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, MalformedElement, SingularMatrixError
-from .poly import BivarPoly, Rational, add_multiple, as_rational, sum_of_products
+from .poly import BivarPoly, Rational, as_rational, sum_of_products
 from .report import CheckResult
 from .sequences import SHARED_CACHES
 
@@ -314,24 +315,49 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
     return list(map(as_rational, accumulate(reversed(pivots), mul)))
 
 
-def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational]) -> list[Rational]:
-    """Coordinates over the basis of the vector whose canonical coordinates are ``rhs``.
+def member_window(spec: BasisSpec) -> list[list[Rational]]:
+    """The coordinates of every member the family's bases read up to order ``spec.n``, each read once through
+    ``member_coordinates``: order m's vector k is entry m - lowest + k, and its peel reads entries m - lowest..0."""
+    letter, first = member_index(BasisSpec(spec.family, lowest_order(spec.family)), 0)
+    last = member_index(spec, ambient_degree(spec) // 2)[1]
+    return [member_coordinates(letter, index) for index in range(first, last + 1)]
+
+
+def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational], window: Sequence[list[Rational]]) -> list[Rational]:
+    """Coordinates over the basis of the vector whose canonical coordinates are ``rhs``, from a ``member_window``
+    of this order or a higher one.
 
     As v_k - v_(k-1) = y w_(k-1), sum c_k v_k = S v_0 + y sum c'_j w_j, where
-    S = sum c_k, c'_j = sum_(i>j) c_i and w is the basis one order lower.
+    S = sum c_k, c'_j = sum_(i>j) c_i and w is the basis one order lower.  Peeling
+    order after order, the level sums solve by forward substitution,
+    S_j = (rhs_j - sum_(l<j) S_l lead_l[j-l]) / lead_j[0], lead_l the coordinates of the
+    leading member l orders down; row j of the skewed leads holds the lead_l[j-l].
     """
-    letter, offset = _MEMBERS[spec.family]
-    residual, sums = list(rhs), []
-    for index in range(spec.n + offset, lowest_order(spec.family) + offset - 1, -1):
-        lead = member_coordinates(letter, index)
-        total = residual[0] if lead[0] == 1 else as_rational(Fraction(residual[0], lead[0]))  # 2 for V_0
-        sums.append(total)
-        add_multiple(residual, -total, lead)
-        del residual[0]
+    top = spec.n - lowest_order(spec.family)
+    skewed = ([0] * l + lead for l, lead in enumerate(window[top::-1]))
+    sums: list[Rational] = []
+    for row, value in zip(zip_longest(*skewed, fillvalue=0), rhs):
+        pivot, rest = row[len(sums)], value - sum(map(mul, sums, row))
+        sums.append(rest if pivot == 1 else as_rational(Fraction(rest, pivot)))  # 2 for V_0
     coords: list[Rational] = []
     for total in reversed(sums):  # c_0 = S - c'_0, c_k = c'_(k-1) - c'_k, c_last = c'_last
         coords = list(map(sub, [total, *coords], [*coords, 0]))
     return list(map(as_rational, coords))
+
+
+def _checked_solve(spec: BasisSpec, rhs: list[Rational], window: Sequence[list[Rational]]) -> tuple[Rational, ...]:
+    """``_peel_solve``'s coordinates once M * coords == rhs, computed one dot product per row of the order's
+    member columns in ``window``; a non-zero residual is an internal defect and raises ArithmeticError
+    naming its first differing coordinate."""
+    coords = _peel_solve(spec, rhs, window)
+    top = spec.n - lowest_order(spec.family)
+    columns = window[top : top + len(rhs)]
+    product = [sum(map(mul, row, coords)) for row in zip_longest(*columns, fillvalue=0)]
+    if product != rhs:
+        i, got, want = next((i, *pair) for i, pair in enumerate(zip_longest(product, rhs)) if pair[0] != pair[1])
+        raise ArithmeticError(f"internal error: decomposition residual is not zero ({spec.family.value}, "
+                              f"n = {spec.n}): coordinate {i} reads {got}, expected {want}")
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -364,16 +390,11 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
     Raises MalformedElement when the target has monomials outside the
     ambient canonical family.  As canonical coordinates are a linear bijection,
     M * coords == rhs means the result reconstructs the target exactly; a
-    non-zero residual would be an internal defect and raises.
+    non-zero residual would be an internal defect and raises ArithmeticError.
+    The members are read once, from this order's ``member_window``.
     """
     rhs = target.canonical_coordinates(ambient_degree(spec))
-    coords = tuple(_peel_solve(spec, rhs))
-    product: list[Rational] = [0] * len(rhs)
-    for k, c in enumerate(coords):  # column k of the coordinate matrix is member k's coordinates
-        add_multiple(product, c, member_coordinates(*member_index(spec, k)))
-    if product != rhs:
-        raise ArithmeticError(f"internal error: decomposition residual is not zero ({spec.family.value}, n = {spec.n})")
-    return Decomposition(target, spec, coords)
+    return Decomposition(target, spec, _checked_solve(spec, rhs, member_window(spec)))
 
 
 def check_determinant(family: BasisFamily, n_max: int) -> CheckResult:

@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable
 
-from .bases import BasisFamily, BasisSpec, decompose, is_doubled, lowest_order, pairing
+from .bases import BasisFamily, BasisSpec, _checked_solve, ambient_degree, is_doubled, lowest_order, member_window, pairing
 from .errors import DomainError, IntegralityViolation
 from .poly import BivarPoly
 from .report import CheckResult
@@ -100,10 +100,11 @@ def c_closed(n: int, k: int) -> int:
 
 def d_closed(n: int, k: int) -> int:
     _require(n >= 1 and 0 <= k <= n, "d", n, k)
-    value = Fraction((n + k) * comb(n, k), n)
-    if value.denominator != 1:
-        raise IntegralityViolation(f"d({n},{k}) evaluated to {value}")
-    return (-1) ** (n - k + 1) * value.numerator
+    numerator = (n + k) * comb(n, k)
+    value, remainder = divmod(numerator, n)
+    if remainder:
+        raise IntegralityViolation(f"d({n},{k}) evaluated to {Fraction(numerator, n)}")
+    return (-1) ** (n - k + 1) * value
 
 
 def e_closed(n: int, k: int) -> int:
@@ -111,10 +112,11 @@ def e_closed(n: int, k: int) -> int:
     # and the Kronecker term +1), so rows stop at k = n-1 and the delta term
     # never fires in-domain.
     _require(n >= 1 and 0 <= k <= n - 1, "e", n, k)
-    half = Fraction(a_closed(n - 1, k) + d_closed(n, k), 2)
-    if half.denominator != 1:
-        raise IntegralityViolation(f"e({n},{k}) evaluated to {half}")
-    return half.numerator
+    total = a_closed(n - 1, k) + d_closed(n, k)
+    half, odd = divmod(total, 2)
+    if odd:
+        raise IntegralityViolation(f"e({n},{k}) evaluated to {Fraction(total, 2)}")
+    return half
 
 
 _CLOSED: dict[Family, Callable[[int, int], int]] = {
@@ -267,9 +269,10 @@ def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
     scheme = SCHEMES[family]
     if n_max < scheme.min_n:
         raise IndexError(f"n_max {n_max} below first row {scheme.min_n} of family {family.value}")
-    rows = []
+    rows, window = [], member_window(BasisSpec(scheme.basis, n_max))
     for n in range(scheme.min_n, n_max + 1):
-        coords = decompose(scheme.target(n), BasisSpec(scheme.basis, n)).coords
+        spec = BasisSpec(scheme.basis, n)
+        coords = _checked_solve(spec, scheme.target(n).canonical_coordinates(ambient_degree(spec)), window)
         for value in coords:
             if not isinstance(value, int):
                 raise IntegralityViolation(

@@ -9,8 +9,8 @@ stored and integral fractions are normalised back to int on construction.
 The degree-n canonical family is the monomial list (x^(n-2k) y^k) for
 0 <= k <= n//2.  A polynomial supported on it is weight homogeneous (every
 term has x_exp + 2*y_exp = n); ``canonical_coordinates`` reads off its coordinate
-vector over that family, and raises on any other polynomial.  ``add_multiple``, the
-one step of every linear combination over a basis, adds c times a vector at an offset.  ``pack`` makes an
+vector over that family, and raises on any other polynomial.  ``add_multiple`` adds c
+times a vector at an offset, raising when the vector overruns the sum.  ``pack`` makes an
 int vector one int, a ``bits``-wide slot per entry; entries differing by under 2^bits pack equal only if equal.
 
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;

@@ -49,6 +49,7 @@ DECOMPOSE = ["tests/test_bases.py", "-k", "peel or residual or decompos"]
 LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
 TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
+INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the packed shift law: Horner's difference and the rows it reads, the sign of (-y)^j, its shift by j slots
@@ -77,10 +78,14 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the coordinate reader and the one accumulation kernel
     (POLY, "if a + 2 * b != n:", "if a + 2 * b > n:", COORDINATES),
     (POLY, "if end > len(acc):", "if end > len(acc) + 1:", KERNEL),
-    # the peel and decompose's residual check
-    (BASES, "add_multiple(residual, -total, lead)", "add_multiple(residual, total, lead)", DECOMPOSE),
+    # the member window, the peel's forward substitution (its subtraction, the skew of the leads that gives the
+    # anti-diagonals, the V_0 divisor) and the residual check (what it compares and which columns it reads)
+    (BASES, "for index in range(first, last + 1)]", "for index in range(first + 1, last + 1)]", DECOMPOSE),
+    (BASES, "value - sum(map(mul, sums, row))", "value + sum(map(mul, sums, row))", DECOMPOSE),
+    (BASES, "([0] * l + lead for", "([0] * (l + 1) + lead for", DECOMPOSE),
+    (BASES, "rest if pivot == 1 else as_rational(Fraction(rest, pivot))", "rest", DECOMPOSE),
     (BASES, "if product != rhs:", "if product[:1] != rhs[:1]:", DECOMPOSE),
-    (BASES, "add_multiple(product, c, member_coordinates(*member_index(spec, k)))", "add_multiple(product, c, member_coordinates(*member_index(spec, 0)))", DECOMPOSE),
+    (BASES, "columns = window[top : top + len(rhs)]", "columns = window[top + 1 : top + 1 + len(rhs)]", DECOMPOSE),
     # the lemma 1 chain: its pivot and difference checks, the entry it drops, and which columns each order is compared with
     (BASES, "if order > lowest and columns[0][0] == 0:", "if False:", LEMMA1),
     (BASES, "if difference[0] != 0:", "if False:", LEMMA1),
@@ -95,6 +100,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (SPECIALIZATIONS, "doubling = 2 if is_doubled(scheme.kind, scheme.basis) else 1", "doubling = 1", TRANSFER),
     (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', TRANSFER),
     (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", TRANSFER),
+    # the closed forms of d and e stop at a non-integral value
+    (COEFFICIENTS, "if remainder:", "if False:", INTEGRALITY),
+    (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),
     # the theorems read the three-way comparison
     (COEFFICIENTS, "bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})", "bad = []", THEOREMS),
 ]

@@ -382,8 +382,8 @@ def test_decomposition_reconstructs_target():
 def test_decompose_raises_on_a_nonzero_residual(monkeypatch):
     solve = bases._peel_solve
 
-    def perturbed(spec, rhs):
-        coords = solve(spec, rhs)
+    def perturbed(spec, rhs, window):
+        coords = solve(spec, rhs, window)
         coords[1] += 1
         return coords
 
@@ -392,8 +392,8 @@ def test_decompose_raises_on_a_nonzero_residual(monkeypatch):
         decompose(u_poly(8), BasisSpec(BasisFamily.BU_STAR, 4))
 
     # the last column and exact rationals are covered too
-    def perturbed_last(spec, rhs):
-        coords = solve(spec, rhs)
+    def perturbed_last(spec, rhs, window):
+        coords = solve(spec, rhs, window)
         coords[-1] += Fraction(1, 3)
         return coords
 
@@ -407,8 +407,8 @@ def test_decompose_raises_on_a_nonzero_residual(monkeypatch):
             decompose(target, spec)
 
     # a change that keeps the coordinates' sum, which the x^m coordinate alone cannot see
-    def perturbed_pair(spec, rhs):
-        coords = solve(spec, rhs)
+    def perturbed_pair(spec, rhs, window):
+        coords = solve(spec, rhs, window)
         coords[0] -= 1
         coords[1] += 1
         return coords
@@ -442,7 +442,7 @@ def test_peel_solve_matches_bareiss(family):
             v_poly(degree).canonical_coordinates(degree),
         ]
         for rhs in targets:
-            peeled, reference = bases._peel_solve(spec, rhs), matrix.solve(rhs)
+            peeled, reference = bases._peel_solve(spec, rhs, bases.member_window(spec)), matrix.solve(rhs)
             assert peeled == reference, (spec, rhs)
             assert [type(c) for c in peeled] == [type(c) for c in reference], (spec, rhs)
             fractional += any(isinstance(c, Fraction) for c in reference)

@@ -298,7 +298,7 @@ def test_verify_rejects_bad_arguments(run_cli):
                 "lemma1.det.BV": "FAIL lemma1.det.BV: raised ArithmeticError: order 7 column 0 is not V_7",
                 "lemma1.det-cross.BV": "FAIL lemma1.det-cross.BV: raised ArithmeticError: order 7 column 0 is not V_7",
                 "theorems.a": "FAIL theorems.a: raised ArithmeticError: "
-                "internal error: decomposition residual is not zero (BV, n = 5)",
+                "internal error: decomposition residual is not zero (BV, n = 5): coordinate 0 reads 6, expected 2",
             },
             id="V7-in-family",
         ),

@@ -22,8 +22,9 @@ from bifib.coefficients import (
     oracle_triangle,
     recurrence_triangle,
 )
+from bifib.errors import IntegralityViolation
 from bifib.report import all_passed, run_checks
-from bifib.sequences import u_poly, v_poly
+from bifib.sequences import SequenceCache, u_poly, v_poly
 
 A_TABLE = [
     [1],
@@ -133,6 +134,20 @@ def test_domains_raise_index_error(call):
         call()
 
 
+def test_a_non_integral_closed_value_is_named_with_its_exact_value(monkeypatch):
+    monkeypatch.setattr(coefficients, "comb", lambda n, k: 1)
+    for (n, k), value in {(3, 1): "4/3", (4, 1): "5/4", (5, 4): "9/5"}.items():
+        with pytest.raises(IntegralityViolation) as raised:
+            d_closed(n, k)
+        assert str(raised.value) == f"d({n},{k}) evaluated to {value}"
+    monkeypatch.undo()
+    monkeypatch.setattr(coefficients, "a_closed", lambda n, k: 0)
+    for (n, k), value in {(2, 0): "-1/2", (3, 0): "1/2", (3, 2): "5/2"}.items():
+        with pytest.raises(IntegralityViolation) as raised:
+            e_closed(n, k)
+        assert str(raised.value) == f"e({n},{k}) evaluated to {value}"
+
+
 # -- recurrence triangles reproduce the published rows ------------------------------
 
 
@@ -181,7 +196,7 @@ def test_recurrence_route_reads_neither_closed_forms_nor_the_oracle(monkeypatch)
         raise AssertionError("the recurrence route called another route")
 
     monkeypatch.setattr(coefficients, "comb", forbidden)
-    monkeypatch.setattr(coefficients, "decompose", forbidden)
+    monkeypatch.setattr(coefficients, "_checked_solve", forbidden)
     for family in Family:
         monkeypatch.setitem(coefficients._CLOSED, family, forbidden)
     for route in (closed_triangle, oracle_triangle):
@@ -265,6 +280,21 @@ def test_oracle_rows_match_closed_prefixes():
         for n in range(oracle.start_row, 9):
             row = oracle.row(n)
             assert list(row) == list(closed.row(n))[: len(row)]
+
+
+def test_the_oracle_reads_each_member_of_its_window_once(monkeypatch):
+    """About 2 n_max reads for the window of the top order, and two per row for the target."""
+    read, count = SequenceCache.__getitem__, [0]
+
+    def counting(self, n):
+        count[0] += 1
+        return read(self, n)
+
+    monkeypatch.setattr(SequenceCache, "__getitem__", counting)
+    for family in Family:
+        count[0] = 0
+        oracle_triangle(family, 30)
+        assert count[0] <= 4 * (30 + 1), family
 
 
 def test_cross_check_with_oracle_passes():
