@@ -33,13 +33,12 @@ order-n vectors and checks each lower level against that order's members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import lcm
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, MalformedElement, SingularMatrixError
 from .poly import BivarPoly, Rational, as_rational, sum_of_products
@@ -62,8 +61,7 @@ EXPECTED_DETERMINANTS = {
 }
 
 
-@dataclass(frozen=True)
-class BasisSpec:
+class BasisSpec(NamedTuple):
     """One concrete sequence basis: a family plus its order index n."""
 
     family: BasisFamily
@@ -360,8 +358,7 @@ def _checked_solve(spec: BasisSpec, rhs: list[Rational], window: Sequence[list[R
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Exact coordinates of a target polynomial over one sequence basis."""
 
     target: BivarPoly
@@ -371,9 +368,6 @@ class Decomposition:
     def reconstruct(self) -> BivarPoly:
         """The linear combination sum_k coords[k] * vector k of the product-built basis."""
         return sum_of_products((BivarPoly.constant(c), v) for c, v in zip(self.coords, build_basis(self.spec)))
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coords)
 
     def to_json_dict(self) -> dict[str, object]:
         return {

@@ -40,12 +40,11 @@ k = n-1.  Text renderings are tab-separated integers, one row per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bases import BasisFamily, BasisSpec, _checked_solve, ambient_degree, is_doubled, lowest_order, member_window, pairing
 from .errors import DomainError, IntegralityViolation
@@ -132,8 +131,7 @@ def closed_value(family: Family, n: int, k: int) -> int:
     return _CLOSED[family](n, k)
 
 
-@dataclass(frozen=True)
-class CoeffTriangle:
+class CoeffTriangle(NamedTuple):
     """Integer triangle rows with the method that produced them."""
 
     family: Family
@@ -218,8 +216,7 @@ def recurrence_triangle(family: Family, n_max: int) -> CoeffTriangle:
     return CoeffTriangle(family, "recurrence", start, tuple(rows))
 
 
-@dataclass(frozen=True)
-class DecompositionScheme:
+class DecompositionScheme(NamedTuple):
     """One family's identity: member 2n + shift of U or V over a basis family.
 
     The target comes from ``bases.pairing``, its doubling from ``bases.is_doubled``
@@ -282,8 +279,7 @@ def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
     return CoeffTriangle(family, "oracle", scheme.min_n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class MethodMismatch:
+class MethodMismatch(NamedTuple):
     """One entry where the generation methods disagree."""
 
     n: int
@@ -291,8 +287,7 @@ class MethodMismatch:
     values: dict[str, int | None]
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     family: Family
     n_max: int
     methods: tuple[str, ...]

@@ -94,11 +94,6 @@ class OperatorPoly:
     def shift_powers(self) -> list[int]:
         return sorted({k for k, _, _ in self._terms})
 
-    @property
-    def degree(self) -> int:
-        """Largest shift power, or -1 for the zero operator."""
-        return max((k for k, _, _ in self._terms), default=-1)
-
     def is_zero(self) -> bool:
         return not self._terms
 

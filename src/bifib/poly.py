@@ -106,10 +106,6 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_integral(self) -> bool:
-        """True iff every coefficient is an integer."""
-        return all(isinstance(c, int) for c in self._terms.values())
-
     def homogeneous_weight(self) -> int | None:
         """The common x_exp + 2*y_exp over all terms, or None when mixed or zero."""
         weights = {a + 2 * b for a, b in self._terms}

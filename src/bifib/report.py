@@ -3,21 +3,29 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BifibError, DomainError
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one named verification check; ``seconds`` is its run time, left out of equality."""
+class CheckResult(NamedTuple):
+    """Outcome of one named verification check; ``seconds`` is its run time, left out of equality and hash."""
 
     name: str
     passed: bool
     detail: str = ""
-    seconds: float = field(default=0.0, compare=False)
+    seconds: float = 0.0
+
+    # tuple compares and hashes every field, ``seconds`` too, and defines its own ``__ne__``
+    def __eq__(self, other: object) -> bool:
+        return self[:3] == other[:3] if isinstance(other, CheckResult) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return self[:3] != other[:3] if isinstance(other, CheckResult) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     @classmethod
     def over(cls, name: str, bad: Sequence[object], passed_detail: str, at: str = "n") -> CheckResult:
@@ -87,5 +95,5 @@ def run_checks(scope: str, n_max: int) -> list[CheckResult]:
             result = check(n_max)
         except (ArithmeticError, BifibError) as exc:  # a wrong value met partway; other errors are bugs
             result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        results.append(result._replace(seconds=time.perf_counter() - start))
     return sorted(results, key=lambda result: result.name)

@@ -20,9 +20,9 @@ values, and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .bases import BasisSpec, is_doubled, member_index
 from .coefficients import SCHEMES, Family, closed_row
@@ -32,8 +32,7 @@ from .report import CheckResult
 from .sequences import SequenceKind, u_poly, v_poly
 
 
-@dataclass(frozen=True)
-class SpecializationRule:
+class SpecializationRule(NamedTuple):
     """A named substitution (x, y) -> (x_image, y_image) with a final scaling."""
 
     name: str

@@ -33,6 +33,7 @@ BASES = "src/bifib/bases.py"
 POLY = "src/bifib/poly.py"
 SPECIALIZATIONS = "src/bifib/specializations.py"
 COEFFICIENTS = "src/bifib/coefficients.py"
+REPORT = "src/bifib/report.py"
 
 SHIFT_LAW = ["tests/test_operators.py::test_shift_law_passes_up_to_25"]
 SLOT_WIDTH = ["tests/test_operators.py", "-k", "slot_width"]
@@ -50,6 +51,7 @@ LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
 TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
 INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
+SECONDS = ["tests/test_cli.py", "-k", "without_their_seconds"]
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the packed shift law: Horner's difference and the rows it reads, the sign of (-y)^j, its shift by j slots
@@ -105,6 +107,10 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),
     # the theorems read the three-way comparison
     (COEFFICIENTS, "bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})", "bad = []", THEOREMS),
+    # a check result's run time is left out of its equality, inequality and hash
+    (REPORT, "return self[:3] == other[:3]", "return self[:4] == other[:4]", SECONDS),
+    (REPORT, "return self[:3] != other[:3]", "return self[:4] != other[:4]", SECONDS),
+    (REPORT, "return hash(self[:3])", "return hash(self[:4])", SECONDS),
 ]
 
 

@@ -363,8 +363,10 @@ def test_run_checks_lets_a_programming_error_propagate(monkeypatch, error):
 
 def test_check_results_compare_without_their_seconds():
     timed = CheckResult("lemma1.det.BU", True, "det = 1", seconds=0.25)
-    assert timed == CheckResult("lemma1.det.BU", True, "det = 1", seconds=1.5)
+    retimed = CheckResult("lemma1.det.BU", True, "det = 1", seconds=1.5)
+    assert timed == retimed and not timed != retimed and hash(timed) == hash(retimed)
     assert timed == CheckResult("lemma1.det.BU", True, "det = 1")
+    assert timed != CheckResult("lemma1.det.BU", False, "det = 1", seconds=0.25)
     assert timed.line() == "PASS lemma1.det.BU: det = 1"
     assert all(result.seconds > 0 for result in run_checks("lemma2", 3))
 

@@ -48,7 +48,7 @@ def test_square_of_x_minus_shift():
     assert squared.coefficient(0) == poly_of((2, 0, 1))
     assert squared.coefficient(1) == poly_of((1, 0, -2))
     assert squared.coefficient(2) == ONE
-    assert squared.degree == 2
+    assert squared.shift_powers() == [0, 1, 2]
 
 
 def test_product_expansion():
@@ -68,7 +68,7 @@ def test_zero_coefficients_are_dropped():
     op = OperatorPoly({0: X}) + OperatorPoly({0: -X, 1: ONE})
     assert op.shift_powers() == [1]
     assert OperatorPoly().is_zero()
-    assert OperatorPoly().degree == -1
+    assert OperatorPoly().shift_powers() == []
 
 
 def test_invalid_shift_power_rejected():
@@ -115,8 +115,8 @@ def test_the_flat_product_matches_the_product_of_coefficients(p, q, poly, factor
 
 @given(fraction_operators, fraction_operators)
 def test_results_store_no_zero_coefficients(a, b):
-    assert (a - a).is_zero() and (a - a).degree == -1
-    assert (a * (b - b)).degree == -1
+    assert (a - a).is_zero() and (a - a).shift_powers() == []
+    assert (a * (b - b)).shift_powers() == []
     for result in (a + b, a - b, a * b, -a, a * ZERO, a * 2, a ** 2, a + (-a)):
         assert all(not p.is_zero() for _, p in result.items())
         assert result == OperatorPoly(dict(result.items()))
@@ -192,7 +192,7 @@ def test_expansions_match_closed_values_up_to_40():
                 )
             if family in (Family.C, Family.E):
                 assert op.coefficient(m).is_zero()
-            assert all(p.is_integral() for _, p in op.items())
+            assert all(isinstance(c, int) for _, p in op.items() for _, c in p.items())
 
 
 def test_family_orders_match_their_defining_formulas():
