@@ -4,7 +4,8 @@ E sends a sequence (W_n) to (W_{n+1}), so an operator sum_k p_k E^k applied at i
 to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y] and commute with E, making the operator ring
 a plain commutative polynomial ring over the coefficient ring.  An operator is one flat term map
 {(k, x_exp, y_exp): coeff}, so a product is one accumulation over term pairs and only ``apply``
-calls ``poly.sum_of_products``.  ``check_shift_law`` packs coordinate vectors into ints (``poly.pack``):
+calls ``poly.sum_of_products``; the families below are built on int rows, and products are the
+tests' reference for them.  ``check_shift_law`` packs coordinate vectors into ints (``poly.pack``):
 a Horner step is one subtraction and (-y)^j a shift by j slots, and as entries at most double per row,
 ``slot_width`` slots keep unequal vectors unequal.  ``check_relation`` dots each power of y's coefficients
 with the members, unpacked: slots wide enough for its products c * (member entry) were slower at n = 400.
@@ -17,10 +18,12 @@ with the members, unpacked: slots wide enough for its products c * (member entry
     D_m = (E-x)^(m-1) (x-2E)                              (m >= 1)
     E_m = (x A_{m-1} + D_m) / 2 + E^m                     (m >= 1)
 
-order by order, each from the one before: A_m = (x-E) A_{m-1} + 2 E^m from
-A_0 = 1 (Horner's rule for the defining sum), B_m = (E-x) B_{m-1} from B_0 = -1
-and D_m = (E-x) D_{m-1} from D_1 = x - 2E.  C_m is assembled from B_m, and E_m
-from A_{m-1} and D_m, by their defining sums, halved in ints; ``build_family`` returns the
+order by order, each from the one before, on one row of ints: F_m is homogeneous of degree m in x
+and E with no y term, so entry k is its coefficient of x^(m-k) E^k, and each row is wrapped as an
+``OperatorPoly`` once.  (x-E) F is [*row, 0] - [0, *row] and (E-x) F its negation, so
+A_m = (x-E) A_{m-1} + 2 E^m from A_0 = 1 (Horner's rule for the defining sum), B_m = (E-x) B_{m-1}
+from B_0 = -1 and D_m = (E-x) D_{m-1} from D_1 = x - 2E.  C_m is summed from B_m's row, and E_m
+halves the row of x A_{m-1} + D_m with ``divmod`` before adding E^m; ``build_family`` returns the
 last order.  Expanded, family F_m equals sum_k f(m,k) x^(m-k) E^k with f the
 matching integer triangle from ``coefficients``; C_m and E_m have zero
 coefficient at k = m.  Applied at the right base index the
@@ -39,14 +42,14 @@ back j places (the shift law checked by ``check_shift_law``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count, repeat, zip_longest
-from operator import mul
+from itertools import accumulate, islice, repeat, zip_longest
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping
 
 from .bases import BasisSpec, is_doubled, member_coordinates, member_index, member_weight
 from .coefficients import MIN_ROW, SCHEMES, Family
 from .errors import DomainError, IntegralityViolation, MalformedElement
-from .poly import ONE, X, BivarPoly, Rational, _canonical, _power, _var_string, add_multiple, pack, sum_of_products
+from .poly import ONE, BivarPoly, Rational, _canonical, _power, _var_string, add_multiple, pack, sum_of_products
 from .report import CheckResult
 from .sequences import SequenceCache, SequenceKind
 
@@ -155,30 +158,41 @@ class OperatorPoly:
         return f"OperatorPoly({str(self)!r})"
 
 
-X_MINUS_E = OperatorPoly({0: X}) - OperatorPoly.shift()
-E_MINUS_X = -X_MINUS_E
+def _x_minus_e(row: list[int], top: int) -> list[int]:
+    """The row of (x-E) F + top E^(m+1) from the row of an order-m F: x keeps entry k at k, E moves it to k + 1."""
+    return list(map(sub, [*row, top], [0, *row]))
 
 
-def _halved(op: OperatorPoly, m: int) -> OperatorPoly:
-    for (k, a, b), c in op._terms.items():
-        if c % 2:
-            raise IntegralityViolation(f"order {m}, E^{k}: monomial {_var_string(a, b) or '1'} "
-                                       f"has the odd coefficient {c}")
-    return OperatorPoly._of({key: c // 2 for key, c in op._terms.items()})
+def _e_minus_x(row: list[int], _: object = None) -> list[int]:
+    """The row of (E-x) F, the (x-E) step negated."""
+    return list(map(sub, [0, *row], [*row, 0]))
+
+
+def _e_row(a_row: list[int], d_row: list[int], m: int) -> list[int]:
+    """The row of E_m = (x A_(m-1) + D_m) / 2 + E^m, halved in ints; an odd entry raises IntegralityViolation."""
+    row = []
+    for k, total in enumerate(map(add, [*a_row, 0], d_row)):
+        half, odd = divmod(total, 2)
+        if odd:
+            raise IntegralityViolation(f"order {m}, E^{k}: monomial {_var_string(m - k, 0) or '1'} "
+                                       f"has the odd coefficient {total}")
+        row.append(half)
+    row[m] += 1
+    return row
 
 
 def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, OperatorPoly]]:
-    """Yield (m, F_m) for m = MIN_ROW[family]..m_max, each order built from the one before."""
-    shift = OperatorPoly.shift
-    a = accumulate(count(1), lambda a_m, m: X_MINUS_E * a_m + shift(m) * 2, initial=OperatorPoly.identity())
-    b = accumulate(repeat(E_MINUS_X), mul, initial=-OperatorPoly.identity())
-    d = accumulate(repeat(E_MINUS_X), mul, initial=OperatorPoly({0: X}) - shift() * 2)
-    orders = {
+    """Yield (m, F_m) for m = MIN_ROW[family]..m_max, each order built from the one before on its integer row."""
+    a = accumulate(repeat(2), _x_minus_e, initial=[1])
+    b = accumulate(repeat(None), _e_minus_x, initial=[-1])
+    d = accumulate(repeat(None), _e_minus_x, initial=[1, -2])
+    rows = {
         Family.A: a, Family.B: b, Family.D: d,
-        Family.C: (shift(m) * 2 + b_m * 2 - shift(m - 1) * X for m, b_m in enumerate(b) if m),
-        Family.E: (_halved(a_m * X + d_m, m) + shift(m) for m, (a_m, d_m) in enumerate(zip(a, d), 1)),
+        Family.C: ([*(2 * c for c in b_m[:-2]), 2 * b_m[-2] - 1, 2 * b_m[-1] + 2] for b_m in islice(b, 1, None)),
+        Family.E: (_e_row(a_m, d_m, m) for m, (a_m, d_m) in enumerate(zip(a, d), 1)),
     }[family]
-    return zip(range(MIN_ROW[family], m_max + 1), orders)
+    for m, row in zip(range(MIN_ROW[family], m_max + 1), rows):
+        yield m, OperatorPoly._of({(k, m - k, 0): c for k, c in enumerate(row) if c})
 
 
 def build_family(family: Family, m: int) -> OperatorPoly:

@@ -7,7 +7,9 @@ entry, it replaces the old text, which must occur exactly once in the file,
 runs that entry's selection, and restores the file.  A mutant is killed when
 its selection fails and survives when it passes; a run that ends in any other
 way (a collection or usage error) is an error.  Bytecode is never written, so
-no stale ``.pyc`` can hide a mutant.
+no stale ``.pyc`` can hide a mutant.  When the unmutated selections fail, or a
+mutant's run ends in an error, the script prints the FAILED and ERROR lines of
+pytest's short test summary under it.
 
 The exit status is 1 when a mutant survives, an old text does not occur
 exactly once, or a run ends in an error, and 0 otherwise.  Stdlib only; it is
@@ -40,6 +42,8 @@ SLOT_WIDTH = ["tests/test_operators.py", "-k", "slot_width"]
 PACK = ["tests/test_poly.py", "-k", "pack"]
 HALVING = ["tests/test_operators.py", "-k", "halving"]
 RELATIONS = ["tests/test_operators.py::test_relations_pass_up_to_12"]
+DEFINITIONS = ["tests/test_operators.py", "-k", "defining_formulas"]
+CANONICAL = ["tests/test_operators.py", "-k", "canonical_y_free"]
 APPLICATION = ["tests/test_operators.py", "-k", "coordinate_application"]
 RING = ["tests/test_operators.py", "-k", "product or commutes or distributivity"]
 OUT_OF_FAMILY = ["tests/test_operators.py", "-k", "out_of_family"]
@@ -62,16 +66,27 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (OPERATORS, "for p, q in zip(row[1:], row[2:])]", "for p, q in zip(row, row[1:])]", SHIFT_LAW),
     (OPERATORS, "bit_length() + n_max + 2 + 7)", "bit_length() + 2 + 7)", SLOT_WIDTH),
     (POLY, "return packed - (pack(carry, bits) << bits) if any(carry) else packed", "return packed", PACK),
-    # the flat operator product: the y exponent of its key, which the y-free families never test, and its power of E
+    # the flat operator product, which the families' defining formulas in the tests are built with: the y exponent of
+    # its key, which the y-free families never test, and its power of E
     (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (k1 + k2, a1 + a2, b1)", RING),
-    (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (max(k1, k2), a1 + a2, b1 + b2)", RELATIONS),
+    (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (max(k1, k2), a1 + a2, b1 + b2)", DEFINITIONS),
+    # the families' integer rows: the sign of each step (the relations miss the sign of (E-x): it flips B_m and D_m,
+    # which send their sequence to 0, and moves E_m by a multiple of D_m), A's 2E^m, C's -x E^(m-1), D's seed x - 2E,
+    # E's E^m, and the zero entries the wrapped term map leaves out
+    (OPERATORS, "return list(map(sub, [*row, top], [0, *row]))", "return list(map(sub, [0, *row], [*row, top]))", RELATIONS),
+    (OPERATORS, "return list(map(sub, [0, *row], [*row, 0]))", "return list(map(sub, [*row, 0], [0, *row]))", DEFINITIONS),
+    (OPERATORS, "accumulate(repeat(2), _x_minus_e", "accumulate(repeat(0), _x_minus_e", RELATIONS),
+    (OPERATORS, "2 * b_m[-2] - 1,", "2 * b_m[-2],", RELATIONS),
+    (OPERATORS, "initial=[1, -2]", "initial=[1, -1]", RELATIONS),
+    (OPERATORS, "row[m] += 1", "row[m] += 0", RELATIONS),
+    (OPERATORS, "for k, c in enumerate(row) if c}", "for k, c in enumerate(row)}", CANONICAL),
     # the relations: the entry b a y^b row starts at, the members it reads and how many, the zero target of B and D
     (OPERATORS, "for column in columns], at=b)", "for column in columns], at=0)", APPLICATION),
     (OPERATORS, "members[base: base + len(coeffs)]", "members[base + 1: base + len(coeffs) + 1]", RELATIONS),
     (OPERATORS, "[0] * (order - 2 * b + 1)", "[0] * (order + 1)", APPLICATION),
     (OPERATORS, "scale = 0 if family in (Family.B, Family.D)", "scale = 1 if family in (Family.B, Family.D)", RELATIONS),
     # E_m's halving in ints stops at an odd coefficient
-    (OPERATORS, "if c % 2:", "if False:", HALVING),
+    (OPERATORS, "if odd:", "if False:", HALVING),
     # an operator term outside its canonical family is caught where it sits
     (OPERATORS, "if a + 2 * b != order - k:", "if False:", OUT_OF_FAMILY),
     # a wrong member is named, and a non-zero U_0 is caught
@@ -114,10 +129,12 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
 ]
 
 
-def _pytest(copy: Path, selection: list[str]) -> int:
+def _pytest(copy: Path, selection: list[str]) -> tuple[int, list[str]]:
+    """Run ``selection`` in ``copy``: pytest's exit code and the FAILED and ERROR lines of its short test summary."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection]
-    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    run = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return run.returncode, [line for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
 
 
 def main() -> int:
@@ -129,8 +146,9 @@ def main() -> int:
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
         paths = sorted({arg for *_, selection in MUTANTS for arg in selection if arg.startswith("tests/")})
-        if _pytest(copy, paths) != 0:
-            print(f"the unmutated selections do not pass: {' '.join(paths)}")
+        code, summary = _pytest(copy, paths)
+        if code != 0:
+            print(f"the unmutated selections do not pass: {' '.join(paths)}", *summary, sep="\n")
             return 1
         for number, (file, old, new, selection) in enumerate(MUTANTS, 1):
             path = copy / file
@@ -142,11 +160,11 @@ def main() -> int:
             path.write_text(original.replace(old, new))
             start = time.perf_counter()
             try:
-                code = _pytest(copy, selection)
+                code, summary = _pytest(copy, selection)
             finally:
                 path.write_text(original)
             outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-            print(f"{outcome:>8}  {label} in {time.perf_counter() - start:.1f} s")
+            print(f"{outcome:>8}  {label} in {time.perf_counter() - start:.1f} s", *(summary if code > 1 else []), sep="\n")
             if code != 1:
                 failures.append(f"{label}: {outcome}")
     for failure in failures:

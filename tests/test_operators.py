@@ -10,19 +10,13 @@ from bifib import operators as operators_module
 from bifib.bases import member_coordinates, member_weight
 from bifib.coefficients import MIN_ROW, Family, closed_value
 from bifib.errors import DomainError, IntegralityViolation
-from bifib.operators import (
-    E_MINUS_X,
-    OperatorPoly,
-    X_MINUS_E,
-    _apply_coordinates,
-    build_family,
-    check_shift_law,
-    family_orders,
-    slot_width,
-)
+from bifib.operators import OperatorPoly, _apply_coordinates, build_family, check_shift_law, family_orders, slot_width
 from bifib.poly import BivarPoly, ONE, X, Y, ZERO, canonical_monomials
 from bifib.report import CheckResult, all_passed, run_checks
 from bifib.sequences import SHARED_CACHES, SequenceCache, SequenceKind
+
+X_MINUS_E = OperatorPoly({0: X}) - OperatorPoly.shift()
+E_MINUS_X = -X_MINUS_E
 
 
 def poly_of(*terms):
@@ -195,6 +189,15 @@ def test_expansions_match_closed_values_up_to_40():
             assert all(isinstance(c, int) for _, p in op.items() for _, c in p.items())
 
 
+def test_family_orders_are_canonical_y_free_and_end_at_build_family_up_to_40():
+    # family_orders wraps its rows without checking them, so check each order against its own canonical form.
+    for family in Family:
+        for m, op in family_orders(family, 40):
+            assert op == OperatorPoly(dict(op.items())), (family, m)
+            assert all(b == 0 for _, p in op.items() for (_, b), _ in p.items()), (family, m)
+            assert op == build_family(family, m), (family, m)
+
+
 def test_family_orders_match_their_defining_formulas():
     # The expected operators are the module docstring's definitions, built with ** and
     # never by a running product, so a wrong step of family_orders cannot cancel out.
@@ -286,8 +289,8 @@ def test_a_non_int_member_entry_fails_the_shift_law_with_a_line(monkeypatch):
 
 
 def test_an_odd_coefficient_in_the_halving_of_e_is_located(monkeypatch):
-    # With x - 2E for x - E, x A_1 + D_2 = 3xE - 2E^2, whose E^1 coefficient 3 does not halve.
-    monkeypatch.setattr(operators_module, "X_MINUS_E", OperatorPoly({0: X}) - OperatorPoly.shift() * 2)
+    # With x - 2E for x - E in A's steps, A_1 = x and x A_1 + D_2 = 3xE - 2E^2, whose E^1 coefficient 3 does not halve.
+    monkeypatch.setattr(operators_module, "_x_minus_e", lambda row, top: list(map(sub, [*row, top], [0, *(2 * c for c in row)])))
     text = "order 2, E^1: monomial x has the odd coefficient 3"
     with pytest.raises(IntegralityViolation, match=f"^{re.escape(text)}$"):
         build_family(Family.E, 4)
