@@ -20,9 +20,10 @@ independent oracle against which the closed-form coefficient families are
 checked.  It peels the basis one order at a time: adjacent vectors differ by
 y times a vector of the order below, so the x^m coordinate fixes the sum of
 the coordinates and the rest is the same problem one order lower, O(n^2) per
-solve.  ``decompose`` then checks its residual, M * coords with one dot product
-per row.  Both read the members' coordinates from one ``member_window``, which
-``coefficients.oracle_triangle`` reads once for all its rows.
+solve.  ``decompose`` then checks its residual, M * coords as one
+``poly.combine_columns`` over the members.  Both read the members' coordinates
+from one ``member_window``, which ``coefficients.oracle_triangle`` reads once
+for all its rows and the lemma 1 chain reads for its own checks.
 
 All linear algebra is exact, with no floating point.  ``RationalMatrix`` runs
 fraction-free (Bareiss) elimination on int rows scaled by the lcm of their
@@ -41,7 +42,7 @@ from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, MalformedElement, SingularMatrixError
-from .poly import BivarPoly, Rational, as_rational, sum_of_products
+from .poly import BivarPoly, Rational, as_rational, combine_columns, sum_of_products
 from .report import CheckResult
 from .sequences import SHARED_CACHES
 
@@ -292,7 +293,7 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
     """
     lowest, degree = lowest_order(spec.family), ambient_degree(spec)
     letter, first = member_index(BasisSpec(spec.family, lowest), 0)
-    members = [member_coordinates(letter, i) for i in range(first, first + 2 * (spec.n - lowest) - 1)]
+    members = member_window(spec)
     columns = [v.canonical_coordinates(degree) for v in build_basis(spec)]
     pivots: list[Rational] = []
     for order in range(spec.n, lowest - 1, -1):
@@ -344,13 +345,13 @@ def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational], window: Sequence[list[
 
 
 def _checked_solve(spec: BasisSpec, rhs: list[Rational], window: Sequence[list[Rational]]) -> tuple[Rational, ...]:
-    """``_peel_solve``'s coordinates once M * coords == rhs, computed one dot product per row of the order's
-    member columns in ``window``; a non-zero residual is an internal defect and raises ArithmeticError
+    """``_peel_solve``'s coordinates once M * coords == rhs, combining the order's member columns in ``window``
+    (``combine_columns``); a non-zero residual is an internal defect and raises ArithmeticError
     naming its first differing coordinate."""
     coords = _peel_solve(spec, rhs, window)
     top = spec.n - lowest_order(spec.family)
     columns = window[top : top + len(rhs)]
-    product = [sum(map(mul, row, coords)) for row in zip_longest(*columns, fillvalue=0)]
+    product = combine_columns(columns, coords)
     if product != rhs:
         i, got, want = next((i, *pair) for i, pair in enumerate(zip_longest(product, rhs)) if pair[0] != pair[1])
         raise ArithmeticError(f"internal error: decomposition residual is not zero ({spec.family.value}, "

@@ -7,8 +7,8 @@ a plain commutative polynomial ring over the coefficient ring.  An operator is o
 calls ``poly.sum_of_products``; the families below are built on int rows, and products are the
 tests' reference for them.  ``check_shift_law`` packs coordinate vectors into ints (``poly.pack``):
 a Horner step is one subtraction and (-y)^j a shift by j slots, and as entries at most double per row,
-``slot_width`` slots keep unequal vectors unequal.  ``check_relation`` dots each power of y's coefficients
-with the members, unpacked: slots wide enough for its products c * (member entry) were slower at n = 400.
+``slot_width`` slots keep unequal vectors unequal.  ``check_relation`` applies each order's row to the members
+as one ``poly.combine_columns``, unpacked: slots wide enough for its products c * (member entry) were slower at n = 400.
 
 ``family_orders`` yields the five operator families, defined by
 
@@ -18,16 +18,15 @@ with the members, unpacked: slots wide enough for its products c * (member entry
     D_m = (E-x)^(m-1) (x-2E)                              (m >= 1)
     E_m = (x A_{m-1} + D_m) / 2 + E^m                     (m >= 1)
 
-order by order, each from the one before, on one row of ints: F_m is homogeneous of degree m in x
-and E with no y term, so entry k is its coefficient of x^(m-k) E^k, and each row is wrapped as an
-``OperatorPoly`` once.  (x-E) F is [*row, 0] - [0, *row] and (E-x) F its negation, so
-A_m = (x-E) A_{m-1} + 2 E^m from A_0 = 1 (Horner's rule for the defining sum), B_m = (E-x) B_{m-1}
-from B_0 = -1 and D_m = (E-x) D_{m-1} from D_1 = x - 2E.  C_m is summed from B_m's row, and E_m
-halves the row of x A_{m-1} + D_m with ``divmod`` before adding E^m; ``build_family`` returns the
-last order.  Expanded, family F_m equals sum_k f(m,k) x^(m-k) E^k with f the
-matching integer triangle from ``coefficients``; C_m and E_m have zero
-coefficient at k = m.  Applied at the right base index the
-families annihilate or double-step the two sequences:
+order by order, each from the one before, on one row of ints: F_m is homogeneous of degree m in x and E
+with no y term, so entry k is its coefficient of x^(m-k) E^k and a row holds nothing else; only
+``build_family`` wraps a row, the last, as an ``OperatorPoly``.  (x-E) F is [*row, 0] - [0, *row] and
+(E-x) F its negation, so A_m = (x-E) A_{m-1} + 2 E^m from A_0 = 1 (Horner's rule for the defining sum),
+B_m = (E-x) B_{m-1} from B_0 = -1 and D_m = (E-x) D_{m-1} from D_1 = x - 2E.  C_m is summed from B_m's
+row, and E_m halves the row of x A_{m-1} + D_m with ``divmod`` before adding E^m.  Expanded, family F_m
+equals sum_k f(m,k) x^(m-k) E^k with f the matching integer triangle from ``coefficients``; C_m and E_m
+have zero coefficient at k = m.  Applied at the right base index the families annihilate or double-step
+the two sequences:
 
     A_n at V, base n     -> 2 U_{2n+1}        (n >= 0)
     B_n at U, base n     -> 0                 (n >= 0)
@@ -42,14 +41,14 @@ back j places (the shift law checked by ``check_shift_law``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice, repeat, zip_longest
-from operator import add, mul, sub
+from itertools import accumulate, islice, repeat
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping
 
-from .bases import BasisSpec, is_doubled, member_coordinates, member_index, member_weight
+from .bases import BasisSpec, is_doubled, member_coordinates, member_index
 from .coefficients import MIN_ROW, SCHEMES, Family
-from .errors import DomainError, IntegralityViolation, MalformedElement
-from .poly import ONE, BivarPoly, Rational, _canonical, _power, _var_string, add_multiple, pack, sum_of_products
+from .errors import DomainError, IntegralityViolation
+from .poly import ONE, BivarPoly, Rational, _canonical, _power, _var_string, combine_columns, pack, sum_of_products
 from .report import CheckResult
 from .sequences import SequenceCache, SequenceKind
 
@@ -181,8 +180,8 @@ def _e_row(a_row: list[int], d_row: list[int], m: int) -> list[int]:
     return row
 
 
-def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, OperatorPoly]]:
-    """Yield (m, F_m) for m = MIN_ROW[family]..m_max, each order built from the one before on its integer row."""
+def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (m, row of F_m) for m = MIN_ROW[family]..m_max, each row built from the one before."""
     a = accumulate(repeat(2), _x_minus_e, initial=[1])
     b = accumulate(repeat(None), _e_minus_x, initial=[-1])
     d = accumulate(repeat(None), _e_minus_x, initial=[1, -2])
@@ -191,15 +190,15 @@ def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, OperatorPol
         Family.C: ([*(2 * c for c in b_m[:-2]), 2 * b_m[-2] - 1, 2 * b_m[-1] + 2] for b_m in islice(b, 1, None)),
         Family.E: (_e_row(a_m, d_m, m) for m, (a_m, d_m) in enumerate(zip(a, d), 1)),
     }[family]
-    for m, row in zip(range(MIN_ROW[family], m_max + 1), rows):
-        yield m, OperatorPoly._of({(k, m - k, 0): c for k, c in enumerate(row) if c})
+    return zip(range(MIN_ROW[family], m_max + 1), rows)
 
 
 def build_family(family: Family, m: int) -> OperatorPoly:
-    """Construct one of the five operator families, fully expanded: the last order of ``family_orders``."""
+    """Construct one of the five operator families, fully expanded: the last row of ``family_orders``, wrapped."""
     if m < MIN_ROW[family]:
         raise DomainError(f"operator family {family.value.upper()} needs m >= {MIN_ROW[family]}, got {m}")
-    return next(op for order, op in family_orders(family, m) if order == m)
+    row = next(row for order, row in family_orders(family, m) if order == m)
+    return OperatorPoly._of({(k, m - k, 0): c for k, c in enumerate(row) if c})
 
 
 def slot_width(members: list[list[int]], n_max: int) -> int:
@@ -219,36 +218,21 @@ def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
     return CheckResult.over(f"lemma2.shift-{kind.value.lower()}", bad, f"0 <= j <= m <= {n_max}", at="(j, m)")
 
 
-def _apply_coordinates(op: OperatorPoly, members: list[list[Rational]], base: int, order: int, weight: int) -> list[Rational]:
-    """``op.apply`` at ``base`` over degree ``weight``, ``members[i]`` the coordinates of W_i: the terms c x^(order-k-2b)
-    y^b E^k of one b dot the members' entries over k from entry b on; any other term raises MalformedElement."""
-    rows: dict[int, list[Rational]] = {}  # b -> the coefficients over k = 0..order-2b of the y^b terms
-    for (k, a, b), c in op._terms.items():
-        if a + 2 * b != order - k:
-            raise MalformedElement(f"order {order}, E^{k}: monomial {_var_string(a, b) or '1'} "
-                                   f"lies outside the degree-{order - k} canonical family")
-        rows.setdefault(b, [0] * (order - 2 * b + 1))[k] = c
-    applied: list[Rational] = [0] * (weight // 2 + 1)
-    for b, coeffs in rows.items():
-        columns = zip_longest(*members[base: base + len(coeffs)], fillvalue=0)
-        add_multiple(applied, 1, [sum(map(mul, column, coeffs)) for column in columns], at=b)
-    return applied
-
-
 def check_relation(family: Family, n_max: int) -> CheckResult:
     """Verify one operator relation by exact application for every order.
 
-    The order-n operator acts, in coordinates (``_apply_coordinates``), on the sequence of vector 0
-    of the family's order-n basis (see ``coefficients.SCHEMES``), based at that member's index.
+    The order-n operator's row acts on the sequence of vector 0 of the family's order-n basis (see
+    ``coefficients.SCHEMES``), based at that member's index: entry k weighs the coordinates of member base + k,
+    and as x^(n-k) keeps a canonical coordinate's place, the image is one ``combine_columns`` over the members.
     """
     scheme = SCHEMES[family]
     scale = 0 if family in (Family.B, Family.D) else 2 if is_doubled(scheme.kind, scheme.basis) else 1
     letter, top = member_index(BasisSpec(scheme.basis, n_max), n_max)  # the last member read
     members = [member_coordinates(letter, i) for i in range(top + 1)]
     bad = []
-    for n, op in family_orders(family, n_max):
+    for n, row in family_orders(family, n_max):
         base = member_index(BasisSpec(scheme.basis, n), 0)[1]
         expected = [scale * c for c in member_coordinates(scheme.kind, 2 * n + scheme.shift)]
-        if _apply_coordinates(op, members, base, n, n + member_weight(letter, base)) != expected:
+        if combine_columns(members[base: base + len(row)], row) != expected:
             bad.append(n)
     return CheckResult.over(f"relations.{family.value}", bad, f"n = {MIN_ROW[family]}..{n_max}")

@@ -9,9 +9,10 @@ stored and integral fractions are normalised back to int on construction.
 The degree-n canonical family is the monomial list (x^(n-2k) y^k) for
 0 <= k <= n//2.  A polynomial supported on it is weight homogeneous (every
 term has x_exp + 2*y_exp = n); ``canonical_coordinates`` reads off its coordinate
-vector over that family, and raises on any other polynomial.  ``add_multiple`` adds c
-times a vector at an offset, raising when the vector overruns the sum.  ``pack`` makes an
-int vector one int, a ``bits``-wide slot per entry; entries differing by under 2^bits pack equal only if equal.
+vector over that family, and raises on any other polynomial.  ``combine_columns`` is the one linear
+combination of coordinate vectors (a relation's row over the members, the decomposition residual, a
+transfer row): one dot product per row.  ``pack`` makes an int vector one int, a ``bits``-wide slot per
+entry; entries differing by under 2^bits pack equal only if equal.
 
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
@@ -24,11 +25,11 @@ which ``operators`` shares) and wraps it with ``BivarPoly._of``.  ``signed_sum``
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
+from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DimensionError, DomainError, IntegralityViolation, MalformedElement
+from .errors import DomainError, IntegralityViolation, MalformedElement
 
 Rational = Union[int, Fraction]
 Key = tuple[int, int]
@@ -250,12 +251,10 @@ def sum_of_products(pairs: Iterable[tuple[BivarPoly, BivarPoly]]) -> BivarPoly:
     return BivarPoly._of(_canonical(acc))
 
 
-def add_multiple(acc: list[Rational], c: Rational, vec: Sequence[Rational], at: int = 0) -> None:
-    """acc[at + i] += c * vec[i] for every i, in place; raises DimensionError when vec overruns acc."""
-    end = at + len(vec)
-    if end > len(acc):
-        raise DimensionError(f"a vector of length {len(vec)} at offset {at} overruns one of length {len(acc)}")
-    acc[at:end] = map(add, acc[at:end], map(mul, repeat(c), vec))
+def combine_columns(columns: Iterable[Sequence[Rational]], coeffs: Sequence[Rational]) -> list[Rational]:
+    """sum_j coeffs[j] * columns[j], one dot product per row.  A short column reads as 0 past its end, so the
+    result is as long as the longest column and no entry is dropped."""
+    return [sum(map(mul, row, coeffs)) for row in zip_longest(*columns, fillvalue=0)]
 
 
 def pack(vec: Sequence[int], bits: int) -> int:

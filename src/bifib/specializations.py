@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .bases import BasisSpec, is_doubled, member_index
 from .coefficients import SCHEMES, Family, closed_row
 from .errors import DomainError
-from .poly import ONE, X, BivarPoly, Rational, add_multiple
+from .poly import ONE, X, BivarPoly, Rational, combine_columns
 from .report import CheckResult
 from .sequences import SequenceKind, u_poly, v_poly
 
@@ -114,15 +114,12 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
     images = {y0: {letter: univariate_images(letter, y0, 2 * n_max + 2) for letter in letters} for y0 in (1, -1)}
     bad = []
     for n in range(scheme.min_n, n_max + 1):
-        spec = BasisSpec(scheme.basis, n)
-        coeffs = closed_row(family, n)
+        letter, first = member_index(BasisSpec(scheme.basis, n), 0)
+        coeffs = [c << (n - k) for k, c in enumerate(closed_row(family, n))]  # (2x)^(n-k): a scale by 2^(n-k) ...
         for y0, image in images.items():
             target = [doubling * c for c in image[scheme.kind][2 * n + scheme.shift]]
-            row = [0] * len(target)
-            for k, c in enumerate(coeffs):  # (2x)^(n-k) is a shift by n - k and a scale by 2^(n-k)
-                letter, index = member_index(spec, k)
-                add_multiple(row, c << (n - k), image[letter][index], at=n - k)
-            if row != target:
+            columns = [[0] * (n - k) + image[letter][first + k] for k in range(len(coeffs))]  # ... and a shift by n - k
+            if combine_columns(columns, coeffs) != target:
                 bad.append((n, y0))
     return CheckResult.over(
         f"chebyshev.transfer.{family.value}",

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bifib.errors import DimensionError, DomainError, IntegralityViolation, MalformedElement
+from bifib.errors import DomainError, IntegralityViolation, MalformedElement
 from bifib.poly import (
     BivarPoly,
     ONE,
     X,
     Y,
     ZERO,
-    add_multiple,
     as_rational,
     canonical_monomials,
+    combine_columns,
     pack,
     signed_sum,
     sum_of_products,
@@ -339,16 +339,13 @@ def test_racing_threads_get_equal_coordinates():
     assert all(coords == expected for calls in results for coords in calls)
 
 
-def test_add_multiple_accumulates_in_place_and_rejects_an_overrun():
-    acc = [1, 2, 3, 4]
-    add_multiple(acc, 2, [1, -1], at=1)
-    assert acc == [1, 4, 1, 4]
-    add_multiple(acc, Fraction(1, 2), [2, 2, 2, 2])
-    assert acc == [2, 5, 2, 5]
-    for vec, at in (([1, 1], 3), ([1] * 5, 0)):
-        with pytest.raises(DimensionError, match=f"^a vector of length {len(vec)} at offset {at} overruns one of length 4$"):
-            add_multiple(acc, 1, vec, at=at)
-    assert acc == [2, 5, 2, 5]
+def test_combine_columns_reads_a_short_column_as_zero_and_drops_no_entry():
+    assert combine_columns([[1, 2, 3], [1, -1, 1]], [2, Fraction(1, 2)]) == [Fraction(5, 2), Fraction(7, 2), Fraction(13, 2)]
+    assert combine_columns([[1, 2, 3, 4], [5, 6]], [1, 10]) == [51, 62, 3, 4]
+    # A longer column lengthens the result, so a caller's == sees an overrun instead of losing it.
+    assert combine_columns([[1, 1], [0, 0, 7]], [1, 1]) == [1, 1, 7]
+    assert combine_columns([], []) == []
+    assert combine_columns([[]], [-1]) == []
 
 
 @pytest.mark.parametrize("bits", [8, 16, 48])
