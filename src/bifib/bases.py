@@ -41,10 +41,10 @@ from math import lcm
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, DomainError, MalformedElement, SingularMatrixError
+from .errors import DimensionError, DomainError, SingularMatrixError
 from .poly import BivarPoly, Rational, as_rational, combine_columns, sum_of_products
 from .report import CheckResult
-from .sequences import SHARED_CACHES
+from .sequences import SHARED_CACHES, member_coordinates, member_weight, read_members
 
 
 class BasisFamily(Enum):
@@ -109,25 +109,6 @@ def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
     return letter, spec.n + k + offset
 
 
-def member_weight(letter: str, index: int) -> int:
-    """The canonical degree spanned by U_index or V_index."""
-    return index - 1 if letter == "U" else index
-
-
-def member_coordinates(letter: str, index: int) -> list[Rational]:
-    """The canonical coordinates of U_index or V_index, read through its sequence cache; U_0 reads as [].
-
-    A member with a term outside its family raises MalformedElement led by its name ("U_8: monomial 1 ...").
-    """
-    member, weight = SHARED_CACHES[letter][index], member_weight(letter, index)
-    try:
-        if weight < 0 and member:  # U_0 spans the empty family of weight -1
-            raise MalformedElement(f"reads {member}, not 0")
-        return member.canonical_coordinates(weight) if weight >= 0 else []
-    except MalformedElement as exc:
-        raise MalformedElement(f"{letter}_{index}: {exc}") from None
-
-
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
     """The basis vectors in ascending k order."""
     count = ambient_degree(spec) // 2 + 1
@@ -154,8 +135,7 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
             f"but {family.value} bases span {needed}-degree spaces"
         )
     member_coordinates(kind, index)  # a member with a term outside its family raises here, named
-    doubled = is_doubled(kind, family)
-    member = SHARED_CACHES[kind][index]
+    member, doubled = SHARED_CACHES[kind][index], is_doubled(kind, family)
     return (member.scale(2) if doubled else member), BasisSpec(family, (weight + 1) // 2), doubled
 
 
@@ -273,11 +253,9 @@ def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
     """Square matrix whose column k holds the canonical coordinates of vector k,
     which are its member's own, as x^(n-k) moves no canonical index."""
     size = ambient_degree(spec) // 2 + 1
-    columns = []
-    for k in range(size):
-        coords = member_coordinates(*member_index(spec, k))
-        columns.append(coords + [0] * (size - len(coords)))
-    return RationalMatrix._of([list(row) for row in zip(*columns)])
+    letter, first = member_index(spec, 0)
+    columns = read_members(letter, range(first, first + size))
+    return RationalMatrix._of([list(row) for row in zip_longest(*columns, fillvalue=0)])
 
 
 def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
@@ -315,11 +293,10 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
 
 
 def member_window(spec: BasisSpec) -> list[list[Rational]]:
-    """The coordinates of every member the family's bases read up to order ``spec.n``, each read once through
-    ``member_coordinates``: order m's vector k is entry m - lowest + k, and its peel reads entries m - lowest..0."""
+    """The coordinates of every member the family's bases read up to order ``spec.n``, each read once (``read_members``):
+    order m's vector k is entry m - lowest + k, and its peel reads entries m - lowest..0."""
     letter, first = member_index(BasisSpec(spec.family, lowest_order(spec.family)), 0)
-    last = member_index(spec, ambient_degree(spec) // 2)[1]
-    return [member_coordinates(letter, index) for index in range(first, last + 1)]
+    return read_members(letter, range(first, member_index(spec, ambient_degree(spec) // 2)[1] + 1))
 
 
 def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational], window: Sequence[list[Rational]]) -> list[Rational]:

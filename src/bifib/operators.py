@@ -45,12 +45,12 @@ from itertools import accumulate, islice, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping
 
-from .bases import BasisSpec, is_doubled, member_coordinates, member_index
-from .coefficients import MIN_ROW, SCHEMES, Family
+from .bases import BasisSpec, is_doubled, member_index
+from .coefficients import MIN_ROW, SCHEMES, Family, closed_value
 from .errors import DomainError, IntegralityViolation
 from .poly import ONE, BivarPoly, Rational, _canonical, _power, _var_string, combine_columns, pack, sum_of_products
 from .report import CheckResult
-from .sequences import SequenceCache, SequenceKind
+from .sequences import SequenceCache, SequenceKind, read_members
 
 
 class OperatorPoly:
@@ -208,7 +208,7 @@ def slot_width(members: list[list[int]], n_max: int) -> int:
 
 def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
     """(x-E)^j at base m equals (-y)^j times member m-j, for 0 <= j <= m <= n_max, by Horner's rule on packed rows."""
-    members = [member_coordinates(kind.value, i) for i in range(2 * n_max + 1)]
+    members = read_members(kind.value, range(2 * n_max + 1))
     width = slot_width(members, n_max)
     packed = row = [pack(coords, width) for coords in members]  # row[i] = P_j(j + i) = ((x-E)^j W)_(j+i)
     bad = []
@@ -228,11 +228,12 @@ def check_relation(family: Family, n_max: int) -> CheckResult:
     scheme = SCHEMES[family]
     scale = 0 if family in (Family.B, Family.D) else 2 if is_doubled(scheme.kind, scheme.basis) else 1
     letter, top = member_index(BasisSpec(scheme.basis, n_max), n_max)  # the last member read
-    members = [member_coordinates(letter, i) for i in range(top + 1)]
+    members = read_members(letter, range(top + 1))
+    targets = read_members(scheme.kind, range(2 * MIN_ROW[family] + scheme.shift, 2 * n_max + scheme.shift + 1, 2))
     bad = []
-    for n, row in family_orders(family, n_max):
+    for (n, row), target in zip(family_orders(family, n_max), targets):
         base = member_index(BasisSpec(scheme.basis, n), 0)[1]
-        expected = [scale * c for c in member_coordinates(scheme.kind, 2 * n + scheme.shift)]
-        if combine_columns(members[base: base + len(row)], row) != expected:
+        if combine_columns(members[base: base + len(row)], row) != [scale * c for c in target] or (
+                scale == 0 and row[n] != closed_value(family, n, n)):  # a zero image hides the operator's sign
             bad.append(n)
     return CheckResult.over(f"relations.{family.value}", bad, f"n = {MIN_ROW[family]}..{n_max}")

@@ -39,12 +39,15 @@ POLY = "src/bifib/poly.py"
 SPECIALIZATIONS = "src/bifib/specializations.py"
 COEFFICIENTS = "src/bifib/coefficients.py"
 REPORT = "src/bifib/report.py"
+SEQUENCES = "src/bifib/sequences.py"
 
 SHIFT_LAW = ["tests/test_operators.py::test_shift_law_passes_up_to_25"]
 SLOT_WIDTH = ["tests/test_operators.py", "-k", "slot_width"]
 PACK = ["tests/test_poly.py", "-k", "pack"]
 HALVING = ["tests/test_operators.py", "-k", "halving"]
 RELATIONS = ["tests/test_operators.py::test_relations_pass_up_to_12"]
+NEGATED = ["tests/test_operators.py", "-k", "negated"]
+LEMMA2 = ["tests/test_sequences.py", "-k", "lemma2"]
 DEFINITIONS = ["tests/test_operators.py", "-k", "defining_formulas"]
 CANONICAL = ["tests/test_operators.py", "-k", "canonical_y_free"]
 RING = ["tests/test_operators.py", "-k", "product or commutes or distributivity"]
@@ -71,30 +74,41 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # its key, which the y-free families never test, and its power of E
     (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (k1 + k2, a1 + a2, b1)", RING),
     (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (max(k1, k2), a1 + a2, b1 + b2)", DEFINITIONS),
-    # the families' integer rows: the sign of each step (the relations miss the sign of (E-x): it flips B_m and D_m,
-    # which send their sequence to 0, and moves E_m by a multiple of D_m), A's 2E^m, C's -x E^(m-1), D's seed x - 2E,
-    # E's E^m, and the zero entries the wrapped term map leaves out
+    # the families' integer rows: the sign of each step (the sign of (E-x) flips B_m and D_m, which send their sequence
+    # to 0, so the relations see it in their E^m coefficient), A's 2E^m, C's -x E^(m-1), D's seed x - 2E, E's E^m, and
+    # the zero entries the wrapped term map leaves out
     (OPERATORS, "return list(map(sub, [*row, top], [0, *row]))", "return list(map(sub, [0, *row], [*row, top]))", RELATIONS),
-    (OPERATORS, "return list(map(sub, [0, *row], [*row, 0]))", "return list(map(sub, [*row, 0], [0, *row]))", DEFINITIONS),
+    (OPERATORS, "return list(map(sub, [0, *row], [*row, 0]))", "return list(map(sub, [*row, 0], [0, *row]))", RELATIONS),
     (OPERATORS, "accumulate(repeat(2), _x_minus_e", "accumulate(repeat(0), _x_minus_e", RELATIONS),
     (OPERATORS, "2 * b_m[-2] - 1,", "2 * b_m[-2],", RELATIONS),
     (OPERATORS, "initial=[1, -2]", "initial=[1, -1]", RELATIONS),
     (OPERATORS, "row[m] += 1", "row[m] += 0", RELATIONS),
     (OPERATORS, "for k, c in enumerate(row) if c}", "for k, c in enumerate(row)}", CANONICAL),
-    # the relations: the members a row combines, the zero target of B and D
+    # the relations: the members a row combines, the zero target of B and D, and the E^n coefficient that shows a
+    # negated B_n or D_n
     (OPERATORS, "members[base: base + len(row)]", "members[base + 1: base + len(row) + 1]", RELATIONS),
     (OPERATORS, "scale = 0 if family in (Family.B, Family.D)", "scale = 1 if family in (Family.B, Family.D)", RELATIONS),
+    (OPERATORS, "scale == 0 and row[n] != closed_value(family, n, n)", "scale == 0 and False", NEGATED),
     # E_m's halving in ints stops at an odd coefficient
     (OPERATORS, "if odd:", "if False:", HALVING),
     # a wrong member is named, and a non-zero U_0 is caught
-    (BASES, 'raise MalformedElement(f"{letter}_{index}: {exc}") from None', "raise MalformedElement(str(exc)) from None", WRONG_MEMBER),
-    (BASES, "if weight < 0 and member:", "if False:", WRONG_MEMBER),
+    (SEQUENCES, 'raise MalformedElement(f"{letter}_{index}: {exc}") from None', "raise MalformedElement(str(exc)) from None", WRONG_MEMBER),
+    (SEQUENCES, "if weight < 0 and member:", "if False:", WRONG_MEMBER),
+    # the lemma 2 checks on coordinates: the factor 2 of 2 U_(n+1) and the 0 that pads the shorter x U_n, the one-place
+    # shift of y U_(n-1) and of y T_(n-1), the running total's sign, the sign of (-y)^n, and the V_2k the sum reads
+    (SEQUENCES, "[2 * a - b for a, b", "[a - b for a, b", LEMMA2),
+    (SEQUENCES, "zip_longest(u[step * n + 1], u[step * n], fillvalue=0)", "zip(u[step * n + 1], u[step * n])", LEMMA2),
+    (SEQUENCES, "zip(u[n + 1], [0, *u[n - 1]])", "zip(u[n + 1], u[n - 1])", LEMMA2),
+    (SEQUENCES, "zip(v_2n, [0, *total])", "zip(v_2n, total)", LEMMA2),
+    (SEQUENCES, "[a - b for a, b in zip(v_2n", "[a + b for a, b in zip(v_2n", LEMMA2),
+    (SEQUENCES, "u_2n1[n] - (-1) ** n]", "u_2n1[n] + (-1) ** n]", LEMMA2),
+    (SEQUENCES, 'read_members("V", range(2, 2 * n_max + 1, 2))', 'read_members("V", range(0, 2 * n_max + 1, 2))', LEMMA2),
     # the coordinate reader and the one linear-combination kernel, which must not drop what a short column lacks
     (POLY, "if a + 2 * b != n:", "if a + 2 * b > n:", COORDINATES),
     (POLY, "zip_longest(*columns, fillvalue=0)", "zip(*columns)", KERNEL),
     # the member window, the peel's forward substitution (its subtraction, the skew of the leads that gives the
     # anti-diagonals, the V_0 divisor) and the residual check (what it compares and which columns it reads)
-    (BASES, "for index in range(first, last + 1)]", "for index in range(first + 1, last + 1)]", DECOMPOSE),
+    (BASES, "return read_members(letter, range(first, member_index(", "return read_members(letter, range(first + 1, member_index(", DECOMPOSE),
     (BASES, "value - sum(map(mul, sums, row))", "value + sum(map(mul, sums, row))", DECOMPOSE),
     (BASES, "([0] * l + lead for", "([0] * (l + 1) + lead for", DECOMPOSE),
     (BASES, "rest if pivot == 1 else as_rational(Fraction(rest, pivot))", "rest", DECOMPOSE),

@@ -7,13 +7,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bifib import operators as operators_module
-from bifib.bases import member_coordinates, member_weight
+from bifib import sequences as sequences_module
 from bifib.coefficients import MIN_ROW, Family, closed_value
 from bifib.errors import DomainError, IntegralityViolation
 from bifib.operators import OperatorPoly, build_family, check_shift_law, family_orders, slot_width
 from bifib.poly import BivarPoly, ONE, X, Y, ZERO, combine_columns
 from bifib.report import CheckResult, all_passed, run_checks
-from bifib.sequences import SHARED_CACHES, SequenceCache, SequenceKind
+from bifib.sequences import SHARED_CACHES, SequenceCache, SequenceKind, member_coordinates, member_weight
 
 X_MINUS_E = OperatorPoly({0: X}) - OperatorPoly.shift()
 E_MINUS_X = -X_MINUS_E
@@ -275,8 +275,8 @@ def test_the_slot_width_holds_every_horner_difference(n_max, top):
 
 def test_a_non_int_member_entry_fails_the_shift_law_with_a_line(monkeypatch):
     # The largest entry, so the slot width is read from it before pack rejects it.
-    read, entry = operators_module.member_coordinates, Fraction(2 ** 200 + 1, 2)
-    monkeypatch.setattr(operators_module, "member_coordinates",
+    read, entry = sequences_module.member_coordinates, Fraction(2 ** 200 + 1, 2)
+    monkeypatch.setattr(sequences_module, "member_coordinates",
                         lambda letter, i: [entry, *read(letter, i)[1:]] if i == 7 else read(letter, i))
     assert _report_line("lemma2.shift-u") == f"FAIL lemma2.shift-u: raised IntegralityViolation: only int entries pack, got {entry!r}"
 
@@ -338,6 +338,19 @@ def test_a_wrong_entry_in_one_order_fails_that_order(monkeypatch, family):
 
     def planted(f, m_max):
         return ((m, [row[0] + 1, *row[1:]] if m == 5 else row) for m, row in orders(f, m_max))
+
+    monkeypatch.setattr(operators_module, "family_orders", planted)
+    name = f"relations.{family.value}"
+    assert _report_line(name) == f"FAIL {name}: fails at n = 5"
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_a_negated_order_fails_that_order(monkeypatch, family):
+    # -B_5 and -D_5 still send their sequence to 0, so only their E^5 coefficient tells them from B_5 and D_5.
+    orders = family_orders
+
+    def planted(f, m_max):
+        return ((m, [-c for c in row] if m == 5 else row) for m, row in orders(f, m_max))
 
     monkeypatch.setattr(operators_module, "family_orders", planted)
     name = f"relations.{family.value}"

@@ -129,6 +129,63 @@ def test_lemma2_suite_passes_up_to_50():
     }
 
 
+def test_the_lemma2_identities_hold_as_polynomials_up_to_60():
+    # The polynomial statements the coordinate checks stand for, by BivarPoly arithmetic.
+    total = ZERO
+    for n in range(61):
+        assert 2 * u_poly(n + 1) - X * u_poly(n) == v_poly(n)
+        if n > 0:
+            assert u_poly(n + 1) + Y * u_poly(n - 1) == v_poly(n)
+            total = -Y * total + v_poly(2 * n)
+        assert total == u_poly(2 * n + 1) - (-Y) ** n
+        assert 2 * u_poly(2 * n + 1) - X * u_poly(2 * n) == v_poly(2 * n)
+
+
+def _lemma2_lines(n_max=12):
+    return {r.name: r.line() for r in run_checks("lemma2", n_max) if not r.name.startswith("lemma2.shift")}
+
+
+# Each check's line at n_max = 12 when one member reads as itself plus x^w, w its weight, a change inside its
+# family: the lines that checking the identities by BivarPoly products gives.  The two even checks read no V_7.
+_IN_FAMILY_LINES = {
+    ("U", 7): ("fails at n = 6, 7", "fails at n = 6, 8", "fails at n = 3", "fails at n = 3"),
+    ("V", 7): ("fails at n = 7", "fails at n = 7", None, None),
+    ("V", 8): ("fails at n = 8", "fails at n = 8", "fails at n = 4, 5, 6, 7, 8", "fails at n = 4"),
+}
+_LEMMA2 = ("v-from-u-pair", "v-from-u-neighbors", "alternating-v-sum", "v-even-simple")
+_PASSED = {"v-from-u-pair": "n = 0..12", "v-from-u-neighbors": "n = 1..12",
+           "alternating-v-sum": "n = 0..12", "v-even-simple": "n = 0..12"}
+
+
+@pytest.mark.parametrize("letter, index", list(_IN_FAMILY_LINES), ids=lambda v: str(v))
+def test_lemma2_lists_where_a_wrong_member_fails(corrupt_member, letter, index):
+    corrupt_member(letter, index, in_family=True)
+    lines = _lemma2_lines()
+    for name, detail in zip(_LEMMA2, _IN_FAMILY_LINES[letter, index]):
+        status, detail = ("FAIL", detail) if detail else ("PASS", _PASSED[name])
+        assert lines[f"lemma2.{name}"] == f"{status} lemma2.{name}: {detail}"
+
+
+@pytest.mark.parametrize(
+    "letter, index, error, readers",
+    [
+        ("V", 7, "V_7: monomial 1 lies outside the degree-7 canonical family", _LEMMA2[:2]),
+        ("U", 7, "U_7: monomial 1 lies outside the degree-6 canonical family", _LEMMA2),
+        ("U", 0, "U_0: reads 1, not 0", ("v-from-u-pair", "v-from-u-neighbors", "v-even-simple")),
+    ],
+    ids=["V7", "U7", "U0"],
+)
+def test_lemma2_names_a_member_outside_its_family(corrupt_member, letter, index, error, readers):
+    # A term outside the member's family fails every check that reads the member with the error that names it;
+    # the others pass.
+    corrupt_member(letter, index)
+    lines = _lemma2_lines()
+    for name in _LEMMA2:
+        expected = (f"FAIL lemma2.{name}: raised MalformedElement: {error}" if name in readers
+                    else f"PASS lemma2.{name}: {_PASSED[name]}")
+        assert lines[f"lemma2.{name}"] == expected
+
+
 def test_lemma2_rejects_bad_bound():
     with pytest.raises(DomainError):
         run_checks("lemma2", 0)
