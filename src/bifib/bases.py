@@ -120,9 +120,9 @@ def build_basis(spec: BasisSpec) -> list[BivarPoly]:
 def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, BasisSpec, bool]:
     """The target, basis and doubling with which member ``index`` of U or V decomposes over a family.
 
-    The target is the member itself, or twice it when the pair needs doubling
-    for integer coordinates.  Raises DomainError for U_0 and for a member whose
-    canonical degree has the wrong parity for the family.
+    The target is the member itself, or twice it when the pair needs doubling for integer coordinates.
+    Only the CLI's ``decompose`` reads it (``coefficients.SCHEMES`` own the five families' targets).
+    Raises DomainError for U_0 and for a member whose canonical degree has the wrong parity for the family.
     """
     if kind == "U" and index == 0:
         raise DomainError("U_0 is the zero polynomial; nothing to decompose")

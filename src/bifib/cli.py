@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name: str, summary: str) -> argparse.ArgumentParser:
+    def verb(name: str, summary: str, formats: tuple[str, ...] = ("text", "json")) -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=summary)
         command.add_argument(
             "--max-n",
@@ -73,18 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="CAP",
             help="hard cap on index arguments (default 500)",
         )
+        command.add_argument("--format", choices=formats, default="text")
         return command
 
     gen = verb("gen", "print one sequence member")
     gen.add_argument("kind", choices=["U", "V"])
     gen.add_argument("n", type=int)
-    gen.add_argument("--format", choices=["text", "json"], default="text")
     gen.set_defaults(handler=_cmd_member, members={"U": u_poly, "V": v_poly})
 
-    table = verb("table", "emit a coefficient triangle")
+    table = verb("table", "emit a coefficient triangle", ("text", "csv", "json", "latex"))
     table.add_argument("family", choices=[f.value for f in Family])
     table.add_argument("n_max", type=int)
-    table.add_argument("--format", choices=["text", "csv", "json", "latex"], default="text")
     table.add_argument(
         "--method",
         choices=["closed", "recurrence", "oracle", "all"],
@@ -96,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     det = verb("det", "exact basis determinant")
     det.add_argument("basis", choices=_SEQUENCE_BASES)
     det.add_argument("n", type=int)
-    det.add_argument("--format", choices=["text", "json"], default="text")
     det.add_argument(
         "--cross-check",
         action="store_true",
@@ -108,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("kind", choices=["U", "V"])
     dec.add_argument("n", type=int)
     dec.add_argument("basis", choices=_SEQUENCE_BASES)
-    dec.add_argument("--format", choices=["text", "json"], default="text")
     dec.set_defaults(handler=_cmd_decompose)
 
     verify = verb("verify", "run the verification suite")
@@ -119,13 +116,11 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=_VERIFY_SCOPES,
         default="all",
     )
-    verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.set_defaults(handler=_cmd_verify)
 
     cheb = verb("chebyshev", "print a Chebyshev polynomial")
     cheb.add_argument("kind", choices=["T", "U"])
     cheb.add_argument("n", type=int)
-    cheb.add_argument("--format", choices=["text", "json"], default="text")
     cheb.set_defaults(handler=_cmd_member, members={"T": chebyshev_t, "U": chebyshev_u})
 
     return parser

@@ -28,8 +28,8 @@ right, reading 0 past the end of row n-1 (e's rule reads the a recurrence):
     e(1,.) = (1)       e(n,0) = n mod 2        e(n,k) = -e(n-1,k) + e(n-1,k-1) + a(n-1,k)
 
 The triangles can thus be generated three independent ways (closed form,
-recurrence, and the exact linear-solve oracle of ``bases.decompose``) and
-``cross_check`` compares them entry by entry.
+recurrence, and the exact linear-solve oracle of ``bases`` on the targets of
+``DecompositionScheme``) and ``cross_check`` compares them entry by entry.
 
 Rows of the b, c and d triangles carry a final k = n entry (for example
 c(1,1) = -2).  Those values feed the recurrences and the operator
@@ -46,10 +46,10 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple
 
-from .bases import BasisFamily, BasisSpec, _checked_solve, ambient_degree, is_doubled, lowest_order, member_window, pairing
+from .bases import BasisFamily, BasisSpec, _checked_solve, is_doubled, lowest_order, member_window
 from .errors import DomainError, IntegralityViolation
-from .poly import BivarPoly
 from .report import CheckResult
+from .sequences import read_members
 
 
 class Family(Enum):
@@ -176,16 +176,21 @@ class CoeffTriangle(NamedTuple):
         return "\n".join(lines)
 
 
-def closed_triangle(family: Family, n_max: int) -> CoeffTriangle:
-    """Rows built value by value from the closed form."""
-    start = MIN_ROW[family]
+def _row_range(family: Family, n_max: int, start: int) -> range:
+    """Rows start..n_max of one of the family's triangles; IndexError when n_max is below the first row."""
     if n_max < start:
         raise IndexError(f"n_max {n_max} below first row {start} of family {family.value}")
+    return range(start, n_max + 1)
+
+
+def closed_triangle(family: Family, n_max: int) -> CoeffTriangle:
+    """Rows built value by value from the closed form."""
+    numbers = _row_range(family, n_max, MIN_ROW[family])
     rows = tuple(
         tuple(closed_value(family, n, k) for k in range(table_row_length(family, n)))
-        for n in range(start, n_max + 1)
+        for n in numbers
     )
-    return CoeffTriangle(family, "closed", start, rows)
+    return CoeffTriangle(family, "closed", numbers.start, rows)
 
 
 # Per family: the seed row, entry 0 of each later row n, the sign s and the extra term.
@@ -202,25 +207,23 @@ _RULES: dict[Family, tuple[tuple[int, ...], Callable[[int], int], int, Callable[
 
 def recurrence_triangle(family: Family, n_max: int) -> CoeffTriangle:
     """Rows built purely from the family's seed row and two-term recurrence, by ``_RULES``."""
-    start = MIN_ROW[family]
-    if n_max < start:
-        raise IndexError(f"n_max {n_max} below first row {start} of family {family.value}")
+    numbers = _row_range(family, n_max, MIN_ROW[family])
     seed, first, sign, extra = _RULES[family]
     a = recurrence_triangle(Family.A, n_max - 1).rows if family is Family.E else ()
     rows = [seed]
-    for n in range(start + 1, n_max + 1):
+    for n in numbers[1:]:
         prev = rows[-1] + (0,)
         row = [first(n)]
         row += [sign * (prev[k] - prev[k - 1]) + extra(n, k, a) for k in range(1, table_row_length(family, n))]
         rows.append(tuple(row))
-    return CoeffTriangle(family, "recurrence", start, tuple(rows))
+    return CoeffTriangle(family, "recurrence", numbers.start, tuple(rows))
 
 
 class DecompositionScheme(NamedTuple):
-    """One family's identity: member 2n + shift of U or V over a basis family.
+    """One family's identity: member 2n + shift of U or V, doubled where needed, over a basis family.
 
-    The target comes from ``bases.pairing``, its doubling from ``bases.is_doubled``
-    (which ``pairing`` reads too) and the first row from ``bases.lowest_order``.
+    The one owner of row n's target: ``targets`` reads its coordinates and ``doubling`` (``bases.is_doubled``)
+    its factor, for the relations, the transfers and the oracle; the first row comes from ``bases.lowest_order``.
     """
 
     kind: str
@@ -231,14 +234,22 @@ class DecompositionScheme(NamedTuple):
     def min_n(self) -> int:
         return lowest_order(self.basis)
 
-    def target(self, n: int) -> BivarPoly:
-        return pairing(self.kind, 2 * n + self.shift, self.basis)[0]
+    @property
+    def doubling(self) -> int:
+        """2 when the target is twice its member, for integer coordinates, else 1."""
+        return 2 if is_doubled(self.kind, self.basis) else 1
+
+    def targets(self, first: int, last: int) -> list[list[int]]:
+        """The canonical coordinates of the targets of rows first..last, members 2n + shift read once each."""
+        doubling = self.doubling
+        members = read_members(self.kind, range(2 * first + self.shift, 2 * last + self.shift + 1, 2))
+        return members if doubling == 1 else [[doubling * c for c in coords] for coords in members]
 
     @property
     def description(self) -> str:
         """For example "2*U[2n+1] over BV"."""
         shift = f"{self.shift:+d}" if self.shift else ""
-        return f"{'2*' if is_doubled(self.kind, self.basis) else ''}{self.kind}[2n{shift}] over {self.basis.value}"
+        return f"{'2*' if self.doubling == 2 else ''}{self.kind}[2n{shift}] over {self.basis.value}"
 
 
 SCHEMES: dict[Family, DecompositionScheme] = {
@@ -264,19 +275,17 @@ def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
     triangles start at row 1.
     """
     scheme = SCHEMES[family]
-    if n_max < scheme.min_n:
-        raise IndexError(f"n_max {n_max} below first row {scheme.min_n} of family {family.value}")
+    numbers = _row_range(family, n_max, scheme.min_n)  # before the window, which raises DomainError below min_n
     rows, window = [], member_window(BasisSpec(scheme.basis, n_max))
-    for n in range(scheme.min_n, n_max + 1):
-        spec = BasisSpec(scheme.basis, n)
-        coords = _checked_solve(spec, scheme.target(n).canonical_coordinates(ambient_degree(spec)), window)
+    for n, target in zip(numbers, scheme.targets(numbers.start, n_max)):
+        coords = _checked_solve(BasisSpec(scheme.basis, n), target, window)
         for value in coords:
             if not isinstance(value, int):
                 raise IntegralityViolation(
                     f"oracle coordinate {value} for family {family.value}, row {n}"
                 )
         rows.append(coords)
-    return CoeffTriangle(family, "oracle", scheme.min_n, tuple(rows))
+    return CoeffTriangle(family, "oracle", numbers.start, tuple(rows))
 
 
 class MethodMismatch(NamedTuple):

@@ -45,10 +45,10 @@ from itertools import accumulate, islice, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping
 
-from .bases import BasisSpec, is_doubled, member_index
+from .bases import BasisSpec, member_index
 from .coefficients import MIN_ROW, SCHEMES, Family, closed_value
 from .errors import DomainError, IntegralityViolation
-from .poly import ONE, BivarPoly, Rational, _canonical, _power, _var_string, combine_columns, pack, sum_of_products
+from .poly import ONE, BivarPoly, Rational, _added, _canonical, _power, _var_string, combine_columns, pack, sum_of_products
 from .report import CheckResult
 from .sequences import SequenceCache, SequenceKind, read_members
 
@@ -78,10 +78,6 @@ class OperatorPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def shift(cls, power: int = 1) -> OperatorPoly:
-        return cls({power: ONE})
-
-    @classmethod
     def identity(cls) -> OperatorPoly:
         return cls({0: ONE})
 
@@ -96,9 +92,6 @@ class OperatorPoly:
     def shift_powers(self) -> list[int]:
         return sorted({k for k, _, _ in self._terms})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
@@ -109,10 +102,7 @@ class OperatorPoly:
     def _plus(self, other: OperatorPoly, sign: int) -> OperatorPoly:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            acc[key] = acc.get(key, 0) + sign * c
-        return OperatorPoly._of(_canonical(acc))
+        return OperatorPoly._of(_added(self._terms, other._terms, sign))
 
     def __add__(self, other: OperatorPoly) -> OperatorPoly:
         return self._plus(other, 1)
@@ -226,14 +216,13 @@ def check_relation(family: Family, n_max: int) -> CheckResult:
     and as x^(n-k) keeps a canonical coordinate's place, the image is one ``combine_columns`` over the members.
     """
     scheme = SCHEMES[family]
-    scale = 0 if family in (Family.B, Family.D) else 2 if is_doubled(scheme.kind, scheme.basis) else 1
+    annihilates = family in (Family.B, Family.D)  # B_n and D_n send their sequence to 0
     letter, top = member_index(BasisSpec(scheme.basis, n_max), n_max)  # the last member read
     members = read_members(letter, range(top + 1))
-    targets = read_members(scheme.kind, range(2 * MIN_ROW[family] + scheme.shift, 2 * n_max + scheme.shift + 1, 2))
     bad = []
-    for (n, row), target in zip(family_orders(family, n_max), targets):
+    for (n, row), target in zip(family_orders(family, n_max), scheme.targets(MIN_ROW[family], n_max)):
         base = member_index(BasisSpec(scheme.basis, n), 0)[1]
-        if combine_columns(members[base: base + len(row)], row) != [scale * c for c in target] or (
-                scale == 0 and row[n] != closed_value(family, n, n)):  # a zero image hides the operator's sign
+        if combine_columns(members[base: base + len(row)], row) != ([0] * len(target) if annihilates else target) or (
+                annihilates and row[n] != closed_value(family, n, n)):  # a zero image hides the operator's sign
             bad.append(n)
     return CheckResult.over(f"relations.{family.value}", bad, f"n = {MIN_ROW[family]}..{n_max}")

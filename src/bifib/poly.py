@@ -17,9 +17,9 @@ entry; entries differing by under 2^bits pack equal only if equal.
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
 or negative exponents), and ``items`` and ``canonical_monomials`` return them.
-``sum_of_products``, the one multiply-accumulate behind every ``BivarPoly`` product, expands
-sum_i p_i * q_i into one dict; each ring operation canonicalises its result once (``_canonical``,
-which ``operators`` shares) and wraps it with ``BivarPoly._of``.  ``signed_sum`` renders sums as text.
+``sum_of_products``, the one multiply-accumulate behind every ``BivarPoly`` product, expands sum_i p_i * q_i into
+one dict and ``_added`` is the one sum or difference of two term maps; each ring operation canonicalises its result
+once (``_canonical``; ``operators`` shares both) and wraps it with ``BivarPoly._of``.  ``signed_sum`` renders text.
 """
 
 from __future__ import annotations
@@ -56,6 +56,14 @@ def _var_string(x_exp: int, y_exp: int) -> str:
 def _canonical(acc: dict[Key, Rational]) -> dict[Key, Rational]:
     """Drop zero coefficients and turn integral Fractions back into ints."""
     return {key: c if type(c) is int else as_rational(c) for key, c in acc.items() if c}
+
+
+def _added(terms: dict, others: dict, sign: int) -> dict:
+    """The canonical term map of terms + sign * others, for any key type: the one sum of two term maps."""
+    acc = dict(terms)
+    for key, c in others.items():
+        acc[key] = acc.get(key, 0) + sign * c
+    return _canonical(acc)
 
 
 class BivarPoly:
@@ -104,16 +112,6 @@ class BivarPoly:
     def coefficient(self, x_exp: int, y_exp: int) -> Rational:
         return self._terms.get((x_exp, y_exp), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def homogeneous_weight(self) -> int | None:
-        """The common x_exp + 2*y_exp over all terms, or None when mixed or zero."""
-        weights = {a + 2 * b for a, b in self._terms}
-        if len(weights) == 1:
-            return weights.pop()
-        return None
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -129,15 +127,15 @@ class BivarPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: BivarPoly | Rational) -> BivarPoly:
+    def _plus(self, other: BivarPoly | Rational, sign: int) -> BivarPoly:
         if isinstance(other, (int, Fraction)):
             other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, 0) + coeff
-        return BivarPoly._of(_canonical(acc))
+        return BivarPoly._of(_added(self._terms, other._terms, sign))
+
+    def __add__(self, other: BivarPoly | Rational) -> BivarPoly:
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -145,14 +143,7 @@ class BivarPoly:
         return BivarPoly._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: BivarPoly | Rational) -> BivarPoly:
-        if isinstance(other, (int, Fraction)):
-            other = BivarPoly.constant(other)
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, 0) - coeff
-        return BivarPoly._of(_canonical(acc))
+        return self._plus(other, -1)
 
     def __rsub__(self, other: Rational) -> BivarPoly:
         return (-self) + other

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .bases import BasisSpec, is_doubled, member_index
+from .bases import BasisSpec, member_index
 from .coefficients import SCHEMES, Family, closed_row
 from .errors import DomainError
 from .poly import ONE, X, BivarPoly, Rational, combine_columns
@@ -104,12 +104,12 @@ def univariate_images(letter: str, y0: int, count: int) -> list[list[int]]:
 def check_transfer(family: Family, n_max: int) -> CheckResult:
     """The family's decomposition identity for the univariate images under (2x, 1) and (2x, -1).
 
-    Row n states that the image of the target (doubled where ``bases.is_doubled`` says)
+    Row n states that the image of the target (doubled by the scheme's ``doubling``)
     equals sum_k c_k 2^(n-k) x^(n-k) W_(i_k), with the closed-form coefficients c_k and the
     images W_(i_k) of the basis members taken from ``univariate_images``.
     """
     scheme = SCHEMES[family]
-    doubling = 2 if is_doubled(scheme.kind, scheme.basis) else 1
+    doubling = scheme.doubling
     letters = {scheme.kind, member_index(BasisSpec(scheme.basis, scheme.min_n), 0)[0]}  # one letter for b and d
     images = {y0: {letter: univariate_images(letter, y0, 2 * n_max + 2) for letter in letters} for y0 in (1, -1)}
     bad = []

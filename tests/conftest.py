@@ -48,7 +48,10 @@ def corrupt_member(monkeypatch):
             value = read(self, n)
             if (self.kind.value, n) != (letter, index):
                 return value
-            return value + (BivarPoly.monomial(value.homogeneous_weight(), 0) if in_family else 1)
+            if not in_family:
+                return value + 1
+            (weight,) = {a + 2 * b for (a, b), _ in value.items()}  # the member's weight, x^w in its family
+            return value + BivarPoly.monomial(weight, 0)
 
         monkeypatch.setattr(SequenceCache, "__getitem__", wrong)
 

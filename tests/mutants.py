@@ -60,6 +60,8 @@ TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
 INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
 SECONDS = ["tests/test_cli.py", "-k", "without_their_seconds"]
+FIRST_ROW = ["tests/test_coefficients.py", "-k", "below_first_row"]
+SUM = ["tests/test_poly.py", "-k", "difference_of_squares or ring_axioms or canonical"]
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the packed shift law: Horner's difference and the rows it reads, the sign of (-y)^j, its shift by j slots
@@ -70,6 +72,8 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (OPERATORS, "for p, q in zip(row[1:], row[2:])]", "for p, q in zip(row, row[1:])]", SHIFT_LAW),
     (OPERATORS, "bit_length() + n_max + 2 + 7)", "bit_length() + 2 + 7)", SLOT_WIDTH),
     (POLY, "return packed - (pack(carry, bits) << bits) if any(carry) else packed", "return packed", PACK),
+    # the one sum of two term maps, whose sign makes it a difference
+    (POLY, "acc[key] = acc.get(key, 0) + sign * c", "acc[key] = acc.get(key, 0) + c", SUM),
     # the flat operator product, which the families' defining formulas in the tests are built with: the y exponent of
     # its key, which the y-free families never test, and its power of E
     (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (k1 + k2, a1 + a2, b1)", RING),
@@ -87,8 +91,8 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the relations: the members a row combines, the zero target of B and D, and the E^n coefficient that shows a
     # negated B_n or D_n
     (OPERATORS, "members[base: base + len(row)]", "members[base + 1: base + len(row) + 1]", RELATIONS),
-    (OPERATORS, "scale = 0 if family in (Family.B, Family.D)", "scale = 1 if family in (Family.B, Family.D)", RELATIONS),
-    (OPERATORS, "scale == 0 and row[n] != closed_value(family, n, n)", "scale == 0 and False", NEGATED),
+    (OPERATORS, "([0] * len(target) if annihilates else target)", "target", RELATIONS),
+    (OPERATORS, "annihilates and row[n] != closed_value(family, n, n)", "annihilates and False", NEGATED),
     # E_m's halving in ints stops at an odd coefficient
     (OPERATORS, "if odd:", "if False:", HALVING),
     # a wrong member is named, and a non-zero U_0 is caught
@@ -121,18 +125,23 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns[:1]", LEMMA1),
     (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns if order == spec.n - 1 else []", LEMMA1),
     (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns if order == spec.n - 1 else columns[1:2]", LEMMA1),
-    # the transfers: the images they build, the members they read, the 2^(n-k) scale, the x^(n-k) offset, the doubling,
-    # the images' V seed and y0 sign
+    # the transfers: the images they build, the members they read, the 2^(n-k) scale, the x^(n-k) offset, the doubling
+    # they take from the scheme, the images' V seed and y0 sign
     (SPECIALIZATIONS, "for letter in letters}", 'for letter in "UV"}', TRANSFER),
     (SPECIALIZATIONS, "image[letter][first + k]", "image[letter][first + k + 1]", TRANSFER),
     (SPECIALIZATIONS, "[c << (n - k) for k, c", "[c for k, c", TRANSFER),
     (SPECIALIZATIONS, "[[0] * (n - k) + image", "[image", TRANSFER),
-    (SPECIALIZATIONS, "doubling = 2 if is_doubled(scheme.kind, scheme.basis) else 1", "doubling = 1", TRANSFER),
+    (COEFFICIENTS, "return 2 if is_doubled(self.kind, self.basis) else 1", "return 1", TRANSFER),
     (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', TRANSFER),
     (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", TRANSFER),
     # the closed forms of d and e stop at a non-integral value
     (COEFFICIENTS, "if remainder:", "if False:", INTEGRALITY),
     (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),
+    # the schemes' targets: the member each row reads, and its doubling
+    (COEFFICIENTS, "range(2 * first + self.shift,", "range(2 * first,", RELATIONS),
+    (COEFFICIENTS, "return members if doubling == 1 else [[doubling * c for c in coords] for coords in members]", "return members", THEOREMS),
+    # the triangles' first-row guard, which the oracle runs before it reads its member window
+    (COEFFICIENTS, "if n_max < start:", "if False:", FIRST_ROW),
     # the theorems read the three-way comparison
     (COEFFICIENTS, "bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})", "bad = []", THEOREMS),
     # a check result's run time is left out of its equality, inequality and hash

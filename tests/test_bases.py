@@ -69,7 +69,7 @@ def test_vector_counts_and_ambient_degrees():
             degree = ambient_degree(spec)
             assert len(vectors) == degree // 2 + 1
             for vector in vectors:
-                assert vector.homogeneous_weight() == degree
+                assert {a + 2 * b for (a, b), _ in vector.items()} == {degree}
 
 
 # -- coordinate matrices --------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from bifib import bases, coefficients
+from bifib import bases, coefficients, operators, specializations
 from bifib.bases import BasisFamily, BasisSpec, RationalMatrix
 from bifib.coefficients import (
     SCHEMES,
@@ -316,19 +317,30 @@ def test_cross_check_lists_every_planted_mismatch(monkeypatch):
 
 
 def test_pairing_gives_each_scheme_its_target():
-    """The five identities as the paper lists them, built without ``bases.pairing``."""
+    """The five identities as the paper lists them, with targets read without ``bases.pairing`` or ``read_members``."""
     paper = {
-        Family.A: (lambda n: u_poly(2 * n + 1).scale(2), BasisFamily.BV, 0, "2*U[2n+1] over BV"),
-        Family.B: (lambda n: u_poly(2 * n), BasisFamily.BU_STAR, 1, "U[2n] over BUstar"),
-        Family.C: (lambda n: v_poly(2 * n - 1), BasisFamily.BU_STAR, 1, "V[2n-1] over BUstar"),
-        Family.D: (lambda n: v_poly(2 * n - 1).scale(2), BasisFamily.BV_STAR, 1, "2*V[2n-1] over BVstar"),
-        Family.E: (lambda n: u_poly(2 * n).scale(2), BasisFamily.BV_STAR, 1, "2*U[2n] over BVstar"),
+        Family.A: (u_poly, 1, 2, BasisFamily.BV, 0, "2*U[2n+1] over BV"),
+        Family.B: (u_poly, 0, 1, BasisFamily.BU_STAR, 1, "U[2n] over BUstar"),
+        Family.C: (v_poly, -1, 1, BasisFamily.BU_STAR, 1, "V[2n-1] over BUstar"),
+        Family.D: (v_poly, -1, 2, BasisFamily.BV_STAR, 1, "2*V[2n-1] over BVstar"),
+        Family.E: (u_poly, 0, 2, BasisFamily.BV_STAR, 1, "2*U[2n] over BVstar"),
     }
-    for family, (target, basis, min_n, description) in paper.items():
+    for family, (member, shift, doubling, basis, min_n, description) in paper.items():
         scheme = SCHEMES[family]
-        assert (scheme.basis, scheme.min_n, scheme.description) == (basis, min_n, description)
-        for n in range(min_n, 9):
-            assert scheme.target(n) == target(n), (family, n)
+        assert (scheme.basis, scheme.min_n, scheme.doubling, scheme.description) == (basis, min_n, doubling, description)
+        # the target of row n, of weight 2n - min_n, read off term by term
+        expected = [[0] * (n - min_n + 1) for n in range(min_n, 9)]
+        for n, coords in enumerate(expected, min_n):
+            for (a, b), c in member(2 * n + shift).items():
+                assert a + 2 * b == 2 * n - min_n
+                coords[b] = doubling * c
+        assert scheme.targets(min_n, 8) == expected, family
+
+
+def test_only_the_schemes_read_the_doubling():
+    """The relations and the transfers take each target's doubling from its scheme, so the pairing has one owner."""
+    for module in (operators, specializations):
+        assert "is_doubled" not in Path(module.__file__).read_text(), module.__name__
 
 
 def test_theorem_checks_pass():

@@ -89,8 +89,8 @@ def test_coefficients_are_non_negative_integers():
 
 def test_homogeneity_weights():
     for n in range(61):
-        assert u_poly(n + 1).homogeneous_weight() == n
-        assert v_poly(n).homogeneous_weight() == n
+        assert {a + 2 * b for (a, b), _ in u_poly(n + 1).items()} == {n}
+        assert {a + 2 * b for (a, b), _ in v_poly(n).items()} == {n}
 
 
 def test_numeric_anchors_at_one_one():
