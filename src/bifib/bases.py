@@ -30,6 +30,10 @@ fraction-free (Bareiss) elimination on int rows scaled by the lcm of their
 denominators.  ``det_by_column_reduction`` gives the determinants of every
 order up to n from one chain of reductions that starts at the product-built
 order-n vectors and checks each lower level against that order's members.
+Orders n, n-1 and n-2 are full; below them column j >= 1 of an order is
+column j-1 of the order above less its last entry (the same member), which
+the full comparisons at n-1 and n-2 make exact, so the chain carries only
+the new column 0 and that one shifted column: O(n^2) after ``build_basis``.
 """
 
 from __future__ import annotations
@@ -265,9 +269,14 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
     order n.  Replacing column k by its difference with column k-1 leaves entry 0 (the x^m
     coordinate) zero; expanding along entry 0 and dropping it from the differences (dividing by y)
     leaves the columns of the same family one order lower, so det(m) = pivot(m) * det(m - 1).
-    Each step is verified, and the columns must equal the coordinates of that order's members,
-    read once per chain: all at order n-1, only column 0 below (column j > 0 there comes from the
-    same two members as column j-1 one order up); violations raise ArithmeticError.
+    Each step is verified against that order's members, read once per chain; violations raise
+    ArithmeticError.  Orders n, n-1 and n-2 are full: every column is differenced and checked, and
+    every column of orders n-1 and n-2 is compared with its member.  Those comparisons make column
+    j >= 1 of order n-2 column j-1 of order n-1 less its last entry, for any input, and as slicing
+    commutes with differencing the same holds at every order below.  So below n-2 the chain carries
+    two columns: the new column 0 (checked, compared, the pivot) and the previous column 0 less its
+    last entry; the checks it leaves out repeat checks made one order up.  After ``build_basis`` a
+    chain costs O(n^2) element operations, not O(n^3).
     """
     lowest, degree = lowest_order(spec.family), ambient_degree(spec)
     letter, first = member_index(BasisSpec(spec.family, lowest), 0)
@@ -282,12 +291,15 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
             if difference[0] != 0:
                 raise ArithmeticError(f"difference column {j} keeps an x^{degree} component")
         if order < spec.n:  # the top order's columns are the product-built vectors themselves
-            checked = columns if order == spec.n - 1 else columns[:1]
+            checked = columns if order >= spec.n - 2 else columns[:1]
             for j, (column, coords) in enumerate(zip(checked, members[order - lowest :])):
                 if column[: len(coords)] != coords or any(column[len(coords) :]):
                     raise ArithmeticError(f"order {order} column {j} is not {letter}_{first + order - lowest + j}")
         pivots.append(columns[0][0])
-        columns = [difference[1:] for difference in differences]
+        if order > spec.n - 2:
+            columns = [difference[1:] for difference in differences]
+        elif differences:  # column 1 one order down is this order's column 0, same member, one entry shorter
+            columns = [differences[0][1:], columns[0][:-1]][: order - lowest]
         degree -= 2
     return list(map(as_rational, accumulate(reversed(pivots), mul)))
 

@@ -29,11 +29,10 @@ from .bases import (
     pairing,
 )
 from .coefficients import (
-    MIN_ROW,
-    SCHEMES,
     Family,
     closed_triangle,
     cross_check,
+    first_row,
     oracle_triangle,
     recurrence_triangle,
 )
@@ -148,10 +147,11 @@ def _cmd_member(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _enforce_cap(parser, args, args.n_max)
     family = Family(args.family)
-    if args.n_max < MIN_ROW[family]:
-        parser.error(f"family {family.value} starts at row {MIN_ROW[family]}")
-    if args.method == "oracle" and args.n_max < SCHEMES[family].min_n:
-        parser.error(f"the oracle for family {family.value} starts at row {SCHEMES[family].min_n}")
+    table_start, start = first_row(family, "closed"), first_row(family, args.method)
+    if args.n_max < table_start:
+        parser.error(f"family {family.value} starts at row {table_start}")
+    if args.n_max < start:  # only the oracle starts after the table
+        parser.error(f"the oracle for family {family.value} starts at row {start}")
 
     if args.method == "all":
         report = cross_check(family, args.n_max)

@@ -176,8 +176,14 @@ class CoeffTriangle(NamedTuple):
         return "\n".join(lines)
 
 
-def _row_range(family: Family, n_max: int, start: int) -> range:
-    """Rows start..n_max of one of the family's triangles; IndexError when n_max is below the first row."""
+def first_row(family: Family, method: str) -> int:
+    """The first row of the family's triangle by ``method``: the scheme's ``min_n`` for the oracle, else ``MIN_ROW``."""
+    return SCHEMES[family].min_n if method == "oracle" else MIN_ROW[family]
+
+
+def _row_range(family: Family, n_max: int, method: str) -> range:
+    """Rows ``first_row``..n_max of the family's triangle by ``method``; IndexError when n_max is below them."""
+    start = first_row(family, method)
     if n_max < start:
         raise IndexError(f"n_max {n_max} below first row {start} of family {family.value}")
     return range(start, n_max + 1)
@@ -185,7 +191,7 @@ def _row_range(family: Family, n_max: int, start: int) -> range:
 
 def closed_triangle(family: Family, n_max: int) -> CoeffTriangle:
     """Rows built value by value from the closed form."""
-    numbers = _row_range(family, n_max, MIN_ROW[family])
+    numbers = _row_range(family, n_max, "closed")
     rows = tuple(
         tuple(closed_value(family, n, k) for k in range(table_row_length(family, n)))
         for n in numbers
@@ -207,7 +213,7 @@ _RULES: dict[Family, tuple[tuple[int, ...], Callable[[int], int], int, Callable[
 
 def recurrence_triangle(family: Family, n_max: int) -> CoeffTriangle:
     """Rows built purely from the family's seed row and two-term recurrence, by ``_RULES``."""
-    numbers = _row_range(family, n_max, MIN_ROW[family])
+    numbers = _row_range(family, n_max, "recurrence")
     seed, first, sign, extra = _RULES[family]
     a = recurrence_triangle(Family.A, n_max - 1).rows if family is Family.E else ()
     rows = [seed]
@@ -222,8 +228,8 @@ def recurrence_triangle(family: Family, n_max: int) -> CoeffTriangle:
 class DecompositionScheme(NamedTuple):
     """One family's identity: member 2n + shift of U or V, doubled where needed, over a basis family.
 
-    The one owner of row n's target: ``targets`` reads its coordinates and ``doubling`` (``bases.is_doubled``)
-    its factor, for the relations, the transfers and the oracle; the first row comes from ``bases.lowest_order``.
+    The one owner of row n's target: ``member`` gives its index, ``targets`` its coordinates and ``doubling``
+    (``bases.is_doubled``) its factor, for the relations, the transfers and the oracle; ``min_n`` its first row.
     """
 
     kind: str
@@ -239,10 +245,14 @@ class DecompositionScheme(NamedTuple):
         """2 when the target is twice its member, for integer coordinates, else 1."""
         return 2 if is_doubled(self.kind, self.basis) else 1
 
+    def member(self, n: int) -> int:
+        """The index 2n + shift of row n's target member."""
+        return 2 * n + self.shift
+
     def targets(self, first: int, last: int) -> list[list[int]]:
-        """The canonical coordinates of the targets of rows first..last, members 2n + shift read once each."""
+        """The canonical coordinates of the targets of rows first..last, their ``member``s read once each."""
         doubling = self.doubling
-        members = read_members(self.kind, range(2 * first + self.shift, 2 * last + self.shift + 1, 2))
+        members = read_members(self.kind, range(self.member(first), self.member(last) + 1, 2))
         return members if doubling == 1 else [[doubling * c for c in coords] for coords in members]
 
     @property
@@ -275,7 +285,7 @@ def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
     triangles start at row 1.
     """
     scheme = SCHEMES[family]
-    numbers = _row_range(family, n_max, scheme.min_n)  # before the window, which raises DomainError below min_n
+    numbers = _row_range(family, n_max, "oracle")  # before the window, which raises DomainError below min_n
     rows, window = [], member_window(BasisSpec(scheme.basis, n_max))
     for n, target in zip(numbers, scheme.targets(numbers.start, n_max)):
         coords = _checked_solve(BasisSpec(scheme.basis, n), target, window)

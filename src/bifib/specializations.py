@@ -117,7 +117,7 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
         letter, first = member_index(BasisSpec(scheme.basis, n), 0)
         coeffs = [c << (n - k) for k, c in enumerate(closed_row(family, n))]  # (2x)^(n-k): a scale by 2^(n-k) ...
         for y0, image in images.items():
-            target = [doubling * c for c in image[scheme.kind][2 * n + scheme.shift]]
+            target = [doubling * c for c in image[scheme.kind][scheme.member(n)]]
             columns = [[0] * (n - k) + image[letter][first + k] for k in range(len(coeffs))]  # ... and a shift by n - k
             if combine_columns(columns, coeffs) != target:
                 bad.append((n, y0))

@@ -118,13 +118,19 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (BASES, "rest if pivot == 1 else as_rational(Fraction(rest, pivot))", "rest", DECOMPOSE),
     (BASES, "if product != rhs:", "if product[:1] != rhs[:1]:", DECOMPOSE),
     (BASES, "columns = window[top : top + len(rhs)]", "columns = window[top + 1 : top + 1 + len(rhs)]", DECOMPOSE),
-    # the lemma 1 chain: its pivot and difference checks, the entry it drops, and which columns each order is compared with
+    # the lemma 1 chain: its pivot and difference checks, the entry it drops, which columns each order is compared with
+    # (all at orders n-1 and n-2, column 0 below), and the two columns it carries below n-2: from which order on, and
+    # which entry of column 0 the carried column 1 drops
     (BASES, "if order > lowest and columns[0][0] == 0:", "if False:", LEMMA1),
     (BASES, "if difference[0] != 0:", "if False:", LEMMA1),
     (BASES, "columns = [difference[1:] for difference in differences]", "columns = [difference[:-1] for difference in differences]", LEMMA1),
-    (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns[:1]", LEMMA1),
-    (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns if order == spec.n - 1 else []", LEMMA1),
-    (BASES, "checked = columns if order == spec.n - 1 else columns[:1]", "checked = columns if order == spec.n - 1 else columns[1:2]", LEMMA1),
+    (BASES, "checked = columns if order >= spec.n - 2 else columns[:1]", "checked = columns[:1]", LEMMA1),
+    (BASES, "checked = columns if order >= spec.n - 2 else columns[:1]", "checked = columns if order >= spec.n - 2 else []", LEMMA1),
+    (BASES, "checked = columns if order >= spec.n - 2 else columns[:1]", "checked = columns if order >= spec.n - 2 else columns[1:2]", LEMMA1),
+    (BASES, "checked = columns if order >= spec.n - 2 else columns[:1]", "checked = columns if order >= spec.n - 1 else columns[:1]", LEMMA1),
+    (BASES, "if order > spec.n - 2:", "if order > spec.n - 1:", LEMMA1),
+    (BASES, "if order > spec.n - 2:", "if order >= lowest:", LEMMA1),
+    (BASES, "columns[0][:-1]]", "columns[0][1:]]", LEMMA1),
     # the transfers: the images they build, the members they read, the 2^(n-k) scale, the x^(n-k) offset, the doubling
     # they take from the scheme, the images' V seed and y0 sign
     (SPECIALIZATIONS, "for letter in letters}", 'for letter in "UV"}', TRANSFER),
@@ -138,10 +144,12 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (COEFFICIENTS, "if remainder:", "if False:", INTEGRALITY),
     (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),
     # the schemes' targets: the member each row reads, and its doubling
-    (COEFFICIENTS, "range(2 * first + self.shift,", "range(2 * first,", RELATIONS),
+    (COEFFICIENTS, "return 2 * n + self.shift", "return 2 * n", RELATIONS),
     (COEFFICIENTS, "return members if doubling == 1 else [[doubling * c for c in coords] for coords in members]", "return members", THEOREMS),
-    # the triangles' first-row guard, which the oracle runs before it reads its member window
+    # the triangles' first-row guard, which the oracle runs before it reads its member window, and the oracle's first
+    # row, which the CLI reads too
     (COEFFICIENTS, "if n_max < start:", "if False:", FIRST_ROW),
+    (COEFFICIENTS, 'return SCHEMES[family].min_n if method == "oracle" else MIN_ROW[family]', "return MIN_ROW[family]", FIRST_ROW),
     # the theorems read the three-way comparison
     (COEFFICIENTS, "bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})", "bad = []", THEOREMS),
     # a check result's run time is left out of its equality, inequality and hash

@@ -269,6 +269,98 @@ def test_column_reduction_rejects_a_corrupted_basis(monkeypatch, k, plant, error
     assert str(excinfo.value) == message
 
 
+def full_reduction_chain(spec):
+    """The reference chain: every column differenced and checked at every order, all columns compared at order
+    n - 1 and column 0 below; the chain under test carries two columns below order n - 2."""
+    lowest, degree = lowest_order(spec.family), ambient_degree(spec)
+    letter, first = bases.member_index(BasisSpec(spec.family, lowest), 0)
+    members = bases.member_window(spec)
+    columns = [v.canonical_coordinates(degree) for v in build_basis(spec)]
+    pivots = []
+    for order in range(spec.n, lowest - 1, -1):
+        if order > lowest and columns[0][0] == 0:
+            raise ArithmeticError(f"leading vector lost its x^{degree} component")
+        differences = [[q - p for p, q in zip(a, b)] for a, b in zip(columns, columns[1:])]
+        for j, difference in enumerate(differences, 1):
+            if difference[0] != 0:
+                raise ArithmeticError(f"difference column {j} keeps an x^{degree} component")
+        if order < spec.n:
+            checked = columns if order == spec.n - 1 else columns[:1]
+            for j, (column, coords) in enumerate(zip(checked, members[order - lowest :])):
+                if column[: len(coords)] != coords or any(column[len(coords) :]):
+                    raise ArithmeticError(f"order {order} column {j} is not {letter}_{first + order - lowest + j}")
+        pivots.append(columns[0][0])
+        columns = [difference[1:] for difference in differences]
+        degree -= 2
+    return [prod(pivots[i:]) for i in range(len(pivots) - 1, -1, -1)]
+
+
+def chain_outcome(chain, spec):
+    try:
+        return chain(spec)
+    except Exception as exc:  # the outcome compared is the exception's type and text
+        return type(exc), str(exc)
+
+
+def test_column_reduction_matches_the_full_chain_on_planted_members(monkeypatch, corrupt_member):
+    assert all(
+        chain_outcome(det_by_column_reduction, BasisSpec(family, n)) == full_reduction_chain(BasisSpec(family, n))
+        for family in SEQUENCE_BASES
+        for n in range(lowest_order(family), 15)
+    )
+    raised = 0
+    for letter in "UV":
+        for index in range(18):
+            for in_family in (False, True):
+                corrupt_member(letter, index, in_family)
+                for family in SEQUENCE_BASES:
+                    for n in range(lowest_order(family), 15):
+                        spec = BasisSpec(family, n)
+                        outcome = chain_outcome(det_by_column_reduction, spec)
+                        assert outcome == chain_outcome(full_reduction_chain, spec), (letter, index, in_family, spec)
+                        raised += isinstance(outcome, tuple)
+                monkeypatch.undo()
+    assert raised > 1000  # a third of the 4176 runs raise, so the chains are compared on their messages too
+
+
+def test_column_reduction_costs_quadratic_element_operations(monkeypatch):
+    # orders n, n-1 and n-2 difference all c - 1 column pairs of length c (c = order - lowest + 1), each lower
+    # order one pair; doubling n then multiplies the count by about 4, against 8 for differencing every order
+    calls = []
+    monkeypatch.setattr(bases, "sub", lambda a, b: calls.append(None) or a - b)
+
+    def subtractions(spec):
+        calls.clear()
+        det_by_column_reduction(spec)
+        return len(calls)
+
+    for family in SEQUENCE_BASES:
+        lowest = lowest_order(family)
+        counts = {}
+        for n in (40, 80):
+            sizes = [order - lowest + 1 for order in range(lowest + 1, n + 1)]
+            assert subtractions(BasisSpec(family, n)) == sum(c * (c - 1) for c in sizes[-3:]) + sum(sizes[:-3])
+            counts[n] = len(calls)
+        assert counts[80] / counts[40] <= 4.5, (family, counts)
+
+
+def test_column_reduction_compares_every_column_two_orders_down(monkeypatch):
+    # a y^6 planted in vector 3 of BU(6) changes order 5's columns 2 and 3 (U_8 and U_9); with those two members
+    # read as the columns it gives, it passes every check down to order 5.  Order 4's column 1 then differs from
+    # U_6, the shift identity's first fault, which the carried columns below would otherwise take on trust.
+    spec = BasisSpec(BasisFamily.BU, 6)
+    vectors = build_basis(spec)
+    vectors[3] = vectors[3] + Y**6
+    top = [v.canonical_coordinates(12) for v in vectors]
+    window = bases.member_window(spec)  # entry i holds U_(i+1)
+    window[7:9] = [[q - p for p, q in zip(a, b)][1:] for a, b in zip(top[2:4], top[3:5])]
+    monkeypatch.setattr(bases, "build_basis", lambda _spec: vectors)
+    monkeypatch.setattr(bases, "member_window", lambda _spec: window)
+    with pytest.raises(ArithmeticError) as excinfo:
+        det_by_column_reduction(spec)
+    assert str(excinfo.value) == "order 4 column 1 is not U_6"
+
+
 def test_check_determinants_report():
     results = run_checks("lemma1", 6)
     assert all_passed(results)

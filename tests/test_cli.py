@@ -87,9 +87,21 @@ def test_table_single_row(run_cli):
 
 
 def test_table_domain_errors(run_cli):
-    assert run_cli(["table", "c", "0"])[0] == 2
     assert run_cli(["table", "e", "0", "--method", "oracle"])[0] == 2
     assert run_cli(["table", "f", "3"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "c", "0"], "family c starts at row 1"),
+        (["table", "b", "0", "--method", "oracle"], "the oracle for family b starts at row 1"),
+    ],
+)
+def test_table_below_its_first_row_is_a_usage_error(run_cli, argv, message):
+    # the CLI reads the first row from coefficients.first_row, as the triangles' own guard does
+    usage = "usage: bifib [-h] {gen,table,det,decompose,verify,chebyshev} ...\n"
+    assert run_cli(argv) == (2, "", f"{usage}bifib: error: {message}\n")
 
 
 def test_table_csv_and_json(run_cli):

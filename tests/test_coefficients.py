@@ -20,6 +20,7 @@ from bifib.coefficients import (
     d_closed,
     e_closed,
     check_theorem,
+    first_row,
     oracle_triangle,
     recurrence_triangle,
 )
@@ -328,6 +329,7 @@ def test_pairing_gives_each_scheme_its_target():
     for family, (member, shift, doubling, basis, min_n, description) in paper.items():
         scheme = SCHEMES[family]
         assert (scheme.basis, scheme.min_n, scheme.doubling, scheme.description) == (basis, min_n, doubling, description)
+        assert [scheme.member(n) for n in range(min_n, 9)] == [2 * n + shift for n in range(min_n, 9)]
         # the target of row n, of weight 2n - min_n, read off term by term
         expected = [[0] * (n - min_n + 1) for n in range(min_n, 9)]
         for n, coords in enumerate(expected, min_n):
@@ -338,9 +340,11 @@ def test_pairing_gives_each_scheme_its_target():
 
 
 def test_only_the_schemes_read_the_doubling():
-    """The relations and the transfers take each target's doubling from its scheme, so the pairing has one owner."""
+    """The relations and the transfers take each target's doubling and index from its scheme, so the pairing has one
+    owner."""
     for module in (operators, specializations):
-        assert "is_doubled" not in Path(module.__file__).read_text(), module.__name__
+        source = Path(module.__file__).read_text()
+        assert "is_doubled" not in source and "scheme.shift" not in source, module.__name__
 
 
 def test_theorem_checks_pass():
@@ -386,10 +390,15 @@ def test_row_accessor_bounds():
 
 
 def test_n_max_below_first_row_rejected():
-    with pytest.raises(IndexError):
-        recurrence_triangle(Family.E, 0)
-    with pytest.raises(IndexError):
-        oracle_triangle(Family.B, 0)
+    generators = {"closed": closed_triangle, "recurrence": recurrence_triangle, "oracle": oracle_triangle}
+    for family in Family:
+        for method, generate in generators.items():
+            start = first_row(family, method)
+            assert generate(family, start).start_row == start
+            if start > 0:
+                with pytest.raises(IndexError):
+                    generate(family, start - 1)
+    assert [first_row(family, "oracle") for family in Family] == [0, 1, 1, 1, 1]  # b's oracle starts after its table
 
 
 def test_text_rendering_is_tab_separated(golden_dir):
