@@ -10,8 +10,9 @@ sequence members times powers of x:
     BVstar(n) = (x^(n-k) V_{n+k-1})  k = 0..n-1    inside degree 2n-1
 
 ``BasisFamily`` names these four only; the canonical family itself is
-``poly.canonical_monomials``.  The starred bases start at order 1, the others
-at order 0 (``lowest_order``).
+``poly.canonical_monomials``.  ``BASES`` holds each one's facts: the member
+letter and offset above, the lowest order (1 for the starred bases, else 0),
+the determinant and the sequences doubled over it.
 
 Their coordinate matrices over the canonical family are square with exact
 determinant 1 (BU, BUstar) or 2 (BV, BVstar), so ``decompose`` can solve for
@@ -58,12 +59,26 @@ class BasisFamily(Enum):
     BV_STAR = "BVstar"
 
 
-EXPECTED_DETERMINANTS = {
-    BasisFamily.BU: 1,
-    BasisFamily.BV: 2,
-    BasisFamily.BU_STAR: 1,
-    BasisFamily.BV_STAR: 2,
+class BasisFacts(NamedTuple):
+    """One basis family's facts: vector k of order n is x^(n-k) times member n + k + ``offset`` of the ``letter``
+    sequence, orders start at ``lowest``, every order's coordinate matrix has determinant ``determinant``, and the
+    U or V targets in ``doubled`` have integer coordinates over it only once doubled."""
+
+    letter: str
+    offset: int
+    lowest: int
+    determinant: int
+    doubled: tuple[str, ...]
+
+
+BASES: dict[BasisFamily, BasisFacts] = {
+    BasisFamily.BU: BasisFacts("U", 1, 0, 1, ()),
+    BasisFamily.BV: BasisFacts("V", 0, 0, 2, ("U",)),
+    BasisFamily.BU_STAR: BasisFacts("U", 0, 1, 1, ()),
+    BasisFamily.BV_STAR: BasisFacts("V", -1, 1, 2, ("U", "V")),
 }
+
+EXPECTED_DETERMINANTS = {family: basis.determinant for family, basis in BASES.items()}
 
 
 class BasisSpec(NamedTuple):
@@ -73,44 +88,21 @@ class BasisSpec(NamedTuple):
     n: int
 
 
-def lowest_order(family: BasisFamily) -> int:
-    """The smallest order n of a family: 1 for the starred bases, else 0."""
-    return 1 if family in (BasisFamily.BU_STAR, BasisFamily.BV_STAR) else 0
-
-
 def ambient_degree(spec: BasisSpec) -> int:
     """Degree of the canonical family the vectors live in, 2n minus the lowest order.
 
     Raises DomainError below the family's lowest order.
     """
-    lowest = lowest_order(spec.family)
+    lowest = BASES[spec.family].lowest
     if spec.n < lowest:
         raise DomainError(f"{spec.family.value} is defined for n >= {lowest}, got {spec.n}")
     return 2 * spec.n - lowest
 
 
-# Vector k of an order-n sequence basis is x^(n-k) times member n + k + offset
-# of the U or V sequence.
-_MEMBERS = {
-    BasisFamily.BU: ("U", 1),
-    BasisFamily.BV: ("V", 0),
-    BasisFamily.BU_STAR: ("U", 0),
-    BasisFamily.BV_STAR: ("V", -1),
-}
-
-# (sequence, basis) pairs whose target has integer coordinates only once doubled.
-_DOUBLED = {("U", BasisFamily.BV), ("U", BasisFamily.BV_STAR), ("V", BasisFamily.BV_STAR)}
-
-
-def is_doubled(kind: str, family: BasisFamily) -> bool:
-    """Whether U or V (``kind``) pairs with a family doubled, for integer coordinates; reads no member."""
-    return (kind, family) in _DOUBLED
-
-
 def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
     """Sequence letter and index of the member in vector k, e.g. ("U", 7) for U_7."""
-    letter, offset = _MEMBERS[spec.family]
-    return letter, spec.n + k + offset
+    basis = BASES[spec.family]
+    return basis.letter, spec.n + k + basis.offset
 
 
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
@@ -125,21 +117,21 @@ def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, Basi
     """The target, basis and doubling with which member ``index`` of U or V decomposes over a family.
 
     The target is the member itself, or twice it when the pair needs doubling for integer coordinates.
-    Only the CLI's ``decompose`` reads it (``coefficients.SCHEMES`` own the five families' targets).
+    Only the CLI's ``decompose`` reads it (the schemes of ``coefficients.FAMILIES`` own the five families' targets).
     Raises DomainError for U_0 and for a member whose canonical degree has the wrong parity for the family.
     """
     if kind == "U" and index == 0:
         raise DomainError("U_0 is the zero polynomial; nothing to decompose")
     weight = member_weight(kind, index)
-    lowest = lowest_order(family)
-    if weight % 2 != lowest:
-        needed = "odd" if lowest else "even"
+    basis = BASES[family]
+    if weight % 2 != basis.lowest:
+        needed = "odd" if basis.lowest else "even"
         raise DomainError(
             f"{kind}_{index} spans canonical degree {weight}, "
             f"but {family.value} bases span {needed}-degree spaces"
         )
     member_coordinates(kind, index)  # a member with a term outside its family raises here, named
-    member, doubled = SHARED_CACHES[kind][index], is_doubled(kind, family)
+    member, doubled = SHARED_CACHES[kind][index], kind in basis.doubled
     return (member.scale(2) if doubled else member), BasisSpec(family, (weight + 1) // 2), doubled
 
 
@@ -278,7 +270,7 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
     last entry; the checks it leaves out repeat checks made one order up.  After ``build_basis`` a
     chain costs O(n^2) element operations, not O(n^3).
     """
-    lowest, degree = lowest_order(spec.family), ambient_degree(spec)
+    lowest, degree = BASES[spec.family].lowest, ambient_degree(spec)
     letter, first = member_index(BasisSpec(spec.family, lowest), 0)
     members = member_window(spec)
     columns = [v.canonical_coordinates(degree) for v in build_basis(spec)]
@@ -307,7 +299,7 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
 def member_window(spec: BasisSpec) -> list[list[Rational]]:
     """The coordinates of every member the family's bases read up to order ``spec.n``, each read once (``read_members``):
     order m's vector k is entry m - lowest + k, and its peel reads entries m - lowest..0."""
-    letter, first = member_index(BasisSpec(spec.family, lowest_order(spec.family)), 0)
+    letter, first = member_index(BasisSpec(spec.family, BASES[spec.family].lowest), 0)
     return read_members(letter, range(first, member_index(spec, ambient_degree(spec) // 2)[1] + 1))
 
 
@@ -321,7 +313,7 @@ def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational], window: Sequence[list[
     S_j = (rhs_j - sum_(l<j) S_l lead_l[j-l]) / lead_j[0], lead_l the coordinates of the
     leading member l orders down; row j of the skewed leads holds the lead_l[j-l].
     """
-    top = spec.n - lowest_order(spec.family)
+    top = spec.n - BASES[spec.family].lowest
     skewed = ([0] * l + lead for l, lead in enumerate(window[top::-1]))
     sums: list[Rational] = []
     for row, value in zip(zip_longest(*skewed, fillvalue=0), rhs):
@@ -338,7 +330,7 @@ def _checked_solve(spec: BasisSpec, rhs: list[Rational], window: Sequence[list[R
     (``combine_columns``); a non-zero residual is an internal defect and raises ArithmeticError
     naming its first differing coordinate."""
     coords = _peel_solve(spec, rhs, window)
-    top = spec.n - lowest_order(spec.family)
+    top = spec.n - BASES[spec.family].lowest
     columns = window[top : top + len(rhs)]
     product = combine_columns(columns, coords)
     if product != rhs:
@@ -383,14 +375,14 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
 
 def check_determinant(family: BasisFamily, n_max: int) -> CheckResult:
     """The column-reduction chain's determinants for orders 1..n_max against the known value."""
-    expected = EXPECTED_DETERMINANTS[family]
-    chain = det_by_column_reduction(BasisSpec(family, n_max))[-n_max:]  # orders 1..n_max
-    bad = [n for n, det in enumerate(chain, 1) if det != expected]
-    return CheckResult.over(f"lemma1.det.{family.value}", bad, f"det = {expected} for n = 1..{n_max}")
+    basis = BASES[family]
+    chain = det_by_column_reduction(BasisSpec(family, n_max))[1 - basis.lowest :]  # orders 1..n_max
+    bad = [n for n, det in enumerate(chain, 1) if det != basis.determinant]
+    return CheckResult.over(f"lemma1.det.{family.value}", bad, f"det = {basis.determinant} for n = 1..{n_max}")
 
 
 def check_determinant_cross(family: BasisFamily, n_max: int) -> CheckResult:
     """The column-reduction chain and Bareiss give the same determinant for orders 1..n_max."""
-    chain = det_by_column_reduction(BasisSpec(family, n_max))[-n_max:]  # orders 1..n_max
+    chain = det_by_column_reduction(BasisSpec(family, n_max))[1 - BASES[family].lowest :]  # orders 1..n_max
     bad = [n for n, det in enumerate(chain, 1) if det != coordinate_matrix(BasisSpec(family, n)).det()]
     return CheckResult.over(f"lemma1.det-cross.{family.value}", bad, f"matches Bareiss for n = 1..{n_max}")

@@ -30,6 +30,7 @@ right, reading 0 past the end of row n-1 (e's rule reads the a recurrence):
 The triangles can thus be generated three independent ways (closed form,
 recurrence, and the exact linear-solve oracle of ``bases`` on the targets of
 ``DecompositionScheme``) and ``cross_check`` compares them entry by entry.
+Each family's facts are one ``FamilyFacts`` record in ``FAMILIES``.
 
 Rows of the b, c and d triangles carry a final k = n entry (for example
 c(1,1) = -2).  Those values feed the recurrences and the operator
@@ -46,7 +47,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple
 
-from .bases import BasisFamily, BasisSpec, _checked_solve, is_doubled, lowest_order, member_window
+from .bases import BASES, BasisFamily, BasisSpec, _checked_solve, member_window
 from .errors import DomainError, IntegralityViolation
 from .report import CheckResult
 from .sequences import read_members
@@ -60,19 +61,6 @@ class Family(Enum):
     E = "e"
 
 
-MIN_ROW = {Family.A: 0, Family.B: 0, Family.C: 1, Family.D: 1, Family.E: 1}
-
-
-def table_row_length(family: Family, n: int) -> int:
-    """Entries stored for row n: k = 0..n, except the e family stops at n-1."""
-    return n if family is Family.E else n + 1
-
-
-def _require(condition: bool, family: str, n: int, k: int) -> None:
-    if not condition:
-        raise IndexError(f"({n}, {k}) outside the domain of family {family}")
-
-
 @lru_cache(maxsize=2)
 def _alternating_sums(n: int) -> tuple[int, ...]:
     """(T(n), ..., T(0)) for T(m) = sum_{j=0..n} (-1)^j C(j, m), by T(m) = -2 T(m+1) + (-1)^n C(n+1, m+1)."""
@@ -83,22 +71,18 @@ def _alternating_sums(n: int) -> tuple[int, ...]:
 
 
 def a_closed(n: int, k: int) -> int:
-    _require(n >= 0 and 0 <= k <= n, "a", n, k)
     return (-1) ** (k + 1) * comb(n, k) + 2 * (-1) ** (n - k) * _alternating_sums(n)[k]
 
 
 def b_closed(n: int, k: int) -> int:
-    _require(n >= 0 and 0 <= k <= n, "b", n, k)
     return (-1) ** (n - k + 1) * comb(n, k)
 
 
 def c_closed(n: int, k: int) -> int:
-    _require(n >= 1 and 0 <= k <= n, "c", n, k)
     return 2 * (-1) ** (n - k + 1) * comb(n, k) - (1 if n - 1 == k else 0)
 
 
 def d_closed(n: int, k: int) -> int:
-    _require(n >= 1 and 0 <= k <= n, "d", n, k)
     numerator = (n + k) * comb(n, k)
     value, remainder = divmod(numerator, n)
     if remainder:
@@ -110,7 +94,6 @@ def e_closed(n: int, k: int) -> int:
     # The k = n coefficient is 0 by construction (the half-sum contributes -1
     # and the Kronecker term +1), so rows stop at k = n-1 and the delta term
     # never fires in-domain.
-    _require(n >= 1 and 0 <= k <= n - 1, "e", n, k)
     total = a_closed(n - 1, k) + d_closed(n, k)
     half, odd = divmod(total, 2)
     if odd:
@@ -118,17 +101,13 @@ def e_closed(n: int, k: int) -> int:
     return half
 
 
-_CLOSED: dict[Family, Callable[[int, int], int]] = {
-    Family.A: a_closed,
-    Family.B: b_closed,
-    Family.C: c_closed,
-    Family.D: d_closed,
-    Family.E: e_closed,
-}
-
-
 def closed_value(family: Family, n: int, k: int) -> int:
-    return _CLOSED[family](n, k)
+    """Entry (n, k) of the family's triangle by its closed form, the closed forms' one domain check: IndexError
+    outside the triangle, whose row n >= ``start_row`` holds k = 0..``row_length(n)`` - 1."""
+    facts = FAMILIES[family]
+    if not (n >= facts.start_row and 0 <= k < facts.row_length(n)):
+        raise IndexError(f"({n}, {k}) outside the domain of family {family.value}")
+    return facts.closed(n, k)
 
 
 class CoeffTriangle(NamedTuple):
@@ -177,8 +156,9 @@ class CoeffTriangle(NamedTuple):
 
 
 def first_row(family: Family, method: str) -> int:
-    """The first row of the family's triangle by ``method``: the scheme's ``min_n`` for the oracle, else ``MIN_ROW``."""
-    return SCHEMES[family].min_n if method == "oracle" else MIN_ROW[family]
+    """The first row of the family's triangle by ``method``: its scheme's ``min_n`` for the oracle, else ``start_row``."""
+    facts = FAMILIES[family]
+    return facts.scheme.min_n if method == "oracle" else facts.start_row
 
 
 def _row_range(family: Family, n_max: int, method: str) -> range:
@@ -191,36 +171,25 @@ def _row_range(family: Family, n_max: int, method: str) -> range:
 
 def closed_triangle(family: Family, n_max: int) -> CoeffTriangle:
     """Rows built value by value from the closed form."""
-    numbers = _row_range(family, n_max, "closed")
+    numbers, facts = _row_range(family, n_max, "closed"), FAMILIES[family]
+    closed, row_length = facts.closed, facts.row_length  # rows in the domain, so no closed_value check per entry
     rows = tuple(
-        tuple(closed_value(family, n, k) for k in range(table_row_length(family, n)))
+        tuple(closed(n, k) for k in range(row_length(n)))
         for n in numbers
     )
     return CoeffTriangle(family, "closed", numbers.start, rows)
 
 
-# Per family: the seed row, entry 0 of each later row n, the sign s and the extra term.
-# Entry k >= 1 of row n is s * (prev[k] - prev[k-1]) + extra(n, k, a), where prev is row
-# n-1 with a 0 past its end and a holds the a recurrence's rows (only e's extra reads them).
-_RULES: dict[Family, tuple[tuple[int, ...], Callable[[int], int], int, Callable[..., int]]] = {
-    Family.A: ((1,), lambda n: 1, 1, lambda n, k, a: 2 if k == n else 0),
-    Family.B: ((-1,), lambda n: (-1) ** (n + 1), -1, lambda n, k, a: 0),
-    Family.C: ((1, -2), lambda n: 2 * (-1) ** (n + 1), -1, lambda n, k, a: -1 if n == k + 2 else 0),
-    Family.D: ((1, -2), lambda n: (-1) ** (n + 1), -1, lambda n, k, a: 0),
-    Family.E: ((1,), lambda n: n % 2, -1, lambda n, k, a: a[n - 1][k]),
-}
-
-
 def recurrence_triangle(family: Family, n_max: int) -> CoeffTriangle:
-    """Rows built purely from the family's seed row and two-term recurrence, by ``_RULES``."""
-    numbers = _row_range(family, n_max, "recurrence")
-    seed, first, sign, extra = _RULES[family]
-    a = recurrence_triangle(Family.A, n_max - 1).rows if family is Family.E else ()
+    """Rows built purely from the family's seed row and two-term recurrence, by its ``rule``."""
+    numbers, facts = _row_range(family, n_max, "recurrence"), FAMILIES[family]
+    seed, first, sign, extra = facts.rule
+    a = recurrence_triangle(Family.A, n_max - 1).rows if facts.reads_a else ()
     rows = [seed]
     for n in numbers[1:]:
         prev = rows[-1] + (0,)
         row = [first(n)]
-        row += [sign * (prev[k] - prev[k - 1]) + extra(n, k, a) for k in range(1, table_row_length(family, n))]
+        row += [sign * (prev[k] - prev[k - 1]) + extra(n, k, a) for k in range(1, facts.row_length(n))]
         rows.append(tuple(row))
     return CoeffTriangle(family, "recurrence", numbers.start, tuple(rows))
 
@@ -229,7 +198,7 @@ class DecompositionScheme(NamedTuple):
     """One family's identity: member 2n + shift of U or V, doubled where needed, over a basis family.
 
     The one owner of row n's target: ``member`` gives its index, ``targets`` its coordinates and ``doubling``
-    (``bases.is_doubled``) its factor, for the relations, the transfers and the oracle; ``min_n`` its first row.
+    (its basis's ``doubled``) its factor, for the relations, the transfers and the oracle; ``min_n`` its first row.
     """
 
     kind: str
@@ -238,12 +207,12 @@ class DecompositionScheme(NamedTuple):
 
     @property
     def min_n(self) -> int:
-        return lowest_order(self.basis)
+        return BASES[self.basis].lowest
 
     @property
     def doubling(self) -> int:
         """2 when the target is twice its member, for integer coordinates, else 1."""
-        return 2 if is_doubled(self.kind, self.basis) else 1
+        return 2 if self.kind in BASES[self.basis].doubled else 1
 
     def member(self, n: int) -> int:
         """The index 2n + shift of row n's target member."""
@@ -262,18 +231,48 @@ class DecompositionScheme(NamedTuple):
         return f"{'2*' if self.doubling == 2 else ''}{self.kind}[2n{shift}] over {self.basis.value}"
 
 
-SCHEMES: dict[Family, DecompositionScheme] = {
-    Family.A: DecompositionScheme("U", 1, BasisFamily.BV),
-    Family.B: DecompositionScheme("U", 0, BasisFamily.BU_STAR),
-    Family.C: DecompositionScheme("V", -1, BasisFamily.BU_STAR),
-    Family.D: DecompositionScheme("V", -1, BasisFamily.BV_STAR),
-    Family.E: DecompositionScheme("U", 0, BasisFamily.BV_STAR),
+class FamilyFacts(NamedTuple):
+    """One family's facts, the one record (in ``FAMILIES``) that every reader of them reads.
+
+    Row n of the triangle, from row ``start_row`` on, holds k = 0..``row_length(n)`` - 1, and ``closed`` is its
+    closed form.  ``rule`` is its recurrence: the seed row, entry 0 of each later row n, the sign s and the extra
+    term.  Entry k >= 1 of row n is s * (prev[k] - prev[k-1]) + extra(n, k, a), where prev is row n-1 with a 0 past
+    its end and a holds the a recurrence's rows when ``reads_a``.  ``scheme`` is the decomposition identity, and
+    ``annihilates`` says the family's operators send their sequence to 0.
+    """
+
+    start_row: int
+    row_length: Callable[[int], int]
+    closed: Callable[[int, int], int]
+    rule: tuple[tuple[int, ...], Callable[[int], int], int, Callable[..., int]]
+    scheme: DecompositionScheme
+    annihilates: bool
+    reads_a: bool
+
+
+FAMILIES: dict[Family, FamilyFacts] = {
+    Family.A: FamilyFacts(0, lambda n: n + 1, a_closed, annihilates=False, reads_a=False,
+                          scheme=DecompositionScheme("U", 1, BasisFamily.BV),
+                          rule=((1,), lambda n: 1, 1, lambda n, k, a: 2 if k == n else 0)),
+    Family.B: FamilyFacts(0, lambda n: n + 1, b_closed, annihilates=True, reads_a=False,
+                          scheme=DecompositionScheme("U", 0, BasisFamily.BU_STAR),
+                          rule=((-1,), lambda n: (-1) ** (n + 1), -1, lambda n, k, a: 0)),
+    Family.C: FamilyFacts(1, lambda n: n + 1, c_closed, annihilates=False, reads_a=False,
+                          scheme=DecompositionScheme("V", -1, BasisFamily.BU_STAR),
+                          rule=((1, -2), lambda n: 2 * (-1) ** (n + 1), -1, lambda n, k, a: -1 if n == k + 2 else 0)),
+    Family.D: FamilyFacts(1, lambda n: n + 1, d_closed, annihilates=True, reads_a=False,
+                          scheme=DecompositionScheme("V", -1, BasisFamily.BV_STAR),
+                          rule=((1, -2), lambda n: (-1) ** (n + 1), -1, lambda n, k, a: 0)),
+    Family.E: FamilyFacts(1, lambda n: n, e_closed, annihilates=False, reads_a=True,
+                          scheme=DecompositionScheme("U", 0, BasisFamily.BV_STAR),
+                          rule=((1,), lambda n: n % 2, -1, lambda n, k, a: a[n - 1][k])),
 }
 
 
 def closed_row(family: Family, n: int) -> list[int]:
     """The closed-form coordinates of row n's decomposition identity, one per basis vector."""
-    return [closed_value(family, n, k) for k in range(n + 1 - SCHEMES[family].min_n)]
+    facts = FAMILIES[family]
+    return [facts.closed(n, k) for k in range(n + 1 - facts.scheme.min_n)]
 
 
 def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
@@ -284,7 +283,7 @@ def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
     final k = n table entry has no oracle counterpart, and the b/c/d/e
     triangles start at row 1.
     """
-    scheme = SCHEMES[family]
+    scheme = FAMILIES[family].scheme
     numbers = _row_range(family, n_max, "oracle")  # before the window, which raises DomainError below min_n
     rows, window = [], member_window(BasisSpec(scheme.basis, n_max))
     for n, target in zip(numbers, scheme.targets(numbers.start, n_max)):
@@ -328,10 +327,10 @@ def cross_check(family: Family, n_max: int) -> CrossCheckReport:
         "closed": closed_triangle(family, n_max),
         "recurrence": recurrence_triangle(family, n_max),
     }
-    if n_max >= SCHEMES[family].min_n:
+    if n_max >= first_row(family, "oracle"):
         triangles["oracle"] = oracle_triangle(family, n_max)
     mismatches = []
-    for n in range(MIN_ROW[family], n_max + 1):
+    for n in range(first_row(family, "closed"), n_max + 1):
         rows = {
             method: triangle.row(n)
             for method, triangle in triangles.items()
@@ -356,7 +355,7 @@ def check_theorem(family: Family, n_max: int) -> CheckResult:
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    scheme = SCHEMES[family]
+    scheme = FAMILIES[family].scheme
     bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})
     return CheckResult.over(
         f"theorems.{family.value}", bad, f"{scheme.description}, n = {scheme.min_n}..{n_max}"

@@ -46,7 +46,7 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping
 
 from .bases import BasisSpec, member_index
-from .coefficients import MIN_ROW, SCHEMES, Family, closed_value
+from .coefficients import FAMILIES, Family, closed_value
 from .errors import DomainError, IntegralityViolation
 from .poly import ONE, BivarPoly, Rational, _added, _canonical, _power, _var_string, combine_columns, pack, sum_of_products
 from .report import CheckResult
@@ -171,7 +171,7 @@ def _e_row(a_row: list[int], d_row: list[int], m: int) -> list[int]:
 
 
 def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (m, row of F_m) for m = MIN_ROW[family]..m_max, each row built from the one before."""
+    """Yield (m, row of F_m) for m from the family's ``start_row`` to m_max, each row built from the one before."""
     a = accumulate(repeat(2), _x_minus_e, initial=[1])
     b = accumulate(repeat(None), _e_minus_x, initial=[-1])
     d = accumulate(repeat(None), _e_minus_x, initial=[1, -2])
@@ -180,13 +180,14 @@ def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, list[int]]]
         Family.C: ([*(2 * c for c in b_m[:-2]), 2 * b_m[-2] - 1, 2 * b_m[-1] + 2] for b_m in islice(b, 1, None)),
         Family.E: (_e_row(a_m, d_m, m) for m, (a_m, d_m) in enumerate(zip(a, d), 1)),
     }[family]
-    return zip(range(MIN_ROW[family], m_max + 1), rows)
+    return zip(range(FAMILIES[family].start_row, m_max + 1), rows)
 
 
 def build_family(family: Family, m: int) -> OperatorPoly:
     """Construct one of the five operator families, fully expanded: the last row of ``family_orders``, wrapped."""
-    if m < MIN_ROW[family]:
-        raise DomainError(f"operator family {family.value.upper()} needs m >= {MIN_ROW[family]}, got {m}")
+    start = FAMILIES[family].start_row
+    if m < start:
+        raise DomainError(f"operator family {family.value.upper()} needs m >= {start}, got {m}")
     row = next(row for order, row in family_orders(family, m) if order == m)
     return OperatorPoly._of({(k, m - k, 0): c for k, c in enumerate(row) if c})
 
@@ -211,18 +212,18 @@ def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
 def check_relation(family: Family, n_max: int) -> CheckResult:
     """Verify one operator relation by exact application for every order.
 
-    The order-n operator's row acts on the sequence of vector 0 of the family's order-n basis (see
-    ``coefficients.SCHEMES``), based at that member's index: entry k weighs the coordinates of member base + k,
+    The order-n operator's row acts on the sequence of vector 0 of the family's order-n basis (its scheme's, in
+    ``coefficients.FAMILIES``), based at that member's index: entry k weighs the coordinates of member base + k,
     and as x^(n-k) keeps a canonical coordinate's place, the image is one ``combine_columns`` over the members.
     """
-    scheme = SCHEMES[family]
-    annihilates = family in (Family.B, Family.D)  # B_n and D_n send their sequence to 0
+    facts = FAMILIES[family]
+    scheme, annihilates, start = facts.scheme, facts.annihilates, facts.start_row
     letter, top = member_index(BasisSpec(scheme.basis, n_max), n_max)  # the last member read
     members = read_members(letter, range(top + 1))
     bad = []
-    for (n, row), target in zip(family_orders(family, n_max), scheme.targets(MIN_ROW[family], n_max)):
+    for (n, row), target in zip(family_orders(family, n_max), scheme.targets(start, n_max)):
         base = member_index(BasisSpec(scheme.basis, n), 0)[1]
         if combine_columns(members[base: base + len(row)], row) != ([0] * len(target) if annihilates else target) or (
                 annihilates and row[n] != closed_value(family, n, n)):  # a zero image hides the operator's sign
             bad.append(n)
-    return CheckResult.over(f"relations.{family.value}", bad, f"n = {MIN_ROW[family]}..{n_max}")
+    return CheckResult.over(f"relations.{family.value}", bad, f"n = {start}..{n_max}")

@@ -52,7 +52,7 @@ def checks(scope: str = "all") -> list[tuple[str, Check]]:
     A check's scope is the first dotted part of its name.  The imports are
     local because every module that defines checks imports this one.
     """
-    from .bases import EXPECTED_DETERMINANTS, check_determinant, check_determinant_cross
+    from .bases import BasisFamily, check_determinant, check_determinant_cross
     from .coefficients import Family, check_theorem
     from .operators import check_relation, check_shift_law
     from .sequences import (
@@ -65,8 +65,8 @@ def checks(scope: str = "all") -> list[tuple[str, Check]]:
     from .specializations import check_parity, check_recurrence, check_transfer
 
     registry: list[tuple[str, Check]] = [
-        *((f"lemma1.det.{b.value}", partial(check_determinant, b)) for b in EXPECTED_DETERMINANTS),
-        *((f"lemma1.det-cross.{b.value}", partial(check_determinant_cross, b)) for b in EXPECTED_DETERMINANTS),
+        *((f"lemma1.det.{b.value}", partial(check_determinant, b)) for b in BasisFamily),
+        *((f"lemma1.det-cross.{b.value}", partial(check_determinant_cross, b)) for b in BasisFamily),
         ("lemma2.v-from-u-pair", check_v_from_u_pair),
         ("lemma2.v-from-u-neighbors", check_v_from_u_neighbors),
         ("lemma2.alternating-v-sum", check_alternating_v_sum),

@@ -25,7 +25,7 @@ from operator import add
 from typing import NamedTuple
 
 from .bases import BasisSpec, member_index
-from .coefficients import SCHEMES, Family, closed_row
+from .coefficients import FAMILIES, Family, closed_row
 from .errors import DomainError
 from .poly import ONE, X, BivarPoly, Rational, combine_columns
 from .report import CheckResult
@@ -108,7 +108,7 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
     equals sum_k c_k 2^(n-k) x^(n-k) W_(i_k), with the closed-form coefficients c_k and the
     images W_(i_k) of the basis members taken from ``univariate_images``.
     """
-    scheme = SCHEMES[family]
+    scheme = FAMILIES[family].scheme
     doubling = scheme.doubling
     letters = {scheme.kind, member_index(BasisSpec(scheme.basis, scheme.min_n), 0)[0]}  # one letter for b and d
     images = {y0: {letter: univariate_images(letter, y0, 2 * n_max + 2) for letter in letters} for y0 in (1, -1)}

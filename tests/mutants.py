@@ -62,6 +62,11 @@ INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
 SECONDS = ["tests/test_cli.py", "-k", "without_their_seconds"]
 FIRST_ROW = ["tests/test_coefficients.py", "-k", "below_first_row"]
 SUM = ["tests/test_poly.py", "-k", "difference_of_squares or ring_axioms or canonical"]
+DOMAIN = ["tests/test_coefficients.py", "-k", "domains"]
+FACTS = [
+    "tests/test_records.py", "tests/test_bases.py", "tests/test_coefficients.py", "tests/test_operators.py", "-k",
+    "by_name or order_zero or determinant_values or oracle_rows or recurrence_rows or closed_rows or relations_pass",
+]
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the packed shift law: Horner's difference and the rows it reads, the sign of (-y)^j, its shift by j slots
@@ -131,13 +136,16 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (BASES, "if order > spec.n - 2:", "if order > spec.n - 1:", LEMMA1),
     (BASES, "if order > spec.n - 2:", "if order >= lowest:", LEMMA1),
     (BASES, "columns[0][:-1]]", "columns[0][1:]]", LEMMA1),
+    # the lemma 1 checks read orders 1..n_max of the chain, none at n_max 0
+    (BASES, "[1 - basis.lowest :]", "[-n_max:]", LEMMA1),
+    (BASES, "[1 - BASES[family].lowest :]", "[-n_max:]", LEMMA1),
     # the transfers: the images they build, the members they read, the 2^(n-k) scale, the x^(n-k) offset, the doubling
     # they take from the scheme, the images' V seed and y0 sign
     (SPECIALIZATIONS, "for letter in letters}", 'for letter in "UV"}', TRANSFER),
     (SPECIALIZATIONS, "image[letter][first + k]", "image[letter][first + k + 1]", TRANSFER),
     (SPECIALIZATIONS, "[c << (n - k) for k, c", "[c for k, c", TRANSFER),
     (SPECIALIZATIONS, "[[0] * (n - k) + image", "[image", TRANSFER),
-    (COEFFICIENTS, "return 2 if is_doubled(self.kind, self.basis) else 1", "return 1", TRANSFER),
+    (COEFFICIENTS, "return 2 if self.kind in BASES[self.basis].doubled else 1", "return 1", TRANSFER),
     (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', TRANSFER),
     (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", TRANSFER),
     # the closed forms of d and e stop at a non-integral value
@@ -149,7 +157,20 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the triangles' first-row guard, which the oracle runs before it reads its member window, and the oracle's first
     # row, which the CLI reads too
     (COEFFICIENTS, "if n_max < start:", "if False:", FIRST_ROW),
-    (COEFFICIENTS, 'return SCHEMES[family].min_n if method == "oracle" else MIN_ROW[family]', "return MIN_ROW[family]", FIRST_ROW),
+    (COEFFICIENTS, 'return facts.scheme.min_n if method == "oracle" else facts.start_row', "return facts.start_row", FIRST_ROW),
+    # closed_value is the closed forms' one domain check
+    (COEFFICIENTS, "0 <= k < facts.row_length(n)", "0 <= k <= facts.row_length(n)", DOMAIN),
+    # the fact records: a basis's offset, lowest order, determinant and doubled sequences, a family's first row, row
+    # length, annihilation and read of the a rows, and a decision on a family by name in place of its record
+    (BASES, 'BasisFacts("U", 1, 0, 1, ())', 'BasisFacts("U", 0, 0, 1, ())', FACTS),
+    (BASES, 'BasisFacts("V", -1, 1, 2, ("U", "V"))', 'BasisFacts("V", -1, 0, 2, ("U", "V"))', FACTS),
+    (BASES, 'BasisFacts("V", 0, 0, 2, ("U",))', 'BasisFacts("V", 0, 0, 1, ("U",))', FACTS),
+    (BASES, 'BasisFacts("V", -1, 1, 2, ("U", "V"))', 'BasisFacts("V", -1, 1, 2, ("U",))', FACTS),
+    (COEFFICIENTS, "1, lambda n: n + 1, c_closed,", "0, lambda n: n + 1, c_closed,", FACTS),
+    (COEFFICIENTS, "1, lambda n: n, e_closed,", "1, lambda n: n + 1, e_closed,", FACTS),
+    (COEFFICIENTS, "b_closed, annihilates=True", "b_closed, annihilates=False", FACTS),
+    (COEFFICIENTS, "reads_a=True", "reads_a=False", FACTS),
+    (COEFFICIENTS, "if facts.reads_a else ()", "if family is Family.E else ()", FACTS),
     # the theorems read the three-way comparison
     (COEFFICIENTS, "bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})", "bad = []", THEOREMS),
     # a check result's run time is left out of its equality, inequality and hash

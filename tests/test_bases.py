@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bifib import bases
 from bifib.bases import (
+    BASES,
     BasisFamily,
     BasisSpec,
     EXPECTED_DETERMINANTS,
@@ -19,7 +20,6 @@ from bifib.bases import (
     coordinate_matrix,
     decompose,
     det_by_column_reduction,
-    lowest_order,
     pairing,
 )
 from bifib.coefficients import Family, oracle_triangle
@@ -51,7 +51,7 @@ def test_bvstar_order_one():
 
 
 def test_order_zero_edge_cases():
-    assert [lowest_order(family) for family in BasisFamily] == [0, 0, 1, 1]
+    assert [BASES[family].lowest for family in BasisFamily] == [0, 0, 1, 1]
     assert build_basis(BasisSpec(BasisFamily.BU, 0)) == [u_poly(1)]
     assert build_basis(BasisSpec(BasisFamily.BV, 0)) == [v_poly(0)]
     for family in (BasisFamily.BU_STAR, BasisFamily.BV_STAR):
@@ -226,8 +226,8 @@ def test_column_reduction_agrees_with_elimination():
     # one chain from order 12 gives the determinant of every order from the lowest up
     for family in SEQUENCE_BASES:
         chain = det_by_column_reduction(BasisSpec(family, 12))
-        assert len(chain) == 13 - lowest_order(family)
-        for n, det in enumerate(chain, lowest_order(family)):
+        assert len(chain) == 13 - BASES[family].lowest
+        for n, det in enumerate(chain, BASES[family].lowest):
             assert det == coordinate_matrix(BasisSpec(family, n)).det()
 
 
@@ -272,7 +272,7 @@ def test_column_reduction_rejects_a_corrupted_basis(monkeypatch, k, plant, error
 def full_reduction_chain(spec):
     """The reference chain: every column differenced and checked at every order, all columns compared at order
     n - 1 and column 0 below; the chain under test carries two columns below order n - 2."""
-    lowest, degree = lowest_order(spec.family), ambient_degree(spec)
+    lowest, degree = BASES[spec.family].lowest, ambient_degree(spec)
     letter, first = bases.member_index(BasisSpec(spec.family, lowest), 0)
     members = bases.member_window(spec)
     columns = [v.canonical_coordinates(degree) for v in build_basis(spec)]
@@ -306,7 +306,7 @@ def test_column_reduction_matches_the_full_chain_on_planted_members(monkeypatch,
     assert all(
         chain_outcome(det_by_column_reduction, BasisSpec(family, n)) == full_reduction_chain(BasisSpec(family, n))
         for family in SEQUENCE_BASES
-        for n in range(lowest_order(family), 15)
+        for n in range(BASES[family].lowest, 15)
     )
     raised = 0
     for letter in "UV":
@@ -314,7 +314,7 @@ def test_column_reduction_matches_the_full_chain_on_planted_members(monkeypatch,
             for in_family in (False, True):
                 corrupt_member(letter, index, in_family)
                 for family in SEQUENCE_BASES:
-                    for n in range(lowest_order(family), 15):
+                    for n in range(BASES[family].lowest, 15):
                         spec = BasisSpec(family, n)
                         outcome = chain_outcome(det_by_column_reduction, spec)
                         assert outcome == chain_outcome(full_reduction_chain, spec), (letter, index, in_family, spec)
@@ -335,7 +335,7 @@ def test_column_reduction_costs_quadratic_element_operations(monkeypatch):
         return len(calls)
 
     for family in SEQUENCE_BASES:
-        lowest = lowest_order(family)
+        lowest = BASES[family].lowest
         counts = {}
         for n in (40, 80):
             sizes = [order - lowest + 1 for order in range(lowest + 1, n + 1)]
@@ -376,6 +376,18 @@ def test_check_determinants_report():
     }
 
 
+@pytest.mark.parametrize("family", [BasisFamily.BU, BasisFamily.BV], ids=lambda family: family.value)
+def test_lemma1_checks_at_n_max_0_read_no_order(monkeypatch, family):
+    # orders 1..0 are none: the chain's order 0 is neither checked nor compared with the order-1 elimination
+    def forbidden(spec):
+        raise AssertionError(f"det-cross eliminated the order-{spec.n} matrix")
+
+    monkeypatch.setattr(bases, "coordinate_matrix", forbidden)
+    assert bases.check_determinant_cross(family, 0).passed
+    monkeypatch.setattr(bases, "det_by_column_reduction", lambda spec: [99])  # a wrong order 0
+    assert bases.check_determinant(family, 0).passed
+
+
 def test_lemma1_runs_one_chain_per_check_and_one_elimination_per_order(monkeypatch):
     chain, det, calls = bases.det_by_column_reduction, RationalMatrix.det, []
 
@@ -398,7 +410,7 @@ def test_lemma1_checks_read_the_chain_order_by_order(monkeypatch):
 
     def planted(spec):  # a wrong determinant at order 3 only
         dets = chain(spec)
-        dets[3 - lowest_order(spec.family)] += 1
+        dets[3 - BASES[spec.family].lowest] += 1
         return dets
 
     monkeypatch.setattr(bases, "det_by_column_reduction", planted)
@@ -522,7 +534,7 @@ def test_a_warm_oracle_still_meets_a_corrupted_member(corrupt_member):
 def test_peel_solve_matches_bareiss(family):
     rng = random.Random(17)
     fractional = 0
-    for n in range(lowest_order(family), 16):
+    for n in range(BASES[family].lowest, 16):
         spec = BasisSpec(family, n)
         degree = ambient_degree(spec)
         matrix = coordinate_matrix(spec)
@@ -539,8 +551,8 @@ def test_peel_solve_matches_bareiss(family):
             assert [type(c) for c in peeled] == [type(c) for c in reference], (spec, rhs)
             fractional += any(isinstance(c, Fraction) for c in reference)
     # at least the Fraction target and each member that pairs with this basis only doubled, at every order
-    doubled = sum(basis is family for _, basis in bases._DOUBLED)
-    assert fractional >= (16 - lowest_order(family)) * (1 + doubled)
+    doubled = len(BASES[family].doubled)
+    assert fractional >= (16 - BASES[family].lowest) * (1 + doubled)
 
 
 def test_decompose_rejects_foreign_monomials():

@@ -7,10 +7,9 @@ import pytest
 from bifib import bases, coefficients, operators, specializations
 from bifib.bases import BasisFamily, BasisSpec, RationalMatrix
 from bifib.coefficients import (
-    SCHEMES,
+    FAMILIES,
     CoeffTriangle,
     Family,
-    MIN_ROW,
     a_closed,
     b_closed,
     c_closed,
@@ -72,6 +71,11 @@ E_TABLE = [
 ]
 
 
+def plant(monkeypatch, family, **facts):
+    """Replace fields of one family's record in ``FAMILIES`` for the rest of the test."""
+    monkeypatch.setitem(FAMILIES, family, FAMILIES[family]._replace(**facts))
+
+
 # -- closed-form spot values -----------------------------------------------------
 
 
@@ -122,18 +126,21 @@ def test_e_closed_values(n, k, expected):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: a_closed(-1, 0),
-        lambda: a_closed(2, 3),
-        lambda: b_closed(3, -1),
-        lambda: c_closed(0, 0),
-        lambda: d_closed(0, 0),
-        lambda: e_closed(3, 3),
-        lambda: e_closed(0, 0),
+        lambda: (Family.A, -1, 0),
+        lambda: (Family.A, 2, 3),
+        lambda: (Family.B, 3, -1),
+        lambda: (Family.C, 0, 0),
+        lambda: (Family.D, 0, 0),
+        lambda: (Family.E, 3, 3),
+        lambda: (Family.E, 0, 0),
     ],
 )
 def test_domains_raise_index_error(call):
-    with pytest.raises(IndexError):
-        call()
+    # closed_value is the one domain check: the five closed forms it reads check nothing themselves
+    family, n, k = call()
+    with pytest.raises(IndexError) as raised:
+        closed_value(family, n, k)
+    assert str(raised.value) == f"({n}, {k}) outside the domain of family {family.value}"
 
 
 def test_a_non_integral_closed_value_is_named_with_its_exact_value(monkeypatch):
@@ -187,7 +194,7 @@ def test_closed_matches_recurrence_up_to_40():
     # The short triangles are the seed row alone and e at n_max 1 and 2, which reads
     # no row or one row of the a recurrence.
     for family in Family:
-        for n_max in [*range(MIN_ROW[family], 7), 40]:
+        for n_max in [*range(FAMILIES[family].start_row, 7), 40]:
             assert closed_triangle(family, n_max).rows == recurrence_triangle(family, n_max).rows, (family, n_max)
 
 
@@ -200,7 +207,7 @@ def test_recurrence_route_reads_neither_closed_forms_nor_the_oracle(monkeypatch)
     monkeypatch.setattr(coefficients, "comb", forbidden)
     monkeypatch.setattr(coefficients, "_checked_solve", forbidden)
     for family in Family:
-        monkeypatch.setitem(coefficients._CLOSED, family, forbidden)
+        plant(monkeypatch, family, closed=forbidden)
     for route in (closed_triangle, oracle_triangle):
         with pytest.raises(AssertionError, match="another route"):
             route(Family.E, 2)
@@ -214,15 +221,14 @@ def test_oracle_route_reads_neither_closed_forms_nor_recurrences_nor_bareiss(mon
     def forbidden(*args):
         raise AssertionError("the oracle route called another route")
 
-    class ForbiddenRules(dict):
-        def __getitem__(self, family):
+    class ForbiddenRule:
+        def __iter__(self):
             forbidden()
 
     monkeypatch.setattr(coefficients, "comb", forbidden)
-    monkeypatch.setattr(coefficients, "_RULES", ForbiddenRules())
     monkeypatch.setattr(RationalMatrix, "solve", forbidden)
     for family in Family:
-        monkeypatch.setitem(coefficients._CLOSED, family, forbidden)
+        plant(monkeypatch, family, closed=forbidden, rule=ForbiddenRule())
     for route in (closed_triangle, recurrence_triangle):
         with pytest.raises(AssertionError, match="another route"):
             route(Family.E, 2)
@@ -306,9 +312,7 @@ def test_cross_check_with_oracle_passes():
 
 def test_cross_check_lists_every_planted_mismatch(monkeypatch):
     planted = {(4, 3), (5, 5), (7, 0)}  # (5, 5) is a k = n seed, which the oracle does not produce
-    monkeypatch.setitem(
-        coefficients._CLOSED, Family.D, lambda n, k: d_closed(n, k) + ((n, k) in planted)
-    )
+    plant(monkeypatch, Family.D, closed=lambda n, k: d_closed(n, k) + ((n, k) in planted))
     report = cross_check(Family.D, 8)
     assert [(m.n, m.k) for m in report.mismatches] == sorted(planted)
     assert report.mismatches[0].values == {"closed": 8, "recurrence": 7, "oracle": 7}
@@ -327,7 +331,7 @@ def test_pairing_gives_each_scheme_its_target():
         Family.E: (u_poly, 0, 2, BasisFamily.BV_STAR, 1, "2*U[2n] over BVstar"),
     }
     for family, (member, shift, doubling, basis, min_n, description) in paper.items():
-        scheme = SCHEMES[family]
+        scheme = FAMILIES[family].scheme
         assert (scheme.basis, scheme.min_n, scheme.doubling, scheme.description) == (basis, min_n, doubling, description)
         assert [scheme.member(n) for n in range(min_n, 9)] == [2 * n + shift for n in range(min_n, 9)]
         # the target of row n, of weight 2n - min_n, read off term by term
@@ -344,7 +348,7 @@ def test_only_the_schemes_read_the_doubling():
     owner."""
     for module in (operators, specializations):
         source = Path(module.__file__).read_text()
-        assert "is_doubled" not in source and "scheme.shift" not in source, module.__name__
+        assert [name for name in ("BASES", ".doubled", "scheme.shift") if name in source] == [], module.__name__
 
 
 def test_theorem_checks_pass():
@@ -356,8 +360,8 @@ def test_theorem_checks_pass():
 
 @pytest.mark.parametrize("family", list(Family))
 def test_theorem_check_fails_at_the_first_row_a_planted_rule_changes(monkeypatch, family):
-    seed, first, sign, extra = coefficients._RULES[family]
-    monkeypatch.setitem(coefficients._RULES, family, (seed, lambda n: first(n) + (n == 6), sign, extra))
+    seed, first, sign, extra = FAMILIES[family].rule
+    plant(monkeypatch, family, rule=(seed, lambda n: first(n) + (n == 6), sign, extra))
     assert check_theorem(family, 8).detail == "fails at n = 6, 7, 8"
 
 
@@ -438,7 +442,7 @@ def test_triangle_is_frozen():
 
 
 def test_min_row_map():
-    assert MIN_ROW == {
+    assert {family: facts.start_row for family, facts in FAMILIES.items()} == {
         Family.A: 0,
         Family.B: 0,
         Family.C: 1,

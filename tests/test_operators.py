@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bifib import operators as operators_module
 from bifib import sequences as sequences_module
-from bifib.coefficients import MIN_ROW, Family, closed_value
+from bifib.coefficients import FAMILIES, Family, closed_value
 from bifib.errors import DomainError, IntegralityViolation
 from bifib.operators import OperatorPoly, build_family, check_shift_law, family_orders, slot_width
 from bifib.poly import BivarPoly, ONE, X, Y, ZERO, combine_columns
@@ -222,7 +222,7 @@ def test_family_orders_match_their_defining_formulas():
     }
     for family, definition in defined.items():
         orders = [m for m, _ in family_orders(family, 12)]
-        assert orders == list(range(MIN_ROW[family], 13)), family
+        assert orders == list(range(FAMILIES[family].start_row, 13)), family
         for m in orders:
             assert build_family(family, m) == definition(m), (family, m)
 

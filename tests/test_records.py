@@ -1,12 +1,16 @@
-"""The result records: immutable named tuples, and a cold import that loads no ``dataclasses``."""
+"""The records: immutable named tuples, a cold import that loads no ``dataclasses``, and one fact record per family
+and per basis that no module bypasses."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from bifib.bases import BasisFamily, BasisSpec, decompose
-from bifib.coefficients import SCHEMES, Family, MethodMismatch, cross_check
+import bifib
+from bifib.bases import BASES, BasisFamily, BasisSpec, decompose
+from bifib.coefficients import FAMILIES, Family, MethodMismatch, cross_check
 from bifib.report import CheckResult
 from bifib.sequences import u_poly
 from bifib.specializations import CHEBYSHEV_T
@@ -26,7 +30,9 @@ def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
     [
         BasisSpec(BasisFamily.BU, 3),
         decompose(u_poly(5), BasisSpec(BasisFamily.BU, 2)),
-        SCHEMES[Family.A],
+        FAMILIES[Family.A].scheme,
+        FAMILIES[Family.A],
+        BASES[BasisFamily.BV],
         MethodMismatch(2, 1, {"closed": 3, "recurrence": 4}),
         cross_check(Family.B, 3),
         CheckResult("lemma1.det.BU", True, "det = 1"),
@@ -41,3 +47,54 @@ def test_records_are_frozen(record):
 
 def test_basis_spec_repr_is_pinned():
     assert repr(BasisSpec(BasisFamily.BU, 3)) == "BasisSpec(family=<BasisFamily.BU: 'BU'>, n=3)"
+
+
+def _names_a_member(node):
+    """Whether ``node`` is ``Family.<X>`` or ``BasisFamily.<X>``."""
+    owner = node.value if isinstance(node, ast.Attribute) else None
+    return isinstance(owner, ast.Name) and owner.id in {"Family", "BasisFamily"}
+
+
+def decisions_by_name(source, module):
+    """Where ``source`` decides on a family or a basis by name: ``is``, ``==`` or ``!=`` with a ``Family`` or
+    ``BasisFamily`` member, membership in a tuple, list or set of them, or a dict literal keyed by them other than
+    the ``FAMILIES`` and ``BASES`` tables and the operator rows of ``operators.family_orders``."""
+    tree = ast.parse(source)
+    tables = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Name) and target.id in ("FAMILIES", "BASES") for target in targets):
+                tables.add(node.value)
+        if module == "operators" and isinstance(node, ast.FunctionDef) and node.name == "family_orders":
+            tables.update(inner for inner in ast.walk(node) if isinstance(inner, ast.Dict))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            compared = any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops) and any(
+                map(_names_a_member, operands))
+            contained = any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops) and any(
+                isinstance(operand, (ast.Tuple, ast.List, ast.Set)) and any(map(_names_a_member, operand.elts))
+                for operand in operands)
+            if compared or contained:
+                found.append(f"{module}:{node.lineno}")
+        elif isinstance(node, ast.Dict) and node not in tables and any(map(_names_a_member, node.keys)):
+            found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_no_module_decides_on_a_family_or_a_basis_by_name():
+    """A family's or a basis's facts live in its record in ``FAMILIES`` or ``BASES``, so changing one is one edit."""
+    planted = {
+        "def f(family):\n    return family is Family.E\n": ["planted:2"],
+        "def f(family):\n    return family == Family.E or family != Family.A\n": ["planted:2", "planted:2"],
+        "def f(b):\n    return b in (BasisFamily.BU_STAR, BasisFamily.BV_STAR)\n": ["planted:2"],
+        "ROWS = {Family.A: 0, Family.B: 0}\nFAMILIES = {Family.A: 0}\n": ["planted:1"],
+        "def family_orders():\n    return {Family.A: 0}\n": ["planted:2"],  # allowed in operators only
+    }
+    for source, expected in planted.items():
+        assert decisions_by_name(source, "planted") == expected, source
+    sources = sorted(Path(bifib.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    assert [where for path in sources for where in decisions_by_name(path.read_text(), path.stem)] == []

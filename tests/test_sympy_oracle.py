@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from bifib.bases import BasisFamily, BasisSpec, RationalMatrix, coordinate_matrix, lowest_order  # noqa: E402
+from bifib.bases import BASES, BasisFamily, BasisSpec, RationalMatrix, coordinate_matrix  # noqa: E402
 from bifib.errors import SingularMatrixError  # noqa: E402
 from bifib.poly import BivarPoly  # noqa: E402
 from bifib.sequences import u_poly, v_poly  # noqa: E402
@@ -123,7 +123,7 @@ def test_det_and_solve_match_sympy_on_a_forced_swap_and_a_singular_matrix():
 @pytest.mark.parametrize("family", list(BasisFamily), ids=lambda f: f.value)
 def test_coordinate_matrices_match_sympy_to_n_20(family):
     rng = random.Random(20)
-    for n in range(lowest_order(family), 21):
+    for n in range(BASES[family].lowest, 21):
         rows = coordinate_matrix(BasisSpec(family, n)).row_list()
         assert not compare_with_sympy(rows, [rng.randint(-9, 9) for _ in rows])
 
