@@ -54,9 +54,6 @@ from .sequences import (
     v_poly_closed,
 )
 from .specializations import (
-    CHEBYSHEV_T,
-    CHEBYSHEV_U,
-    SpecializationRule,
     chebyshev_t,
     chebyshev_u,
     evaluate_numbers,
@@ -69,8 +66,6 @@ __all__ = [
     "BasisSpec",
     "BifibError",
     "BivarPoly",
-    "CHEBYSHEV_T",
-    "CHEBYSHEV_U",
     "CheckResult",
     "CoeffTriangle",
     "CrossCheckReport",
@@ -87,7 +82,6 @@ __all__ = [
     "SequenceCache",
     "SequenceKind",
     "SingularMatrixError",
-    "SpecializationRule",
     "X",
     "Y",
     "ZERO",

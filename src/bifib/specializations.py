@@ -8,10 +8,12 @@ polynomials (seeds 1, 2x).  The second variable must map to -1, not +1:
 with +1 the recurrence's minus sign is lost, which is exactly what
 ``check_recurrence`` pins down.
 
-``check_transfer`` checks each decomposition identity on its univariate images
-under (x, y) -> (2x, y0): Chebyshev at y0 = -1 (U_i -> U_(i-1), V_i -> 2T_i),
-Pell and Pell-Lucas type at y0 = +1.  They come from their own recurrence, not
-from the bivariate members; ``check_recurrence`` ties the two routes together.
+``univariate_images`` states that recurrence once, from the seeds in ``_SEEDS``:
+the images of U and V under (x, y) -> (2x, y0), Chebyshev at y0 = -1
+(U_i -> U_(i-1), V_i -> 2T_i), Pell and Pell-Lucas type at y0 = +1, built
+without reading a bivariate member.  ``check_transfer`` checks each
+decomposition identity on those images, and ``check_recurrence`` compares the
+substituted bivariate members with them, which ties the two routes together.
 
 ``evaluate_numbers`` specialises the sequences at integer points instead:
 (1, 1) yields the Fibonacci and Lucas numbers, (1, 2) the Jacobsthal-type
@@ -22,44 +24,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import NamedTuple
 
 from .bases import BasisSpec, member_index
 from .coefficients import FAMILIES, Family, closed_row
 from .errors import DomainError
-from .poly import ONE, X, BivarPoly, Rational, combine_columns
+from .poly import X, BivarPoly, combine_columns
 from .report import CheckResult
 from .sequences import SequenceKind, u_poly, v_poly
-
-
-class SpecializationRule(NamedTuple):
-    """A named substitution (x, y) -> (x_image, y_image) with a final scaling."""
-
-    name: str
-    x_image: BivarPoly
-    y_image: BivarPoly
-    post_scale: Rational
-
-    def apply(self, poly: BivarPoly) -> BivarPoly:
-        return poly.substitute(self.x_image, self.y_image).scale(self.post_scale)
-
-
-CHEBYSHEV_T = SpecializationRule("chebyshev-T", X * 2, BivarPoly.constant(-1), Fraction(1, 2))
-CHEBYSHEV_U = SpecializationRule("chebyshev-U", X * 2, BivarPoly.constant(-1), 1)
 
 
 def chebyshev_t(n: int) -> BivarPoly:
     """First-kind Chebyshev polynomial T_n as half the V_n image."""
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    return CHEBYSHEV_T.apply(v_poly(n))
+    return v_poly(n).substitute(X * 2, -1).scale(Fraction(1, 2))
 
 
 def chebyshev_u(n: int) -> BivarPoly:
     """Second-kind Chebyshev polynomial U_n as the image of U_{n+1}."""
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    return CHEBYSHEV_U.apply(u_poly(n + 1))
+    return u_poly(n + 1).substitute(X * 2, -1)
 
 
 def evaluate_numbers(kind: SequenceKind, n: int, x0: int, y0: int) -> int:
@@ -77,13 +62,16 @@ def evaluate_numbers(kind: SequenceKind, n: int, x0: int, y0: int) -> int:
 
 
 def check_recurrence(kind: str, n_max: int) -> CheckResult:
-    """Chebyshev T_n or U_n (``kind`` "T" or "U"): its seeds and recurrence, satisfied exactly."""
-    member, seeds = (chebyshev_t, (ONE, X)) if kind == "T" else (chebyshev_u, (ONE, X * 2))
-    values = [member(n) for n in range(n_max + 1)]
+    """Chebyshev T_n or U_n (``kind`` "T" or "U") against the y0 = -1 images of ``univariate_images``, n = 0..n_max.
+
+    2 T_n must equal the V image n and U_n the U image n + 1, exactly: the member is doubled, the image never halved.
+    """
+    member, letter, doubling, shift = (chebyshev_t, "V", 2, 0) if kind == "T" else (chebyshev_u, "U", 1, 1)
+    images = univariate_images(letter, -1, n_max + 1 + shift)
     bad = [
         n
         for n in range(n_max + 1)
-        if values[n] != (seeds[n] if n < 2 else 2 * X * values[n - 1] - values[n - 2])
+        if member(n).scale(doubling) != BivarPoly(((e, 0), c) for e, c in enumerate(images[n + shift]))
     ]
     return CheckResult.over(f"chebyshev.recurrence-{kind}", bad, f"seeds and recurrence, n = 0..{n_max}")
 

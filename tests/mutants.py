@@ -57,6 +57,10 @@ COORDINATES = ["tests/test_poly.py", "-k", "coordinates"]
 DECOMPOSE = ["tests/test_bases.py", "-k", "peel or residual or decompos"]
 LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
 TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
+# verify's own chebyshev checks, through the CLI and on their own, without the unit tests of the images
+RECURRENCE = ["tests/test_cli.py", "tests/test_specializations.py", "-k", "verify_scopes and chebyshev or remark_checks"]
+# the sympy oracle of the chebyshev scope, whose reference reads no bifib code
+SYMPY = ["tests/test_sympy_oracle.py", "-k", "univariate_images"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
 INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
 SECONDS = ["tests/test_cli.py", "-k", "without_their_seconds"]
@@ -148,6 +152,18 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (COEFFICIENTS, "return 2 if self.kind in BASES[self.basis].doubled else 1", "return 1", TRANSFER),
     (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', TRANSFER),
     (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", TRANSFER),
+    # the recurrence checks compare the substituted members with the images: the images' y0 sign and seeds, the U
+    # member's index shift and T's doubling as the check reads them, and the substitution and halving behind the members
+    (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", RECURRENCE),
+    (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', RECURRENCE),
+    (SPECIALIZATIONS, '"U": ((0,), (1,))', '"U": ((0,), (2,))', RECURRENCE),
+    (SPECIALIZATIONS, '(chebyshev_u, "U", 1, 1)', '(chebyshev_u, "U", 1, 0)', RECURRENCE),
+    (SPECIALIZATIONS, '(chebyshev_t, "V", 2, 0)', '(chebyshev_t, "V", 1, 0)', RECURRENCE),
+    (SPECIALIZATIONS, "return u_poly(n + 1).substitute", "return u_poly(n).substitute", RECURRENCE),
+    (SPECIALIZATIONS, "return v_poly(n).substitute(X * 2, -1)", "return v_poly(n).substitute(X * 2, 1)", RECURRENCE),
+    (SPECIALIZATIONS, ".scale(Fraction(1, 2))", ".scale(1)", RECURRENCE),
+    (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", SYMPY),
+    (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', SYMPY),
     # the closed forms of d and e stop at a non-integral value
     (COEFFICIENTS, "if remainder:", "if False:", INTEGRALITY),
     (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),

@@ -13,7 +13,6 @@ from bifib.bases import BASES, BasisFamily, BasisSpec, decompose
 from bifib.coefficients import FAMILIES, Family, MethodMismatch, cross_check
 from bifib.report import CheckResult
 from bifib.sequences import u_poly
-from bifib.specializations import CHEBYSHEV_T
 
 
 def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
@@ -36,7 +35,6 @@ def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
         MethodMismatch(2, 1, {"closed": 3, "recurrence": 4}),
         cross_check(Family.B, 3),
         CheckResult("lemma1.det.BU", True, "det = 1"),
-        CHEBYSHEV_T,
     ],
     ids=lambda record: type(record).__name__,
 )

@@ -8,12 +8,9 @@ from bifib.bases import BasisFamily, BasisSpec
 from bifib.coefficients import Family
 from bifib.errors import DomainError
 from bifib.poly import BivarPoly, ONE, X
-from bifib.report import all_passed
+from bifib.report import all_passed, run_checks
 from bifib.sequences import SHARED_CACHES, SequenceCache, SequenceKind, u_poly, v_poly
 from bifib.specializations import (
-    CHEBYSHEV_T,
-    CHEBYSHEV_U,
-    SpecializationRule,
     check_parity,
     check_recurrence,
     check_transfer,
@@ -94,11 +91,19 @@ def test_parity():
     assert check_parity(40).passed
 
 
-def test_rules_are_reusable():
-    assert CHEBYSHEV_T.apply(v_poly(4)) == chebyshev_t(4)
-    assert CHEBYSHEV_U.apply(u_poly(5)) == chebyshev_u(4)
-    doubling = SpecializationRule("double-x", X * 2, BivarPoly.monomial(0, 1), Fraction(1))
-    assert doubling.apply(X) == univariate((1, 2))
+def test_a_flipped_y0_sign_in_the_images_fails_the_recurrence_checks(monkeypatch):
+    # with y0 = +1 in place of -1 the images lose the recurrence's minus sign: 2 T_2 = 4x^2 - 2 against the V image
+    # 4x^2 + 2, U_2 = 4x^2 - 1 against the U image 4x^2 + 1.  The transfers run at both signs, so they still pass.
+    images = univariate_images
+    monkeypatch.setattr(specializations, "univariate_images", lambda letter, y0, count: images(letter, -y0, count))
+    results = {result.name: result for result in run_checks("chebyshev", 12)}
+    assert len(results) == 8
+    assert {name for name, result in results.items() if not result.passed} == {
+        "chebyshev.recurrence-T",
+        "chebyshev.recurrence-U",
+    }
+    assert results["chebyshev.recurrence-T"].detail == "fails at n = 2, 3, 4, 5, 6"
+    assert results["chebyshev.recurrence-U"].detail == "fails at n = 2, 3, 4, 5, 6"
 
 
 # -- identity transfer ----------------------------------------------------------------
@@ -165,11 +170,11 @@ def test_the_transfer_builds_only_the_images_it_reads(monkeypatch):
 )
 def test_a_wrong_member_fails_the_recurrence_not_the_transfer(corrupt_member, family, letter, in_family):
     # W_7 of the letter the family's basis is built from.  V_7 is T_7's image and U_7 is
-    # U_6's: the recurrence fails at that index and at the next two, which read it.  The
-    # transfer reads no bivariate member, so the family's transfer still passes.
+    # U_6's: the recurrence compares each member with its own univariate image, so it fails
+    # at that index alone.  The transfer reads no bivariate member, so it still passes.
     corrupt_member(letter, 7, in_family)
     kind, first = ("T", 7) if letter == "V" else ("U", 6)
-    assert check_recurrence(kind, 12).detail == f"fails at n = {first}, {first + 1}, {first + 2}"
+    assert check_recurrence(kind, 12).detail == f"fails at n = {first}"
     assert check_recurrence("U" if kind == "T" else "T", 12).passed
     assert check_transfer(family, 12).passed
 

@@ -2,8 +2,10 @@
 
 Polynomial arithmetic, substitution and evaluation are compared with
 ``sympy.Poly``; determinants and solves with ``sympy.Matrix``; the Chebyshev
-specializations with ``sympy.chebyshevt``/``chebyshevu``; and U_n(1, 1),
-V_n(1, 1) with the Fibonacci and Lucas numbers.  The module is skipped when
+specializations and the univariate images at y0 = -1 with
+``sympy.chebyshevt``/``chebyshevu``, and the images at y0 = +1 with a Pell and
+Pell-Lucas recurrence stated here in sympy; and U_n(1, 1), V_n(1, 1) with the
+Fibonacci and Lucas numbers.  The module is skipped when
 sympy is not installed.
 """
 
@@ -22,7 +24,7 @@ from bifib.bases import BASES, BasisFamily, BasisSpec, RationalMatrix, coordinat
 from bifib.errors import SingularMatrixError  # noqa: E402
 from bifib.poly import BivarPoly  # noqa: E402
 from bifib.sequences import u_poly, v_poly  # noqa: E402
-from bifib.specializations import chebyshev_t, chebyshev_u  # noqa: E402
+from bifib.specializations import chebyshev_t, chebyshev_u, univariate_images  # noqa: E402
 
 x, y = sympy.symbols("x y")
 
@@ -135,6 +137,26 @@ def test_chebyshev_polynomials_match_sympy_to_n_40():
     for n in range(41):
         assert as_poly(chebyshev_t(n)) == sympy.Poly(sympy.chebyshevt(n, x), x, y, domain=sympy.QQ)
         assert as_poly(chebyshev_u(n)) == sympy.Poly(sympy.chebyshevu(n, x), x, y, domain=sympy.QQ)
+
+
+def test_univariate_images_match_sympy_chebyshev_and_pell_to_n_40():
+    # y0 = -1: V_n -> 2 T_n and U_n -> U_(n-1) of the second kind, U_0 -> 0.  y0 = +1: the Pell and Pell-Lucas
+    # polynomials, P_i = 2x P_(i-1) + P_(i-2) from P_0 = 0, P_1 = 1 and Q_0 = 2, Q_1 = 2x.
+    pell = {"U": [sympy.Integer(0), sympy.Integer(1)], "V": [sympy.Integer(2), 2 * x]}
+    for terms in pell.values():
+        while len(terms) < 41:
+            terms.append(sympy.expand(2 * x * terms[-1] + terms[-2]))
+    chebyshev = {
+        "U": [sympy.Integer(0), *(sympy.chebyshevu(n, x) for n in range(40))],
+        "V": [2 * sympy.chebyshevt(n, x) for n in range(41)],
+    }
+    for y0, reference in ((-1, chebyshev), (1, pell)):
+        for letter in "UV":
+            images = univariate_images(letter, y0, 41)
+            assert len(images) == 41
+            for n, (image, expected) in enumerate(zip(images, reference[letter])):
+                got = sympy.Poly.from_list(image[::-1], x, domain=sympy.ZZ)
+                assert got == sympy.Poly(expected, x, domain=sympy.ZZ), (letter, y0, n)
 
 
 def test_u_and_v_at_one_one_are_the_fibonacci_and_lucas_numbers_to_n_40():
