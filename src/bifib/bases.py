@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, SingularMatrixError
 from .poly import BivarPoly, Rational, as_rational, combine_columns, sum_of_products
-from .report import CheckResult
+from .report import CheckResult, require_n_max
 from .sequences import SHARED_CACHES, member_coordinates, member_weight, read_members
 
 
@@ -375,6 +375,7 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
 
 def check_determinant(family: BasisFamily, n_max: int) -> CheckResult:
     """The column-reduction chain's determinants for orders 1..n_max against the known value."""
+    require_n_max(n_max)
     basis = BASES[family]
     chain = det_by_column_reduction(BasisSpec(family, n_max))[1 - basis.lowest :]  # orders 1..n_max
     bad = [n for n, det in enumerate(chain, 1) if det != basis.determinant]
@@ -383,6 +384,7 @@ def check_determinant(family: BasisFamily, n_max: int) -> CheckResult:
 
 def check_determinant_cross(family: BasisFamily, n_max: int) -> CheckResult:
     """The column-reduction chain and Bareiss give the same determinant for orders 1..n_max."""
+    require_n_max(n_max)
     chain = det_by_column_reduction(BasisSpec(family, n_max))[1 - BASES[family].lowest :]  # orders 1..n_max
     bad = [n for n, det in enumerate(chain, 1) if det != coordinate_matrix(BasisSpec(family, n)).det()]
     return CheckResult.over(f"lemma1.det-cross.{family.value}", bad, f"matches Bareiss for n = 1..{n_max}")

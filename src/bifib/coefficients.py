@@ -48,8 +48,8 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .bases import BASES, BasisFamily, BasisSpec, _checked_solve, member_window
-from .errors import DomainError, IntegralityViolation
-from .report import CheckResult
+from .errors import IntegralityViolation
+from .report import CheckResult, require_n_max
 from .sequences import read_members
 
 
@@ -353,8 +353,7 @@ def check_theorem(family: Family, n_max: int) -> CheckResult:
     The oracle row passed ``decompose``'s exact residual check, so agreeing with it proves the
     closed-form coefficients rebuild the target over the basis.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    require_n_max(n_max)
     scheme = FAMILIES[family].scheme
     bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})
     return CheckResult.over(

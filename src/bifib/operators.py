@@ -2,10 +2,10 @@
 
 E sends a sequence (W_n) to (W_{n+1}), so an operator sum_k p_k E^k applied at index n evaluates
 to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y] and commute with E, making the operator ring
-a plain commutative polynomial ring over the coefficient ring.  An operator is one flat term map
-{(k, x_exp, y_exp): coeff}, so a product is one accumulation over term pairs and only ``apply``
-calls ``poly.sum_of_products``; the families below are built on int rows, and products are the
-tests' reference for them.  ``check_shift_law`` packs coordinate vectors into ints (``poly.pack``):
+a plain commutative polynomial ring over the coefficient ring.  An operator holds one non-zero BivarPoly per
+power of E, {k: p_k}: sums go power by power, and a product groups the coefficient pairs by k1 + k2 and calls
+``poly.sum_of_products`` once per power, as ``apply`` does for its one sum.  The families below are built on
+int rows, and products are the tests' reference for them.  ``check_shift_law`` packs coordinate vectors into ints (``poly.pack``):
 a Horner step is one subtraction and (-y)^j a shift by j slots, and as entries at most double per row,
 ``slot_width`` slots keep unequal vectors unequal.  ``check_relation`` applies each order's row to the members
 as one ``poly.combine_columns``, unpacked: slots wide enough for its products c * (member entry) were slower at n = 400.
@@ -40,7 +40,6 @@ back j places (the shift law checked by ``check_shift_law``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping
@@ -48,32 +47,24 @@ from typing import Iterable, Iterator, Mapping
 from .bases import BasisSpec, member_index
 from .coefficients import FAMILIES, Family, closed_value
 from .errors import DomainError, IntegralityViolation
-from .poly import ONE, BivarPoly, Rational, _added, _canonical, _power, _var_string, combine_columns, pack, sum_of_products
+from .poly import ONE, ZERO, BivarPoly, Rational, _power, _var_string, combine_columns, pack, sum_of_products
 from .report import CheckResult
 from .sequences import SequenceCache, SequenceKind, read_members
 
 
 class OperatorPoly:
-    """Immutable finite sum of powers of E with BivarPoly coefficients."""
+    """Immutable finite sum of powers of E with BivarPoly coefficients, stored as {power: non-zero BivarPoly}."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[tuple[int, int, int], Rational] = {}
+        acc: dict[int, BivarPoly] = {}
         for power, value in items:
             if not isinstance(power, int) or power < 0:
                 raise ValueError(f"shift power must be a non-negative integer, got {power!r}")
-            for (a, b), c in (value if isinstance(value, BivarPoly) else BivarPoly.constant(value)).items():
-                acc[power, a, b] = acc.get((power, a, b), 0) + c
-        self._terms = _canonical(acc)
-
-    @classmethod
-    def _of(cls, terms: dict[tuple[int, int, int], Rational]) -> OperatorPoly:
-        """Wrap an already canonical term map without copying or checking it."""
-        op = object.__new__(cls)
-        op._terms = terms
-        return op
+            acc[power] = acc.get(power, ZERO) + (value if isinstance(value, BivarPoly) else BivarPoly.constant(value))
+        self._coeffs = {k: p for k, p in acc.items() if p}
 
     # -- constructors ------------------------------------------------------
 
@@ -84,46 +75,43 @@ class OperatorPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, BivarPoly]]:
-        return ((k, self.coefficient(k)) for k in self.shift_powers())
+        return iter(sorted(self._coeffs.items()))
 
     def coefficient(self, power: int) -> BivarPoly:
-        return BivarPoly._of({(a, b): c for (k, a, b), c in self._terms.items() if k == power})
+        return self._coeffs.get(power, ZERO)
 
     def shift_powers(self) -> list[int]:
-        return sorted({k for k, _, _ in self._terms})
+        return sorted(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._coeffs == other._coeffs
 
     # -- ring operations ---------------------------------------------------
 
     def _plus(self, other: OperatorPoly, sign: int) -> OperatorPoly:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
-        return OperatorPoly._of(_added(self._terms, other._terms, sign))
+        return OperatorPoly([*self._coeffs.items(), *((k, q * sign) for k, q in other._coeffs.items())])
 
     def __add__(self, other: OperatorPoly) -> OperatorPoly:
         return self._plus(other, 1)
 
     def __neg__(self) -> OperatorPoly:
-        return OperatorPoly._of({key: -c for key, c in self._terms.items()})
+        return OperatorPoly({k: -p for k, p in self._coeffs.items()})
 
     def __sub__(self, other: OperatorPoly) -> OperatorPoly:
         return self._plus(other, -1)
 
     def __mul__(self, other: OperatorPoly | BivarPoly | Rational) -> OperatorPoly:
-        if isinstance(other, (int, Fraction)):
-            return OperatorPoly._of(_canonical({key: c * other for key, c in self._terms.items()}))
         if not isinstance(other, OperatorPoly):
-            other = OperatorPoly({0: other})  # a BivarPoly, as the E^0 operator it is
-        acc: dict[tuple[int, int, int], Rational] = {}
-        for (k1, a1, b1), c1 in self._terms.items():
-            for (k2, a2, b2), c2 in other._terms.items():
-                key = (k1 + k2, a1 + a2, b1 + b2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return OperatorPoly._of(_canonical(acc))
+            other = OperatorPoly({0: other})  # a scalar or a BivarPoly, as the E^0 operator it is
+        groups: dict[int, list[tuple[BivarPoly, BivarPoly]]] = {}
+        for k1, p in self._coeffs.items():
+            for k2, q in other._coeffs.items():
+                groups.setdefault(k1 + k2, []).append((p, q))
+        return OperatorPoly({k: sum_of_products(pairs) for k, pairs in groups.items()})
 
     __rmul__ = __mul__
 
@@ -189,7 +177,7 @@ def build_family(family: Family, m: int) -> OperatorPoly:
     if m < start:
         raise DomainError(f"operator family {family.value.upper()} needs m >= {start}, got {m}")
     row = next(row for order, row in family_orders(family, m) if order == m)
-    return OperatorPoly._of({(k, m - k, 0): c for k, c in enumerate(row) if c})
+    return OperatorPoly({k: BivarPoly.monomial(m - k, 0, c) for k, c in enumerate(row)})
 
 
 def slot_width(members: list[list[int]], n_max: int) -> int:

@@ -17,9 +17,10 @@ entry; entries differing by under 2^bits pack equal only if equal.
 A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
 or negative exponents), and ``items`` and ``canonical_monomials`` return them.
-``sum_of_products``, the one multiply-accumulate behind every ``BivarPoly`` product, expands sum_i p_i * q_i into
-one dict and ``_added`` is the one sum or difference of two term maps; each ring operation canonicalises its result
-once (``_canonical``; ``operators`` shares both) and wraps it with ``BivarPoly._of``.  ``signed_sum`` renders text.
+``sum_of_products`` expands sum_i p_i * q_i into one dict: it is the one multiply-accumulate behind every product of
+``BivarPoly``s and of ``operators.OperatorPoly``s, which call it once per power of E.  ``BivarPoly._plus`` is the one
+sum or difference of two term maps.  Each ring operation canonicalises its result once (``_canonical``) and wraps it
+with ``BivarPoly._of``.  ``signed_sum`` renders text.
 """
 
 from __future__ import annotations
@@ -56,14 +57,6 @@ def _var_string(x_exp: int, y_exp: int) -> str:
 def _canonical(acc: dict[Key, Rational]) -> dict[Key, Rational]:
     """Drop zero coefficients and turn integral Fractions back into ints."""
     return {key: c if type(c) is int else as_rational(c) for key, c in acc.items() if c}
-
-
-def _added(terms: dict, others: dict, sign: int) -> dict:
-    """The canonical term map of terms + sign * others, for any key type: the one sum of two term maps."""
-    acc = dict(terms)
-    for key, c in others.items():
-        acc[key] = acc.get(key, 0) + sign * c
-    return _canonical(acc)
 
 
 class BivarPoly:
@@ -128,11 +121,15 @@ class BivarPoly:
     # -- ring operations ---------------------------------------------------
 
     def _plus(self, other: BivarPoly | Rational, sign: int) -> BivarPoly:
+        """self + sign * other: the one sum or difference of two term maps."""
         if isinstance(other, (int, Fraction)):
             other = BivarPoly.constant(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return BivarPoly._of(_added(self._terms, other._terms, sign))
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            acc[key] = acc.get(key, 0) + sign * c
+        return BivarPoly._of(_canonical(acc))
 
     def __add__(self, other: BivarPoly | Rational) -> BivarPoly:
         return self._plus(other, 1)

@@ -46,6 +46,12 @@ def all_passed(results: Iterable[CheckResult]) -> bool:
 Check = Callable[[int], CheckResult]
 
 
+def require_n_max(n_max: int) -> None:
+    """Raise DomainError below n_max = 1, the least n_max of every check."""
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+
+
 def checks(scope: str = "all") -> list[tuple[str, Check]]:
     """The registered checks of one scope, each a name and an ``n_max -> CheckResult`` callable.
 
@@ -86,8 +92,7 @@ def checks(scope: str = "all") -> list[tuple[str, Check]]:
 
 def run_checks(scope: str, n_max: int) -> list[CheckResult]:
     """Run and time every registered check of ``scope`` up to ``n_max``; the results sorted by name."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    require_n_max(n_max)
     results = []
     for name, check in checks(scope):
         start = time.perf_counter()

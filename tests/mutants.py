@@ -50,6 +50,7 @@ NEGATED = ["tests/test_operators.py", "-k", "negated"]
 LEMMA2 = ["tests/test_sequences.py", "-k", "lemma2"]
 DEFINITIONS = ["tests/test_operators.py", "-k", "defining_formulas"]
 CANONICAL = ["tests/test_operators.py", "-k", "canonical_y_free"]
+ZEROS = ["tests/test_operators.py", "-k", "zero_coefficients"]
 RING = ["tests/test_operators.py", "-k", "product or commutes or distributivity"]
 WRONG_MEMBER = ["tests/test_operators.py", "-k", "wrong_member or nonzero_u0"]
 KERNEL = ["tests/test_poly.py", "-k", "combine_columns"]
@@ -59,14 +60,15 @@ LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
 TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 # verify's own chebyshev checks, through the CLI and on their own, without the unit tests of the images
 RECURRENCE = ["tests/test_cli.py", "tests/test_specializations.py", "-k", "verify_scopes and chebyshev or remark_checks"]
-# the sympy oracle of the chebyshev scope, whose reference reads no bifib code
-SYMPY = ["tests/test_sympy_oracle.py", "-k", "univariate_images"]
+# the sympy oracles of the chebyshev and lemma2 scopes, whose references read no bifib code
+SYMPY = ["tests/test_sympy_oracle.py", "-k", "univariate_images or lemma2"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
 INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
 SECONDS = ["tests/test_cli.py", "-k", "without_their_seconds"]
 FIRST_ROW = ["tests/test_coefficients.py", "-k", "below_first_row"]
 SUM = ["tests/test_poly.py", "-k", "difference_of_squares or ring_axioms or canonical"]
 DOMAIN = ["tests/test_coefficients.py", "-k", "domains"]
+GUARD = ["tests/test_bases.py", "-k", "below_n_max_1"]
 FACTS = [
     "tests/test_records.py", "tests/test_bases.py", "tests/test_coefficients.py", "tests/test_operators.py", "-k",
     "by_name or order_zero or determinant_values or oracle_rows or recurrence_rows or closed_rows or relations_pass",
@@ -83,20 +85,23 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (POLY, "return packed - (pack(carry, bits) << bits) if any(carry) else packed", "return packed", PACK),
     # the one sum of two term maps, whose sign makes it a difference
     (POLY, "acc[key] = acc.get(key, 0) + sign * c", "acc[key] = acc.get(key, 0) + c", SUM),
-    # the flat operator product, which the families' defining formulas in the tests are built with: the y exponent of
-    # its key, which the y-free families never test, and its power of E
-    (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (k1 + k2, a1 + a2, b1)", RING),
-    (OPERATORS, "key = (k1 + k2, a1 + a2, b1 + b2)", "key = (max(k1, k2), a1 + a2, b1 + b2)", DEFINITIONS),
+    # the operator ring, which the families' defining formulas in the tests are built with: the zero coefficients its
+    # constructor drops, the sign of a difference (the constructor sums power by power), a pair dropped from the sum
+    # of products of one power, and the power of E that groups them
+    (OPERATORS, "self._coeffs = {k: p for k, p in acc.items() if p}", "self._coeffs = acc", ZEROS),
+    (OPERATORS, "(k, q * sign) for k, q", "(k, q) for k, q", RING),
+    (OPERATORS, "sum_of_products(pairs) for k, pairs", "sum_of_products(pairs[1:]) for k, pairs", RING),
+    (OPERATORS, "groups.setdefault(k1 + k2, [])", "groups.setdefault(max(k1, k2), [])", DEFINITIONS),
     # the families' integer rows: the sign of each step (the sign of (E-x) flips B_m and D_m, which send their sequence
     # to 0, so the relations see it in their E^m coefficient), A's 2E^m, C's -x E^(m-1), D's seed x - 2E, E's E^m, and
-    # the zero entries the wrapped term map leaves out
+    # the place build_family gives entry k, at x^(m-k) E^k
     (OPERATORS, "return list(map(sub, [*row, top], [0, *row]))", "return list(map(sub, [0, *row], [*row, top]))", RELATIONS),
     (OPERATORS, "return list(map(sub, [0, *row], [*row, 0]))", "return list(map(sub, [*row, 0], [0, *row]))", RELATIONS),
     (OPERATORS, "accumulate(repeat(2), _x_minus_e", "accumulate(repeat(0), _x_minus_e", RELATIONS),
     (OPERATORS, "2 * b_m[-2] - 1,", "2 * b_m[-2],", RELATIONS),
     (OPERATORS, "initial=[1, -2]", "initial=[1, -1]", RELATIONS),
     (OPERATORS, "row[m] += 1", "row[m] += 0", RELATIONS),
-    (OPERATORS, "for k, c in enumerate(row) if c}", "for k, c in enumerate(row)}", CANONICAL),
+    (OPERATORS, "BivarPoly.monomial(m - k, 0, c)", "BivarPoly.monomial(k, 0, c)", CANONICAL),
     # the relations: the members a row combines, the zero target of B and D, and the E^n coefficient that shows a
     # negated B_n or D_n
     (OPERATORS, "members[base: base + len(row)]", "members[base + 1: base + len(row) + 1]", RELATIONS),
@@ -140,9 +145,11 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (BASES, "if order > spec.n - 2:", "if order > spec.n - 1:", LEMMA1),
     (BASES, "if order > spec.n - 2:", "if order >= lowest:", LEMMA1),
     (BASES, "columns[0][:-1]]", "columns[0][1:]]", LEMMA1),
-    # the lemma 1 checks read orders 1..n_max of the chain, none at n_max 0
-    (BASES, "[1 - basis.lowest :]", "[-n_max:]", LEMMA1),
-    (BASES, "[1 - BASES[family].lowest :]", "[-n_max:]", LEMMA1),
+    # the one n_max guard, which run_checks, both lemma 1 checks and the theorem checks call before they read a member
+    (REPORT, "if n_max < 1:", "if n_max < 0:", GUARD),
+    (BASES, "require_n_max(n_max)\n    basis = BASES[family]", "basis = BASES[family]", GUARD),
+    (BASES, "require_n_max(n_max)\n    chain = ", "chain = ", GUARD),
+    (COEFFICIENTS, "require_n_max(n_max)\n    scheme = ", "scheme = ", GUARD),
     # the transfers: the images they build, the members they read, the 2^(n-k) scale, the x^(n-k) offset, the doubling
     # they take from the scheme, the images' V seed and y0 sign
     (SPECIALIZATIONS, "for letter in letters}", 'for letter in "UV"}', TRANSFER),
@@ -164,6 +171,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (SPECIALIZATIONS, ".scale(Fraction(1, 2))", ".scale(1)", RECURRENCE),
     (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", SYMPY),
     (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', SYMPY),
+    # the members themselves, against the sympy recurrence: V's seed and the sign of the recurrence's y term
+    (SEQUENCES, "return BivarPoly.constant(2), X", "return BivarPoly.constant(1), X", SYMPY),
+    (SEQUENCES, "(Y, values[-2])", "(-Y, values[-2])", SYMPY),
     # the closed forms of d and e stop at a non-integral value
     (COEFFICIENTS, "if remainder:", "if False:", INTEGRALITY),
     (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),

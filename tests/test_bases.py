@@ -1,6 +1,8 @@
 import builtins
 import random
+import re
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import prod
 
@@ -22,7 +24,7 @@ from bifib.bases import (
     det_by_column_reduction,
     pairing,
 )
-from bifib.coefficients import Family, oracle_triangle
+from bifib.coefficients import Family, check_theorem, oracle_triangle
 from bifib.errors import (
     DimensionError,
     DomainError,
@@ -376,16 +378,23 @@ def test_check_determinants_report():
     }
 
 
-@pytest.mark.parametrize("family", [BasisFamily.BU, BasisFamily.BV], ids=lambda family: family.value)
-def test_lemma1_checks_at_n_max_0_read_no_order(monkeypatch, family):
-    # orders 1..0 are none: the chain's order 0 is neither checked nor compared with the order-1 elimination
-    def forbidden(spec):
-        raise AssertionError(f"det-cross eliminated the order-{spec.n} matrix")
+_GUARDED = [
+    *(pytest.param(partial(check, basis), id=f"{check.__name__}-{basis.value}")
+      for check in (bases.check_determinant, bases.check_determinant_cross) for basis in BasisFamily),
+    *(pytest.param(partial(check_theorem, family), id=f"check_theorem-{family.value}") for family in Family),
+]
 
-    monkeypatch.setattr(bases, "coordinate_matrix", forbidden)
-    assert bases.check_determinant_cross(family, 0).passed
-    monkeypatch.setattr(bases, "det_by_column_reduction", lambda spec: [99])  # a wrong order 0
-    assert bases.check_determinant(family, 0).passed
+
+@pytest.mark.parametrize("n_max", [0, -1])
+@pytest.mark.parametrize("check", _GUARDED)
+def test_checks_below_n_max_1_raise_the_error_of_run_checks(check, n_max):
+    # Called on their own, the lemma 1 checks neither pass vacuously (BU, BV: orders 1..0 are none) nor raise the
+    # starred bases' own domain error, and the theorem checks agree with them.
+    message = f"^{re.escape(f'n_max must be >= 1, got {n_max}')}$"
+    with pytest.raises(DomainError, match=message):
+        run_checks("all", n_max)
+    with pytest.raises(DomainError, match=message):
+        check(n_max)
 
 
 def test_lemma1_runs_one_chain_per_check_and_one_elimination_per_order(monkeypatch):

@@ -76,6 +76,14 @@ def test_invalid_shift_power_rejected():
         OperatorPoly({-1: ONE})
 
 
+@pytest.mark.parametrize("value", [1.5, "x", None])
+def test_inexact_coefficients_rejected(value):
+    with pytest.raises(TypeError, match="^exact rational required"):
+        OperatorPoly({0: value})
+    with pytest.raises(TypeError, match="^exact rational required"):
+        OperatorPoly({0: ONE}) * value
+
+
 @given(operators, operators)
 def test_multiplication_commutes(a, b):
     assert a * b == b * a
@@ -190,8 +198,7 @@ def test_expansions_match_closed_values_up_to_40():
 
 
 def test_family_orders_are_canonical_y_free_and_end_at_build_family_up_to_40():
-    # build_family wraps the last row without checking it, so compare it with the validating constructor:
-    # entry k of an order-m row is the coefficient of x^(m-k) E^k, with no y term.
+    # build_family wraps the last row: entry k of an order-m row is the coefficient of x^(m-k) E^k, with no y term.
     for family in Family:
         for m, row in family_orders(family, 40):
             expected = OperatorPoly({k: BivarPoly.monomial(m - k, 0, c) for k, c in enumerate(row)})

@@ -4,9 +4,10 @@ Polynomial arithmetic, substitution and evaluation are compared with
 ``sympy.Poly``; determinants and solves with ``sympy.Matrix``; the Chebyshev
 specializations and the univariate images at y0 = -1 with
 ``sympy.chebyshevt``/``chebyshevu``, and the images at y0 = +1 with a Pell and
-Pell-Lucas recurrence stated here in sympy; and U_n(1, 1), V_n(1, 1) with the
-Fibonacci and Lucas numbers.  The module is skipped when
-sympy is not installed.
+Pell-Lucas recurrence stated here in sympy; U_n(1, 1), V_n(1, 1) with the
+Fibonacci and Lucas numbers; and the members' coordinates with U_n and V_n
+built by their recurrence in sympy, on which the four lemma 2 identities and
+the shift law are checked.  The module is skipped when sympy is not installed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ sympy = pytest.importorskip("sympy")
 from bifib.bases import BASES, BasisFamily, BasisSpec, RationalMatrix, coordinate_matrix  # noqa: E402
 from bifib.errors import SingularMatrixError  # noqa: E402
 from bifib.poly import BivarPoly  # noqa: E402
-from bifib.sequences import u_poly, v_poly  # noqa: E402
+from bifib.sequences import member_coordinates, u_poly, v_poly  # noqa: E402
 from bifib.specializations import chebyshev_t, chebyshev_u, univariate_images  # noqa: E402
 
 x, y = sympy.symbols("x y")
@@ -163,3 +164,34 @@ def test_u_and_v_at_one_one_are_the_fibonacci_and_lucas_numbers_to_n_40():
     for n in range(41):
         assert u_poly(n).evaluate(1, 1) == sympy.fibonacci(n)
         assert v_poly(n).evaluate(1, 1) == sympy.lucas(n)
+
+
+def sympy_members(seeds, top):
+    """W_0..W_top of W_n = x W_(n-1) + y W_(n-2) from the two seeds, as sympy polynomials."""
+    members = [sympy.Poly(seed, x, y, domain=sympy.ZZ) for seed in seeds]
+    while len(members) <= top:
+        members.append(sympy.Poly(x * members[-1].as_expr() + y * members[-2].as_expr(), x, y, domain=sympy.ZZ))
+    return members
+
+
+def test_lemma2_identities_and_the_shift_law_hold_on_sympy_members_that_match_the_coordinates_to_n_12():
+    n_top = 12
+    members = {"U": sympy_members((0, 1), 2 * n_top + 1), "V": sympy_members((2, x), 2 * n_top + 1)}
+    u, v = members["U"], members["V"]
+    zero, x_poly, y_poly = (sympy.Poly(value, x, y, domain=sympy.ZZ) for value in (0, x, y))
+    for n in range(n_top + 1):
+        assert v[n] == 2 * u[n + 1] - x_poly * u[n], n
+        assert n == 0 or v[n] == u[n + 1] + y_poly * u[n - 1], n
+        assert sum(((-y_poly) ** (n - k) * v[2 * k] for k in range(1, n + 1)), zero) == u[2 * n + 1] - (-y_poly) ** n, n
+        assert v[2 * n] == 2 * u[2 * n + 1] - x_poly * u[2 * n], n
+    for letter, w in members.items():
+        # (x-E)^j at base m reads W_m..W_(m+j), with weights C(j, i) x^(j-i) (-1)^i
+        for m in range(n_top + 1):
+            for j in range(m + 1):
+                applied = sum((sympy.binomial(j, i) * (-1) ** i * x_poly ** (j - i) * w[m + i] for i in range(j + 1)), zero)
+                assert applied == (-y_poly) ** j * w[m - j], (letter, j, m)
+        # coordinate k of a member of weight d is its coefficient of x^(d-2k) y^k; U_0 has weight -1 and none
+        for i, member in enumerate(w):
+            weight = i - 1 if letter == "U" else i
+            expected = [int(member.coeff_monomial(x ** (weight - 2 * k) * y ** k)) for k in range(weight // 2 + 1)]
+            assert member_coordinates(letter, i) == expected, (letter, i)
