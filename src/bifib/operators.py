@@ -7,8 +7,10 @@ power of E, {k: p_k}: sums go power by power, and a product groups the coefficie
 ``poly.sum_of_products`` once per power, as ``apply`` does for its one sum.  The families below are built on
 int rows, and products are the tests' reference for them.  ``check_shift_law`` packs coordinate vectors into ints (``poly.pack``):
 a Horner step is one subtraction and (-y)^j a shift by j slots, and as entries at most double per row,
-``slot_width`` slots keep unequal vectors unequal.  ``check_relation`` applies each order's row to the members
-as one ``poly.combine_columns``, unpacked: slots wide enough for its products c * (member entry) were slower at n = 400.
+``slot_width`` slots keep unequal vectors unequal; each level's prefix is compared with its expected ints as one
+list, and walked for the failing (j, m) only when the two differ.  ``check_relation`` applies each order's row to
+the members as one ``poly.combine_columns``, unpacked: slots wide enough for its products c * (member entry) were
+slower at n = 400.
 
 ``family_orders`` yields the five operator families, defined by
 
@@ -40,8 +42,8 @@ back j places (the shift law checked by ``check_shift_law``).
 
 from __future__ import annotations
 
-from itertools import accumulate, islice, repeat
-from operator import add, sub
+from itertools import accumulate, chain, islice, repeat
+from operator import add, lshift, sub
 from typing import Iterable, Iterator, Mapping
 
 from .bases import BasisSpec, member_index
@@ -182,7 +184,7 @@ def build_family(family: Family, m: int) -> OperatorPoly:
 
 def slot_width(members: list[list[int]], n_max: int) -> int:
     """Bits a slot of ``check_shift_law`` needs: the largest entry's bit length + n_max + 2, in whole bytes."""
-    return (int(max((abs(c) for coords in members for c in coords), default=0)).bit_length() + n_max + 2 + 7) // 8 * 8
+    return (int(max(map(abs, chain.from_iterable(members)), default=0)).bit_length() + n_max + 2 + 7) // 8 * 8
 
 
 def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
@@ -190,10 +192,13 @@ def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
     members = read_members(kind.value, range(2 * n_max + 1))
     width = slot_width(members, n_max)
     packed = row = [pack(coords, width) for coords in members]  # row[i] = P_j(j + i) = ((x-E)^j W)_(j+i)
+    signed = (packed, [-p for p in packed])  # (-y)^j's sign, by the parity of j
     bad = []
     for j in range(n_max + 1):
-        bad.extend((j, j + i) for i, p in enumerate(packed[: n_max - j + 1]) if row[i] != (-1) ** j * p << width * j)
-        row = [p - q for p, q in zip(row[1:], row[2:])]  # P_j(m) = x P_(j-1)(m) - P_(j-1)(m+1)
+        expected = list(map(lshift, signed[j % 2][: n_max - j + 1], repeat(width * j)))
+        if row[: len(expected)] != expected:
+            bad.extend((j, j + i) for i, (got, want) in enumerate(zip(row, expected)) if got != want)
+        row = list(map(sub, row[1:], row[2:]))  # P_j(m) = x P_(j-1)(m) - P_(j-1)(m+1)
     return CheckResult.over(f"lemma2.shift-{kind.value.lower()}", bad, f"0 <= j <= m <= {n_max}", at="(j, m)")
 
 

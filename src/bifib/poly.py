@@ -26,7 +26,7 @@ with ``BivarPoly._of``.  ``signed_sum`` renders text.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -246,14 +246,14 @@ def combine_columns(columns: Iterable[Sequence[Rational]], coeffs: Sequence[Rati
 
 
 def pack(vec: Sequence[int], bits: int) -> int:
-    """sum_i vec[i] * 2^(bits*i) in linear time, ``bits`` a multiple of 8: each entry leaves its residue mod 2^bits
-    in its slot and carries the rest one slot up, negated so that a borrow packs as 1 and a small vector stops."""
-    if not all(isinstance(v, int) for v in vec):
+    """sum_i vec[i] * 2^(bits*i) in linear time, ``bits`` a multiple of 8: a vector with every entry in [0, 2^bits)
+    is its slots' bytes read as one int; any other packs as its residues mod 2^bits less its carries one slot up."""
+    if not all(map(isinstance, vec, repeat(int))):
         raise IntegralityViolation(f"only int entries pack, got {next(v for v in vec if not isinstance(v, int))!r}")
     mask, size = (1 << bits) - 1, bits // 8
-    packed = int.from_bytes(b"".join((v & mask).to_bytes(size, "little") for v in vec), "little")
-    carry = [-(v >> bits) for v in vec]
-    return packed - (pack(carry, bits) << bits) if any(carry) else packed
+    if vec and (min(vec) < 0 or max(vec) > mask):
+        return pack([v & mask for v in vec], bits) - (pack([-(v >> bits) for v in vec], bits) << bits)
+    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in vec]), "little")
 
 
 def _power(base, exponent: int, one):

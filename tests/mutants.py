@@ -60,8 +60,8 @@ LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
 TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 # verify's own chebyshev checks, through the CLI and on their own, without the unit tests of the images
 RECURRENCE = ["tests/test_cli.py", "tests/test_specializations.py", "-k", "verify_scopes and chebyshev or remark_checks"]
-# the sympy oracles of the chebyshev and lemma2 scopes, whose references read no bifib code
-SYMPY = ["tests/test_sympy_oracle.py", "-k", "univariate_images or lemma2"]
+# the sympy oracles of the chebyshev, lemma1 and lemma2 scopes, whose references read no bifib code
+SYMPY = ["tests/test_sympy_oracle.py", "-k", "univariate_images or lemma1 or lemma2"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
 INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
 SECONDS = ["tests/test_cli.py", "-k", "without_their_seconds"]
@@ -76,13 +76,18 @@ FACTS = [
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the packed shift law: Horner's difference and the rows it reads, the sign of (-y)^j, its shift by j slots
-    # (not bits), the slot width, and the carry of an entry past its slot
-    (OPERATORS, "row = [p - q for p, q in zip(row[1:], row[2:])]", "row = [q - p for p, q in zip(row[1:], row[2:])]", SHIFT_LAW),
-    (OPERATORS, "if row[i] != (-1) ** j * p", "if row[i] != p", SHIFT_LAW),
-    (OPERATORS, "<< width * j)", "<< j)", SHIFT_LAW),
-    (OPERATORS, "for p, q in zip(row[1:], row[2:])]", "for p, q in zip(row, row[1:])]", SHIFT_LAW),
+    # (not bits), the slot width and its scan of negative entries, the carry of an entry past its slot, and the
+    # in-range test that sends an entry to the carries
+    (OPERATORS, "row = list(map(sub, row[1:], row[2:]))", "row = list(map(sub, row[2:], row[1:]))", SHIFT_LAW),
+    (OPERATORS, "signed[j % 2]", "signed[0]", SHIFT_LAW),
+    (OPERATORS, "repeat(width * j)", "repeat(j)", SHIFT_LAW),
+    (OPERATORS, "row = list(map(sub, row[1:], row[2:]))", "row = list(map(sub, row, row[1:]))", SHIFT_LAW),
     (OPERATORS, "bit_length() + n_max + 2 + 7)", "bit_length() + 2 + 7)", SLOT_WIDTH),
-    (POLY, "return packed - (pack(carry, bits) << bits) if any(carry) else packed", "return packed", PACK),
+    (OPERATORS, "max(map(abs, chain.from_iterable(members))", "max(chain.from_iterable(members)", SLOT_WIDTH),
+    (POLY, "return pack([v & mask for v in vec], bits) - (pack([-(v >> bits) for v in vec], bits) << bits)",
+     "return pack([v & mask for v in vec], bits)", PACK),
+    (POLY, "max(vec) > mask)", "max(vec) > mask + 1)", PACK),
+    (POLY, "min(vec) < 0 or", "min(vec) < -1 or", PACK),
     # the one sum of two term maps, whose sign makes it a difference
     (POLY, "acc[key] = acc.get(key, 0) + sign * c", "acc[key] = acc.get(key, 0) + c", SUM),
     # the operator ring, which the families' defining formulas in the tests are built with: the zero coefficients its
@@ -174,6 +179,8 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the members themselves, against the sympy recurrence: V's seed and the sign of the recurrence's y term
     (SEQUENCES, "return BivarPoly.constant(2), X", "return BivarPoly.constant(1), X", SYMPY),
     (SEQUENCES, "(Y, values[-2])", "(-Y, values[-2])", SYMPY),
+    # the bases against the sympy coordinate matrices: BVstar's member offset
+    (BASES, 'BasisFacts("V", -1, 1, 2, ("U", "V"))', 'BasisFacts("V", 1, 1, 2, ("U", "V"))', SYMPY),
     # the closed forms of d and e stop at a non-integral value
     (COEFFICIENTS, "if remainder:", "if False:", INTEGRALITY),
     (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),

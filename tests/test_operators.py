@@ -282,6 +282,7 @@ def test_the_slot_width_holds_every_horner_difference(n_max, top):
         assert width % 8 == 0
         assert _listed_shift_law(members, n_max)[1] < 2 ** (width - 1)
     assert slot_width([[top]], n_max) == -(-(top.bit_length() + n_max + 2) // 8) * 8
+    assert slot_width([[1], [-top]], n_max) == slot_width([[top]], n_max)  # a negative entry is read by its size
 
 
 def test_a_non_int_member_entry_fails_the_shift_law_with_a_line(monkeypatch):

@@ -354,6 +354,13 @@ def test_packings_collide_one_step_past_the_bound(bits):
     assert pack([2 ** bits, -1], bits) == 0 == pack([0, 0], bits)
 
 
+@pytest.mark.parametrize("bits", [8, 16, 48])
+def test_pack_reads_an_entry_on_either_side_of_the_slot_range(bits):
+    # [0, 2^bits) packs by its bytes alone, anything else through its carries; these vectors sit on that boundary
+    for vec in ([2 ** bits - 1], [2 ** bits], [-1], [-(2 ** bits)], [0, 2 ** bits]):
+        assert pack(vec, bits) == sum(v << (bits * i) for i, v in enumerate(vec)), vec
+
+
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5])
 def test_pack_rejects_a_non_int_entry(entry):
     with pytest.raises(IntegralityViolation, match=f"^only int entries pack, got {re.escape(repr(entry))}$"):

@@ -7,7 +7,9 @@ specializations and the univariate images at y0 = -1 with
 Pell-Lucas recurrence stated here in sympy; U_n(1, 1), V_n(1, 1) with the
 Fibonacci and Lucas numbers; and the members' coordinates with U_n and V_n
 built by their recurrence in sympy, on which the four lemma 2 identities and
-the shift law are checked.  The module is skipped when sympy is not installed.
+the shift law are checked, and from which the four bases' coordinate matrices
+are built, whose Berkowitz determinants the lemma 1 determinants must equal.
+The module is skipped when sympy is not installed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from bifib.bases import BASES, BasisFamily, BasisSpec, RationalMatrix, coordinate_matrix  # noqa: E402
+from bifib.bases import (  # noqa: E402
+    BASES, BasisFamily, BasisSpec, RationalMatrix, coordinate_matrix, det_by_column_reduction,
+)
 from bifib.errors import SingularMatrixError  # noqa: E402
 from bifib.poly import BivarPoly  # noqa: E402
 from bifib.sequences import member_coordinates, u_poly, v_poly  # noqa: E402
@@ -174,17 +178,22 @@ def sympy_members(seeds, top):
     return members
 
 
-def test_lemma2_identities_and_the_shift_law_hold_on_sympy_members_that_match_the_coordinates_to_n_12():
+@pytest.fixture(scope="module")
+def uv_members():
+    """U_0..U_25 and V_0..V_25, built in sympy from their seeds."""
+    return {"U": sympy_members((0, 1), 25), "V": sympy_members((2, x), 25)}
+
+
+def test_lemma2_identities_and_the_shift_law_hold_on_sympy_members_that_match_the_coordinates_to_n_12(uv_members):
     n_top = 12
-    members = {"U": sympy_members((0, 1), 2 * n_top + 1), "V": sympy_members((2, x), 2 * n_top + 1)}
-    u, v = members["U"], members["V"]
+    u, v = uv_members["U"], uv_members["V"]
     zero, x_poly, y_poly = (sympy.Poly(value, x, y, domain=sympy.ZZ) for value in (0, x, y))
     for n in range(n_top + 1):
         assert v[n] == 2 * u[n + 1] - x_poly * u[n], n
         assert n == 0 or v[n] == u[n + 1] + y_poly * u[n - 1], n
         assert sum(((-y_poly) ** (n - k) * v[2 * k] for k in range(1, n + 1)), zero) == u[2 * n + 1] - (-y_poly) ** n, n
         assert v[2 * n] == 2 * u[2 * n + 1] - x_poly * u[2 * n], n
-    for letter, w in members.items():
+    for letter, w in uv_members.items():
         # (x-E)^j at base m reads W_m..W_(m+j), with weights C(j, i) x^(j-i) (-1)^i
         for m in range(n_top + 1):
             for j in range(m + 1):
@@ -195,3 +204,30 @@ def test_lemma2_identities_and_the_shift_law_hold_on_sympy_members_that_match_th
             weight = i - 1 if letter == "U" else i
             expected = [int(member.coeff_monomial(x ** (weight - 2 * k) * y ** k)) for k in range(weight // 2 + 1)]
             assert member_coordinates(letter, i) == expected, (letter, i)
+
+
+# The paper's four bases, as (letter, offset, lowest order): vector k of order n is x^(n-k) times member n + k + offset,
+# k = 0..n inside degree 2n, or for the starred bases (lowest order 1) k = 0..n-1 inside degree 2n-1.
+BASIS_MEMBERS = {
+    BasisFamily.BU: ("U", 1, 0),
+    BasisFamily.BV: ("V", 0, 0),
+    BasisFamily.BU_STAR: ("U", 0, 1),
+    BasisFamily.BV_STAR: ("V", -1, 1),
+}
+
+
+@pytest.mark.parametrize("family", list(BasisFamily), ids=lambda f: f.value)
+def test_lemma1_determinants_match_berkowitz_on_coordinate_matrices_of_sympy_members_to_n_10(uv_members, family):
+    letter, offset, lowest = BASIS_MEMBERS[family]
+    x_poly = sympy.Poly(x, x, y, domain=sympy.ZZ)
+    dets = []
+    for n in range(lowest, 11):
+        degree, size = 2 * n - lowest, n + 1 - lowest
+        vectors = [x_poly ** (n - k) * uv_members[letter][n + k + offset] for k in range(size)]
+        # row i holds coordinate i, the coefficient of x^(degree-2i) y^i, and column k vector k
+        rows = [[int(vector.coeff_monomial(x ** (degree - 2 * i) * y ** i)) for vector in vectors] for i in range(size)]
+        dets.append(int(sympy.Matrix(rows).det(method="berkowitz")))
+        spec = BasisSpec(family, n)
+        assert coordinate_matrix(spec).row_list() == rows, n
+        assert dets[-1] == BASES[family].determinant == coordinate_matrix(spec).det(), n
+        assert det_by_column_reduction(spec) == dets, n
