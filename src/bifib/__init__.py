@@ -35,7 +35,7 @@ from .errors import (
     MalformedElement,
     SingularMatrixError,
 )
-from .operators import OperatorPoly, build_family
+from .operators import build_family
 from .poly import (
     BivarPoly,
     ONE,
@@ -77,7 +77,6 @@ __all__ = [
     "IntegralityViolation",
     "MalformedElement",
     "ONE",
-    "OperatorPoly",
     "RationalMatrix",
     "SequenceCache",
     "SequenceKind",

@@ -47,7 +47,7 @@ from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, SingularMatrixError
-from .poly import BivarPoly, Rational, as_rational, combine_columns, sum_of_products
+from .poly import BivarPoly, Rational, as_rational, combine_columns
 from .report import CheckResult, require_n_max
 from .sequences import SHARED_CACHES, member_coordinates, member_weight, read_members
 
@@ -347,10 +347,6 @@ class Decomposition(NamedTuple):
     spec: BasisSpec
     coords: tuple[Rational, ...]
 
-    def reconstruct(self) -> BivarPoly:
-        """The linear combination sum_k coords[k] * vector k of the product-built basis."""
-        return sum_of_products((BivarPoly.constant(c), v) for c, v in zip(self.coords, build_basis(self.spec)))
-
     def to_json_dict(self) -> dict[str, object]:
         return {
             "target": self.target.to_json_terms(),
@@ -365,7 +361,7 @@ def decompose(target: BivarPoly, spec: BasisSpec) -> Decomposition:
 
     Raises MalformedElement when the target has monomials outside the
     ambient canonical family.  As canonical coordinates are a linear bijection,
-    M * coords == rhs means the result reconstructs the target exactly; a
+    M * coords == rhs means the combination rebuilds the target exactly; a
     non-zero residual would be an internal defect and raises ArithmeticError.
     The members are read once, from this order's ``member_window``.
     """

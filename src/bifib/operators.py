@@ -1,16 +1,13 @@
-"""Polynomials in the forward shift operator E with bivariate coefficients.
+"""The five shift-operator families as rows of ints, and the checks that apply them to the sequences.
 
 E sends a sequence (W_n) to (W_{n+1}), so an operator sum_k p_k E^k applied at index n evaluates
-to sum_k p_k * W_{n+k}.  Coefficients live in Q[x, y] and commute with E, making the operator ring
-a plain commutative polynomial ring over the coefficient ring.  An operator holds one non-zero BivarPoly per
-power of E, {k: p_k}: sums go power by power, and a product groups the coefficient pairs by k1 + k2 and calls
-``poly.sum_of_products`` once per power, as ``apply`` does for its one sum.  The families below are built on
-int rows, and products are the tests' reference for them.  ``check_shift_law`` packs coordinate vectors into ints (``poly.pack``):
-a Horner step is one subtraction and (-y)^j a shift by j slots, and as entries at most double per row,
-``slot_width`` slots keep unequal vectors unequal; each level's prefix is compared with its expected ints as one
-list, and walked for the failing (j, m) only when the two differ.  ``check_relation`` applies each order's row to
-the members as one ``poly.combine_columns``, unpacked: slots wide enough for its products c * (member entry) were
-slower at n = 400.
+to sum_k p_k * W_{n+k}, its coefficients p_k in Q[x, y] commuting with E.  Every operator applied here is
+homogeneous in x and E with no y term, so it is one row of ints, the coefficients of x^(m-k) E^k (below).
+``check_shift_law`` packs coordinate vectors into ints (``poly.pack``): a Horner step is one subtraction and
+(-y)^j a shift by j slots, and as entries at most double per row, ``slot_width`` slots keep unequal vectors
+unequal; each level's prefix is compared with its expected ints as one list, and walked for the failing (j, m)
+only when the two differ.  ``check_relation`` applies each order's row to the members as one
+``poly.combine_columns``, unpacked: slots wide enough for its products c * (member entry) were slower at n = 400.
 
 ``family_orders`` yields the five operator families, defined by
 
@@ -21,8 +18,8 @@ slower at n = 400.
     E_m = (x A_{m-1} + D_m) / 2 + E^m                     (m >= 1)
 
 order by order, each from the one before, on one row of ints: F_m is homogeneous of degree m in x and E
-with no y term, so entry k is its coefficient of x^(m-k) E^k and a row holds nothing else; only
-``build_family`` wraps a row, the last, as an ``OperatorPoly``.  (x-E) F is [*row, 0] - [0, *row] and
+with no y term, so entry k is its coefficient of x^(m-k) E^k and a row holds nothing else;
+``build_family`` returns one order's row.  (x-E) F is [*row, 0] - [0, *row] and
 (E-x) F its negation, so A_m = (x-E) A_{m-1} + 2 E^m from A_0 = 1 (Horner's rule for the defining sum),
 B_m = (E-x) B_{m-1} from B_0 = -1 and D_m = (E-x) D_{m-1} from D_1 = x - 2E.  C_m is summed from B_m's
 row, and E_m halves the row of x A_{m-1} + D_m with ``divmod`` before adding E^m.  Expanded, family F_m
@@ -44,97 +41,14 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, islice, repeat
 from operator import add, lshift, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from .bases import BasisSpec, member_index
 from .coefficients import FAMILIES, Family, closed_value
 from .errors import DomainError, IntegralityViolation
-from .poly import ONE, ZERO, BivarPoly, Rational, _power, _var_string, combine_columns, pack, sum_of_products
+from .poly import _var_string, combine_columns, pack
 from .report import CheckResult
-from .sequences import SequenceCache, SequenceKind, read_members
-
-
-class OperatorPoly:
-    """Immutable finite sum of powers of E with BivarPoly coefficients, stored as {power: non-zero BivarPoly}."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping | Iterable = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, BivarPoly] = {}
-        for power, value in items:
-            if not isinstance(power, int) or power < 0:
-                raise ValueError(f"shift power must be a non-negative integer, got {power!r}")
-            acc[power] = acc.get(power, ZERO) + (value if isinstance(value, BivarPoly) else BivarPoly.constant(value))
-        self._coeffs = {k: p for k, p in acc.items() if p}
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def identity(cls) -> OperatorPoly:
-        return cls({0: ONE})
-
-    # -- inspection --------------------------------------------------------
-
-    def items(self) -> Iterator[tuple[int, BivarPoly]]:
-        return iter(sorted(self._coeffs.items()))
-
-    def coefficient(self, power: int) -> BivarPoly:
-        return self._coeffs.get(power, ZERO)
-
-    def shift_powers(self) -> list[int]:
-        return sorted(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperatorPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    # -- ring operations ---------------------------------------------------
-
-    def _plus(self, other: OperatorPoly, sign: int) -> OperatorPoly:
-        if not isinstance(other, OperatorPoly):
-            return NotImplemented
-        return OperatorPoly([*self._coeffs.items(), *((k, q * sign) for k, q in other._coeffs.items())])
-
-    def __add__(self, other: OperatorPoly) -> OperatorPoly:
-        return self._plus(other, 1)
-
-    def __neg__(self) -> OperatorPoly:
-        return OperatorPoly({k: -p for k, p in self._coeffs.items()})
-
-    def __sub__(self, other: OperatorPoly) -> OperatorPoly:
-        return self._plus(other, -1)
-
-    def __mul__(self, other: OperatorPoly | BivarPoly | Rational) -> OperatorPoly:
-        if not isinstance(other, OperatorPoly):
-            other = OperatorPoly({0: other})  # a scalar or a BivarPoly, as the E^0 operator it is
-        groups: dict[int, list[tuple[BivarPoly, BivarPoly]]] = {}
-        for k1, p in self._coeffs.items():
-            for k2, q in other._coeffs.items():
-                groups.setdefault(k1 + k2, []).append((p, q))
-        return OperatorPoly({k: sum_of_products(pairs) for k, pairs in groups.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> OperatorPoly:
-        return _power(self, exponent, OperatorPoly.identity())
-
-    # -- action on sequences -------------------------------------------------
-
-    def apply(self, seq: SequenceCache, base: int) -> BivarPoly:
-        """Evaluate sum_k p_k * seq[base + k]."""
-        if base < 0:
-            raise DomainError(f"base index must be >= 0, got {base}")
-        return sum_of_products((poly, seq[base + power]) for power, poly in self.items())
-
-    # -- rendering -------------------------------------------------------------
-
-    def __str__(self) -> str:
-        return " + ".join(f"({poly})·E^{k}" for k, poly in self.items()) or "0"
-
-    def __repr__(self) -> str:
-        return f"OperatorPoly({str(self)!r})"
+from .sequences import SequenceKind, read_members
 
 
 def _x_minus_e(row: list[int], top: int) -> list[int]:
@@ -173,13 +87,12 @@ def family_orders(family: Family, m_max: int) -> Iterator[tuple[int, list[int]]]
     return zip(range(FAMILIES[family].start_row, m_max + 1), rows)
 
 
-def build_family(family: Family, m: int) -> OperatorPoly:
-    """Construct one of the five operator families, fully expanded: the last row of ``family_orders``, wrapped."""
+def build_family(family: Family, m: int) -> list[int]:
+    """The row of F_m, the last of ``family_orders``: entry k is its coefficient of x^(m-k) E^k."""
     start = FAMILIES[family].start_row
     if m < start:
         raise DomainError(f"operator family {family.value.upper()} needs m >= {start}, got {m}")
-    row = next(row for order, row in family_orders(family, m) if order == m)
-    return OperatorPoly({k: BivarPoly.monomial(m - k, 0, c) for k, c in enumerate(row)})
+    return next(row for order, row in family_orders(family, m) if order == m)
 
 
 def slot_width(members: list[list[int]], n_max: int) -> int:

@@ -18,9 +18,8 @@ A monomial x^a y^b is the plain int tuple ``(a, b)``, inside and at the API;
 there is no monomial class.  ``__init__`` takes such keys (and rejects non-int
 or negative exponents), and ``items`` and ``canonical_monomials`` return them.
 ``sum_of_products`` expands sum_i p_i * q_i into one dict: it is the one multiply-accumulate behind every product of
-``BivarPoly``s and of ``operators.OperatorPoly``s, which call it once per power of E.  ``BivarPoly._plus`` is the one
-sum or difference of two term maps.  Each ring operation canonicalises its result once (``_canonical``) and wraps it
-with ``BivarPoly._of``.  ``signed_sum`` renders text.
+``BivarPoly``s.  ``BivarPoly._plus`` is the one sum or difference of two term maps.  Each ring operation canonicalises
+its result once (``_canonical``) and wraps it with ``BivarPoly._of``.  ``signed_sum`` renders text.
 """
 
 from __future__ import annotations
@@ -155,7 +154,16 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> BivarPoly:
-        return _power(self, exponent, ONE)
+        """self ** exponent by repeated squaring."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result, base = ONE, self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
 
     def scale(self, factor: Rational) -> BivarPoly:
         factor = as_rational(factor)
@@ -254,19 +262,6 @@ def pack(vec: Sequence[int], bits: int) -> int:
     if vec and (min(vec) < 0 or max(vec) > mask):
         return pack([v & mask for v in vec], bits) - (pack([-(v >> bits) for v in vec], bits) << bits)
     return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in vec]), "little")
-
-
-def _power(base, exponent: int, one):
-    """base ** exponent by repeated squaring, for any ring whose identity is ``one``."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("exponent must be a non-negative integer")
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        base = base * base
-        exponent >>= 1
-    return result
 
 
 def _power_table(base: BivarPoly, top: int) -> list[BivarPoly]:

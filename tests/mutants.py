@@ -49,9 +49,6 @@ RELATIONS = ["tests/test_operators.py::test_relations_pass_up_to_12"]
 NEGATED = ["tests/test_operators.py", "-k", "negated"]
 LEMMA2 = ["tests/test_sequences.py", "-k", "lemma2"]
 DEFINITIONS = ["tests/test_operators.py", "-k", "defining_formulas"]
-CANONICAL = ["tests/test_operators.py", "-k", "canonical_y_free"]
-ZEROS = ["tests/test_operators.py", "-k", "zero_coefficients"]
-RING = ["tests/test_operators.py", "-k", "product or commutes or distributivity"]
 WRONG_MEMBER = ["tests/test_operators.py", "-k", "wrong_member or nonzero_u0"]
 KERNEL = ["tests/test_poly.py", "-k", "combine_columns"]
 COORDINATES = ["tests/test_poly.py", "-k", "coordinates"]
@@ -60,8 +57,8 @@ LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
 TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 # verify's own chebyshev checks, through the CLI and on their own, without the unit tests of the images
 RECURRENCE = ["tests/test_cli.py", "tests/test_specializations.py", "-k", "verify_scopes and chebyshev or remark_checks"]
-# the sympy oracles of the chebyshev, lemma1 and lemma2 scopes, whose references read no bifib code
-SYMPY = ["tests/test_sympy_oracle.py", "-k", "univariate_images or lemma1 or lemma2"]
+# the sympy oracles of the chebyshev, lemma1, lemma2, relations and theorems scopes, whose references read no bifib code
+SYMPY = ["tests/test_sympy_oracle.py", "-k", "univariate_images or lemma1 or lemma2 or relations or theorem"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
 INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
 SECONDS = ["tests/test_cli.py", "-k", "without_their_seconds"]
@@ -90,23 +87,18 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (POLY, "min(vec) < 0 or", "min(vec) < -1 or", PACK),
     # the one sum of two term maps, whose sign makes it a difference
     (POLY, "acc[key] = acc.get(key, 0) + sign * c", "acc[key] = acc.get(key, 0) + c", SUM),
-    # the operator ring, which the families' defining formulas in the tests are built with: the zero coefficients its
-    # constructor drops, the sign of a difference (the constructor sums power by power), a pair dropped from the sum
-    # of products of one power, and the power of E that groups them
-    (OPERATORS, "self._coeffs = {k: p for k, p in acc.items() if p}", "self._coeffs = acc", ZEROS),
-    (OPERATORS, "(k, q * sign) for k, q", "(k, q) for k, q", RING),
-    (OPERATORS, "sum_of_products(pairs) for k, pairs", "sum_of_products(pairs[1:]) for k, pairs", RING),
-    (OPERATORS, "groups.setdefault(k1 + k2, [])", "groups.setdefault(max(k1, k2), [])", DEFINITIONS),
     # the families' integer rows: the sign of each step (the sign of (E-x) flips B_m and D_m, which send their sequence
-    # to 0, so the relations see it in their E^m coefficient), A's 2E^m, C's -x E^(m-1), D's seed x - 2E, E's E^m, and
-    # the place build_family gives entry k, at x^(m-k) E^k
+    # to 0, so the relations see it in their E^m coefficient), A's 2E^m, C's -x E^(m-1), D's seed x - 2E and E's E^m
     (OPERATORS, "return list(map(sub, [*row, top], [0, *row]))", "return list(map(sub, [0, *row], [*row, top]))", RELATIONS),
     (OPERATORS, "return list(map(sub, [0, *row], [*row, 0]))", "return list(map(sub, [*row, 0], [0, *row]))", RELATIONS),
     (OPERATORS, "accumulate(repeat(2), _x_minus_e", "accumulate(repeat(0), _x_minus_e", RELATIONS),
     (OPERATORS, "2 * b_m[-2] - 1,", "2 * b_m[-2],", RELATIONS),
     (OPERATORS, "initial=[1, -2]", "initial=[1, -1]", RELATIONS),
     (OPERATORS, "row[m] += 1", "row[m] += 0", RELATIONS),
-    (OPERATORS, "BivarPoly.monomial(m - k, 0, c)", "BivarPoly.monomial(k, 0, c)", CANONICAL),
+    # the same rows against their defining formulas, as int rows and in sympy: B's seed -1, C's 2E^m and -x E^(m-1)
+    (OPERATORS, "initial=[-1]", "initial=[1]", DEFINITIONS),
+    (OPERATORS, "2 * b_m[-1] + 2]", "2 * b_m[-1] + 1]", DEFINITIONS),
+    (OPERATORS, "2 * b_m[-2] - 1,", "2 * b_m[-2],", SYMPY),
     # the relations: the members a row combines, the zero target of B and D, and the E^n coefficient that shows a
     # negated B_n or D_n
     (OPERATORS, "members[base: base + len(row)]", "members[base + 1: base + len(row) + 1]", RELATIONS),
@@ -181,6 +173,8 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (SEQUENCES, "(Y, values[-2])", "(-Y, values[-2])", SYMPY),
     # the bases against the sympy coordinate matrices: BVstar's member offset
     (BASES, 'BasisFacts("V", -1, 1, 2, ("U", "V"))', 'BasisFacts("V", 1, 1, 2, ("U", "V"))', SYMPY),
+    # the closed forms against the sympy solutions of the identities: c's closed form in its record
+    (COEFFICIENTS, "lambda n: n + 1, c_closed,", "lambda n: n + 1, b_closed,", SYMPY),
     # the closed forms of d and e stop at a non-integral value
     (COEFFICIENTS, "if remainder:", "if False:", INTEGRALITY),
     (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),

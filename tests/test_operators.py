@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
-from operator import sub
+from math import comb
+from operator import add, sub
 
 import pytest
 from hypothesis import example, given
@@ -10,171 +11,166 @@ from bifib import operators as operators_module
 from bifib import sequences as sequences_module
 from bifib.coefficients import FAMILIES, Family, closed_value
 from bifib.errors import DomainError, IntegralityViolation
-from bifib.operators import OperatorPoly, build_family, check_shift_law, family_orders, slot_width
-from bifib.poly import BivarPoly, ONE, X, Y, ZERO, combine_columns
+from bifib.operators import build_family, check_shift_law, family_orders, slot_width
+from bifib.poly import BivarPoly, combine_columns, pack, sum_of_products
 from bifib.report import CheckResult, all_passed, run_checks
-from bifib.sequences import SHARED_CACHES, SequenceCache, SequenceKind, member_coordinates, member_weight
+from bifib.sequences import SHARED_CACHES, SequenceKind, member_coordinates, member_weight, read_members
 
 
-def shift(power=1):
-    """E^power."""
-    return OperatorPoly({power: ONE})
+def convolve(p, q):
+    """The row of the product of two operators homogeneous in x and E, from their rows."""
+    product = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            product[i + j] += a * b
+    return product
 
 
-X_MINUS_E = OperatorPoly({0: X}) - shift()
-E_MINUS_X = -X_MINUS_E
+def binomial_row(j):
+    """The row of (x-E)^j: entry k is C(j, k) (-1)^k."""
+    return [comb(j, k) * (-1) ** k for k in range(j + 1)]
 
 
-def poly_of(*terms):
-    return BivarPoly([((a, b), c) for a, b, c in terms])
+def shift(k):
+    """The row of E^k."""
+    return [0] * k + [1]
 
 
-small_polys = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-9, 9)),
-    min_size=0,
-    max_size=3,
-).map(lambda ts: poly_of(*ts))
-
-operators = st.lists(
-    st.tuples(st.integers(0, 4), small_polys), min_size=0, max_size=3
-).map(OperatorPoly)
+def plus(*rows):
+    """The row of a sum of operators of one order."""
+    return [sum(entries) for entries in zip(*rows, strict=True)]
 
 
-# -- ring structure ------------------------------------------------------------
+def times(c, row):
+    return [c * entry for entry in row]
+
+
+X_ROW = [1, 0]
+
+
+def applied(row, letter, base):
+    """The row applied at ``base`` in BivarPoly arithmetic: sum_k c_k x^(m-k) W_(base+k), for an order-m row."""
+    order, cache = len(row) - 1, SHARED_CACHES[letter]
+    return sum_of_products((BivarPoly.monomial(order - k, 0, c), cache[base + k]) for k, c in enumerate(row))
+
+
+def images(row, columns):
+    """The coordinates of the row applied at each base the columns reach: base i reads columns i, i+1, ..."""
+    return [combine_columns(columns[i: i + len(row)], row) for i in range(len(columns) - len(row) + 1)]
+
+
+rows = st.lists(st.integers(-9, 9), min_size=1, max_size=4)
+
+
+# -- products of rows ------------------------------------------------------------------
 
 
 def test_square_of_x_minus_shift():
-    squared = X_MINUS_E ** 2
-    assert squared.coefficient(0) == poly_of((2, 0, 1))
-    assert squared.coefficient(1) == poly_of((1, 0, -2))
-    assert squared.coefficient(2) == ONE
-    assert squared.shift_powers() == [0, 1, 2]
+    # (x-E)^2 = x^2 - 2xE + E^2: the module's (x-E) step twice from 1, a binomial row and a product of rows
+    step = operators_module._x_minus_e
+    assert step(step([1], 0), 0) == binomial_row(2) == convolve([1, -1], [1, -1]) == [1, -2, 1]
 
 
 def test_product_expansion():
-    # (E - x)(x - 2E) = -x^2 + 3x E - 2 E^2
-    product = E_MINUS_X * (OperatorPoly({0: X}) - shift() * 2)
-    assert product.coefficient(0) == poly_of((2, 0, -1))
-    assert product.coefficient(1) == poly_of((1, 0, 3))
-    assert product.coefficient(2) == BivarPoly.constant(-2)
+    # (E - x)(x - 2E) = -x^2 + 3x E - 2 E^2, which is D_2
+    assert convolve([-1, 1], [1, -2]) == build_family(Family.D, 2) == [-1, 3, -2]
+
+
+# -- application to the members' coordinates ----------------------------------------------
+
+
+def test_x_minus_shift_steps_down_with_minus_y():
+    # x keeps a coordinate's place and y moves it up one, so (x-E) at base 5 reads -y U_4
+    members = [member_coordinates("U", i) for i in (5, 6)]
+    assert combine_columns(members, [1, -1]) == [0, *(-c for c in member_coordinates("U", 4))]
+
+
+def test_annihilation_at_the_seed():
+    # x - 2E, the row of D_1, at base 0: x V_0 - 2 V_1 = 2x - 2x
+    assert combine_columns([member_coordinates("V", i) for i in (0, 1)], build_family(Family.D, 1)) == [0]
 
 
 def test_identity_element():
-    op = OperatorPoly({0: X, 2: Y})
-    assert op * OperatorPoly.identity() == op
+    # A_0 = 1 applied at any base reads its member unchanged.
+    assert build_family(Family.A, 0) == [1]
+    for letter in "UV":
+        for n in range(12):
+            assert combine_columns([member_coordinates(letter, n)], [1]) == member_coordinates(letter, n), (letter, n)
+            assert applied([1], letter, n) == SHARED_CACHES[letter][n], (letter, n)
+
+
+def test_pure_shift_application():
+    # E^k at base n reads member n + k, whatever the letter.
+    for letter in "UV":
+        members = read_members(letter, range(16))
+        for k in range(4):
+            for n in range(12):
+                assert combine_columns(members[n: n + k + 1], shift(k)) == members[n + k], (letter, k, n)
+    assert applied(shift(1), "U", 3) == SHARED_CACHES["U"][4]
+
+
+def test_negative_base_rejected():
+    with pytest.raises(DomainError, match="^sequence index must be >= 0, got -1$"):
+        read_members("U", range(-1, 1))
+    with pytest.raises(DomainError, match="^sequence index must be >= 0, got -1$"):
+        applied(shift(1), "V", -1)
 
 
 def test_zero_coefficients_are_dropped():
-    op = OperatorPoly({0: X}) + OperatorPoly({0: -X, 1: ONE})
-    assert op.shift_powers() == [1]
-    assert OperatorPoly({0: ZERO, 2: 0}) == OperatorPoly()
-    assert OperatorPoly().shift_powers() == []
-
-
-def test_invalid_shift_power_rejected():
-    with pytest.raises(ValueError):
-        OperatorPoly({-1: ONE})
+    # B_n annihilates U at base n, so its image in BivarPoly arithmetic stores no term; the zero E^n entry of C_n
+    # and E_n adds none, so their images equal the sums over the entries below it.
+    for n, row in family_orders(Family.B, 10):
+        assert len(applied(row, "U", n)) == 0 and not applied(row, "U", n), n
+    for family, letter in ((Family.C, "U"), (Family.E, "V")):
+        for n, row in family_orders(family, 10):
+            base = n if family is Family.C else n - 1
+            assert row[n] == 0
+            assert applied(row, letter, base) == sum_of_products(
+                (BivarPoly.monomial(n - k, 0, c), SHARED_CACHES[letter][base + k]) for k, c in enumerate(row[:-1])
+            ), (family, n)
 
 
 @pytest.mark.parametrize("value", [1.5, "x", None])
 def test_inexact_coefficients_rejected(value):
+    # The exact reference and the packed rows of the shift law take no inexact entry.
     with pytest.raises(TypeError, match="^exact rational required"):
-        OperatorPoly({0: value})
-    with pytest.raises(TypeError, match="^exact rational required"):
-        OperatorPoly({0: ONE}) * value
+        applied([1, value], "U", 3)
+    with pytest.raises(IntegralityViolation, match="^only int entries pack"):
+        pack([1, value], 8)
 
 
-@given(operators, operators)
-def test_multiplication_commutes(a, b):
-    assert a * b == b * a
+@given(rows, rows, st.sampled_from("UV"), st.integers(0, 8))
+def test_multiplication_commutes(p, q, letter, base):
+    # Applying q and then p to the images equals applying p and then q, and equals applying the product row.
+    members = read_members(letter, range(base, base + len(p) + len(q) - 1))
+    product = combine_columns(members, convolve(p, q))
+    assert combine_columns(images(q, members), p) == combine_columns(images(p, members), q) == product
 
 
-@given(operators, operators, operators)
-def test_distributivity(a, b, c):
-    assert a * (b + c) == a * b + a * c
-
-
-halves = st.integers(-9, 9).map(lambda k: Fraction(k, 2))
-fraction_operators = st.lists(
-    st.tuples(
-        st.integers(0, 4),
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), halves), max_size=3).map(
-            lambda ts: poly_of(*ts)
-        ),
-    ),
-    max_size=3,
-).map(OperatorPoly)
-
-
-@given(operators, operators, small_polys, halves)
-def test_the_flat_product_matches_the_product_of_coefficients(p, q, poly, factor):
-    # The coefficient of E^k in p * q is the sum over k1 + k2 = k, in BivarPoly arithmetic; powers run to 4 + 4.
-    product = p * q
-    assert set(product.shift_powers()) <= set(range(9))
-    for k in range(9):
-        expected = ZERO
-        for k1 in range(k + 1):
-            expected = expected + p.coefficient(k1) * q.coefficient(k - k1)
-        assert product.coefficient(k) == expected, k
-    assert OperatorPoly(dict(p.items())) == p
-    for scalar in (poly, factor):
-        assert p * scalar == scalar * p == OperatorPoly({k: c * scalar for k, c in p.items()})
-
-
-@given(fraction_operators, fraction_operators)
-def test_results_store_no_zero_coefficients(a, b):
-    assert (a - a) == OperatorPoly() and (a - a).shift_powers() == []
-    assert (a * (b - b)).shift_powers() == []
-    for result in (a + b, a - b, a * b, -a, a * ZERO, a * 2, a ** 2, a + (-a)):
-        assert all(p for _, p in result.items())
-        assert result == OperatorPoly(dict(result.items()))
-
-
-# -- application ----------------------------------------------------------------
-
-
-def test_pure_shift_application():
-    u_cache = SequenceCache(SequenceKind.FIBONACCI_U)
-    assert shift().apply(u_cache, 3) == u_cache[4]
-
-
-def test_x_minus_shift_steps_down_with_minus_y():
-    u_cache = SequenceCache(SequenceKind.FIBONACCI_U)
-    assert X_MINUS_E.apply(u_cache, 5) == -Y * u_cache[4]
-
-
-def test_annihilation_at_the_seed():
-    v_cache = SequenceCache(SequenceKind.LUCAS_V)
-    op = OperatorPoly({0: X}) - shift() * 2  # x - 2E
-    assert not op.apply(v_cache, 0)
-
-
-def test_negative_base_rejected():
-    u_cache = SequenceCache(SequenceKind.FIBONACCI_U)
-    with pytest.raises(DomainError):
-        shift().apply(u_cache, -1)
+@given(rows, st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=4),
+       st.sampled_from("UV"), st.integers(0, 8))
+def test_distributivity(p, qr, letter, base):
+    # q and r of one order: p after (q + r) is p after q plus p after r, entry by entry.
+    q, r = map(list, zip(*qr))
+    members = read_members(letter, range(base, base + len(p) + len(q) - 1))
+    after = [combine_columns(images(s, members), p) for s in (plus(q, r), q, r)]
+    assert after[0] == list(map(add, after[1], after[2]))
+    assert combine_columns(members, plus(convolve(p, q), convolve(p, r))) == after[0]
 
 
 # -- the five families ------------------------------------------------------------
 
 
 def test_family_b_order_zero():
-    op = build_family(Family.B, 0)
-    assert op.coefficient(0) == BivarPoly.constant(-1)
-    assert op.shift_powers() == [0]
+    assert build_family(Family.B, 0) == [-1]
 
 
 def test_family_d_order_one():
-    op = build_family(Family.D, 1)
-    assert op.coefficient(0) == X
-    assert op.coefficient(1) == BivarPoly.constant(-2)
+    assert build_family(Family.D, 1) == [1, -2]
 
 
 def test_family_a_order_two():
-    op = build_family(Family.A, 2)
-    assert op.coefficient(0) == poly_of((2, 0, 1))
-    assert op.coefficient(1) == ZERO
-    assert op.coefficient(2) == ONE
+    assert build_family(Family.A, 2) == [1, 0, 1]
 
 
 def test_family_domains():
@@ -185,6 +181,16 @@ def test_family_domains():
         build_family(Family.A, -1)
     build_family(Family.A, 0)
     build_family(Family.B, 0)
+
+
+def test_invalid_shift_power_rejected():
+    # The order is the top power of E, and each family names its first order.
+    for family in Family:
+        start = FAMILIES[family].start_row
+        for m in (start - 1, -1):
+            text = f"operator family {family.value.upper()} needs m >= {start}, got {m}"
+            with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+                build_family(family, m)
 
 
 def test_expansions_match_closed_values_up_to_40():
@@ -198,34 +204,32 @@ def test_expansions_match_closed_values_up_to_40():
 
 
 def test_family_orders_are_canonical_y_free_and_end_at_build_family_up_to_40():
-    # build_family wraps the last row: entry k of an order-m row is the coefficient of x^(m-k) E^k, with no y term.
+    # Entry k of an order-m row is the coefficient of x^(m-k) E^k, so a row of ints (as the closed-value test checks)
+    # has no y term; build_family gives one order's row.
     for family in Family:
         for m, row in family_orders(family, 40):
-            expected = OperatorPoly({k: BivarPoly.monomial(m - k, 0, c) for k, c in enumerate(row)})
-            assert build_family(family, m) == expected, (family, m)
+            assert build_family(family, m) == row, (family, m)
 
 
 def test_family_orders_match_their_defining_formulas():
-    # The expected operators are the module docstring's definitions, built with ** and
-    # never by a running product, so a wrong step of family_orders cannot cancel out.
+    # The expected rows are the module docstring's definitions, with binomial rows for the powers of x - E and
+    # E - x and products of rows for their products, and never by a running product, so a wrong step of
+    # family_orders cannot cancel out.
     def a(m):
-        total = X_MINUS_E ** m
-        for k in range(1, m + 1):
-            total = total + shift(k) * X_MINUS_E ** (m - k) * 2
-        return total
+        return plus(binomial_row(m), *(times(2, convolve(shift(k), binomial_row(m - k))) for k in range(1, m + 1)))
 
     def b(m):
-        return -(E_MINUS_X ** m)
+        return times(-((-1) ** m), binomial_row(m))  # (E-x)^m = (-1)^m (x-E)^m
 
     def d(m):
-        return E_MINUS_X ** (m - 1) * (OperatorPoly({0: X}) - shift() * 2)
+        return convolve(times((-1) ** (m - 1), binomial_row(m - 1)), [1, -2])
 
     defined = {
         Family.A: a,
         Family.B: b,
-        Family.C: lambda m: shift(m) * 2 + b(m) * 2 - shift(m - 1) * X,
+        Family.C: lambda m: plus(times(2, shift(m)), times(2, b(m)), times(-1, convolve(X_ROW, shift(m - 1)))),
         Family.D: d,
-        Family.E: lambda m: (a(m - 1) * X + d(m)) * Fraction(1, 2) + shift(m),
+        Family.E: lambda m: plus(times(Fraction(1, 2), plus(convolve(X_ROW, a(m - 1)), d(m))), shift(m)),
     }
     for family, definition in defined.items():
         orders = [m for m, _ in family_orders(family, 12)]
@@ -373,20 +377,11 @@ def test_a_negated_order_fails_that_order(monkeypatch, family):
 @example([3], SequenceKind.FIBONACCI_U, 0)  # U_0 times a constant at order 0: the empty family of weight -1
 def test_coordinate_application_equals_apply_on_the_sequences(row, kind, base):
     # Entry k of an order-m row is the coefficient of x^(m-k) E^k, and x^(m-k) keeps each canonical coordinate's
-    # place, so the row combines the members' coordinates into those of the applied operator.
+    # place, so the row combines the members' coordinates into those of the applied operator, stated here in BivarPoly
+    # arithmetic (``applied``).
     order, letter = len(row) - 1, kind.value
     members = [member_coordinates(letter, i) for i in range(base, base + len(row))]
     weight = order + member_weight(letter, base)
-    op = OperatorPoly({k: BivarPoly.monomial(order - k, 0, c) for k, c in enumerate(row)})
-    applied = op.apply(SHARED_CACHES[letter], base)
-    assert combine_columns(members, row) == (applied.canonical_coordinates(weight) if weight >= 0 else [])
-    assert weight >= 0 or not applied
-
-
-# -- rendering ---------------------------------------------------------------------
-
-
-def test_render_ascending_and_descending():
-    squared = X_MINUS_E ** 2
-    assert str(squared) == "(x^2)·E^0 + (-2x)·E^1 + (1)·E^2"
-    assert str(OperatorPoly()) == "0"
+    image = applied(row, letter, base)
+    assert combine_columns(members, row) == (image.canonical_coordinates(weight) if weight >= 0 else [])
+    assert weight >= 0 or not image

@@ -9,7 +9,11 @@ Fibonacci and Lucas numbers; and the members' coordinates with U_n and V_n
 built by their recurrence in sympy, on which the four lemma 2 identities and
 the shift law are checked, and from which the four bases' coordinate matrices
 are built, whose Berkowitz determinants the lemma 1 determinants must equal.
-The module is skipped when sympy is not installed.
+The five operator families are expanded from their defining formulas in x and
+E and applied to those members, and the five decomposition identities are
+solved with ``sympy.linsolve`` over their coordinates, against the operator
+rows and the closed-form and oracle triangles.  The module is skipped when
+sympy is not installed.
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ sympy = pytest.importorskip("sympy")
 from bifib.bases import (  # noqa: E402
     BASES, BasisFamily, BasisSpec, RationalMatrix, coordinate_matrix, det_by_column_reduction,
 )
+from bifib.coefficients import Family, closed_triangle, oracle_triangle  # noqa: E402
 from bifib.errors import SingularMatrixError  # noqa: E402
+from bifib.operators import family_orders  # noqa: E402
 from bifib.poly import BivarPoly  # noqa: E402
 from bifib.sequences import member_coordinates, u_poly, v_poly  # noqa: E402
 from bifib.specializations import chebyshev_t, chebyshev_u, univariate_images  # noqa: E402
 
-x, y = sympy.symbols("x y")
+x, y, E = sympy.symbols("x y E")
 
 
 def to_sympy(value):
@@ -231,3 +237,76 @@ def test_lemma1_determinants_match_berkowitz_on_coordinate_matrices_of_sympy_mem
         assert coordinate_matrix(spec).row_list() == rows, n
         assert dets[-1] == BASES[family].determinant == coordinate_matrix(spec).det(), n
         assert det_by_column_reduction(spec) == dets, n
+
+
+# -- the operator relations and the decomposition identities ----------------------
+
+
+def operator_families(m):
+    """A_m..E_m from their defining formulas, as sympy polynomials in x and E; C, D and E from m = 1."""
+    def a(m):
+        return (x - E) ** m + 2 * sum((E ** k * (x - E) ** (m - k) for k in range(1, m + 1)), sympy.Integer(0))
+
+    def d(m):
+        return (E - x) ** (m - 1) * (x - 2 * E)
+
+    b = -((E - x) ** m)
+    expressions = {Family.A: a(m), Family.B: b}
+    if m >= 1:
+        expressions |= {Family.C: 2 * E ** m + 2 * b - x * E ** (m - 1), Family.D: d(m),
+                        Family.E: (x * a(m - 1) + d(m)) / 2 + E ** m}
+    return {family: sympy.Poly(expression, x, E, domain=sympy.QQ) for family, expression in expressions.items()}
+
+
+# F_n is applied to the members of one letter at base n + base shift, and gives 0 or factor * (letter')_(2n + shift):
+# (letter, base shift, None or (factor, letter', shift))
+RELATIONS = {
+    Family.A: ("V", 0, (2, "U", 1)),
+    Family.B: ("U", 0, None),
+    Family.C: ("U", 0, (1, "V", -1)),
+    Family.D: ("V", -1, None),
+    Family.E: ("V", -1, (2, "U", 0)),
+}
+
+
+def test_relations_hold_for_operators_expanded_from_their_definitions_that_match_the_rows_to_n_12(uv_members):
+    # c x^a E^k applied to W at base b is c x^a W_(b+k).
+    expanded = [operator_families(m) for m in range(13)]
+    for family, (letter, base_shift, image) in RELATIONS.items():
+        for n, row in family_orders(family, 12):
+            operator = expanded[n][family]
+            from_row = sum(c * x ** (n - k) * E ** k for k, c in enumerate(row))
+            assert operator == sympy.Poly(from_row, x, E, domain=sympy.QQ), (family, n)
+            base = n + base_shift
+            applied = sum(c * x ** a * uv_members[letter][base + k].as_expr() for (a, k), c in operator.terms())
+            expected = 0 if image is None else image[0] * uv_members[image[1]][2 * n + image[2]].as_expr()
+            assert sympy.expand(applied - expected) == 0, (family, n)
+
+
+# Each family's identity, factor * (letter)_(2n + shift) over a basis of BASIS_MEMBERS: (factor, letter, shift, basis)
+IDENTITIES = {
+    Family.A: (2, "U", 1, BasisFamily.BV),
+    Family.B: (1, "U", 0, BasisFamily.BU_STAR),
+    Family.C: (1, "V", -1, BasisFamily.BU_STAR),
+    Family.D: (2, "V", -1, BasisFamily.BV_STAR),
+    Family.E: (2, "U", 0, BasisFamily.BV_STAR),
+}
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_theorem_coordinates_match_linsolve_over_the_coordinates_of_sympy_members_to_n_10(uv_members, family):
+    factor, letter, shift, basis = IDENTITIES[family]
+    basis_letter, offset, lowest = BASIS_MEMBERS[basis]
+    closed, oracle = closed_triangle(family, 10), oracle_triangle(family, 10)
+    x_poly = sympy.Poly(x, x, y, domain=sympy.ZZ)
+    for n in range(lowest, 11):
+        degree, size = 2 * n - lowest, n + 1 - lowest
+        target = factor * uv_members[letter][2 * n + shift]
+        vectors = [x_poly ** (n - k) * uv_members[basis_letter][n + k + offset] for k in range(size)]
+        # row i holds coordinate i, the coefficient of x^(degree-2i) y^i, and column k vector k
+        rows = [[int(v.coeff_monomial(x ** (degree - 2 * i) * y ** i)) for v in vectors] for i in range(size)]
+        rhs = [int(target.coeff_monomial(x ** (degree - 2 * i) * y ** i)) for i in range(size)]
+        unknowns = sympy.symbols(f"c0:{size}")
+        (solution,) = sympy.linsolve((sympy.Matrix(rows), sympy.Matrix(rhs)), unknowns)
+        assert sum((c * v for c, v in zip(solution, vectors)), 0 * target) == target, n  # no term outside coordinates
+        assert list(solution) == list(closed.row(n)[:size]) == list(oracle.row(n)), n
