@@ -11,8 +11,9 @@ sequence members times powers of x:
 
 ``BasisFamily`` names these four only; the canonical family itself is
 ``poly.canonical_monomials``.  ``BASES`` holds each one's facts: the member
-letter and offset above, the lowest order (1 for the starred bases, else 0),
-the determinant and the sequences doubled over it.
+letter, the lowest order (1 for the starred bases, else 0), the determinant
+and the sequences doubled over it.  The indices above follow from the weight
+rule of ``sequences``: vector k holds the member of weight n + k - lowest.
 
 Their coordinate matrices over the canonical family are square with exact
 determinant 1 (BU, BUstar) or 2 (BV, BVstar), so ``decompose`` can solve for
@@ -49,7 +50,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DimensionError, DomainError, SingularMatrixError
 from .poly import BivarPoly, Rational, as_rational, combine_columns
 from .report import CheckResult, require_n_max
-from .sequences import SHARED_CACHES, member_coordinates, member_weight, read_members
+from .sequences import SHARED_CACHES, member_of_weight, read_members
 
 
 class BasisFamily(Enum):
@@ -60,22 +61,22 @@ class BasisFamily(Enum):
 
 
 class BasisFacts(NamedTuple):
-    """One basis family's facts: vector k of order n is x^(n-k) times member n + k + ``offset`` of the ``letter``
-    sequence, orders start at ``lowest``, every order's coordinate matrix has determinant ``determinant``, and the
-    U or V targets in ``doubled`` have integer coordinates over it only once doubled."""
+    """One basis family's facts: vector k of order n is x^(n-k) times the member of the ``letter`` sequence of
+    weight n + k - ``lowest`` (``member_index``), orders start at ``lowest``, every order's coordinate matrix has
+    determinant ``determinant``, and the U or V targets in ``doubled`` have integer coordinates over it only once
+    doubled."""
 
     letter: str
-    offset: int
     lowest: int
     determinant: int
     doubled: tuple[str, ...]
 
 
 BASES: dict[BasisFamily, BasisFacts] = {
-    BasisFamily.BU: BasisFacts("U", 1, 0, 1, ()),
-    BasisFamily.BV: BasisFacts("V", 0, 0, 2, ("U",)),
-    BasisFamily.BU_STAR: BasisFacts("U", 0, 1, 1, ()),
-    BasisFamily.BV_STAR: BasisFacts("V", -1, 1, 2, ("U", "V")),
+    BasisFamily.BU: BasisFacts("U", 0, 1, ()),
+    BasisFamily.BV: BasisFacts("V", 0, 2, ("U",)),
+    BasisFamily.BU_STAR: BasisFacts("U", 1, 1, ()),
+    BasisFamily.BV_STAR: BasisFacts("V", 1, 2, ("U", "V")),
 }
 
 EXPECTED_DETERMINANTS = {family: basis.determinant for family, basis in BASES.items()}
@@ -100,9 +101,9 @@ def ambient_degree(spec: BasisSpec) -> int:
 
 
 def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
-    """Sequence letter and index of the member in vector k, e.g. ("U", 7) for U_7."""
+    """Sequence letter and index of the member in vector k, of weight n + k - lowest, e.g. ("U", 7) for U_7."""
     basis = BASES[spec.family]
-    return basis.letter, spec.n + k + basis.offset
+    return basis.letter, member_of_weight(basis.letter, spec.n + k - basis.lowest)
 
 
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
@@ -111,28 +112,6 @@ def build_basis(spec: BasisSpec) -> list[BivarPoly]:
     letter, first = member_index(spec, 0)
     members = SHARED_CACHES[letter]
     return [BivarPoly.monomial(spec.n - k, 0) * members[first + k] for k in range(count)]
-
-
-def pairing(kind: str, index: int, family: BasisFamily) -> tuple[BivarPoly, BasisSpec, bool]:
-    """The target, basis and doubling with which member ``index`` of U or V decomposes over a family.
-
-    The target is the member itself, or twice it when the pair needs doubling for integer coordinates.
-    Only the CLI's ``decompose`` reads it (the schemes of ``coefficients.FAMILIES`` own the five families' targets).
-    Raises DomainError for U_0 and for a member whose canonical degree has the wrong parity for the family.
-    """
-    if kind == "U" and index == 0:
-        raise DomainError("U_0 is the zero polynomial; nothing to decompose")
-    weight = member_weight(kind, index)
-    basis = BASES[family]
-    if weight % 2 != basis.lowest:
-        needed = "odd" if basis.lowest else "even"
-        raise DomainError(
-            f"{kind}_{index} spans canonical degree {weight}, "
-            f"but {family.value} bases span {needed}-degree spaces"
-        )
-    member_coordinates(kind, index)  # a member with a term outside its family raises here, named
-    member, doubled = SHARED_CACHES[kind][index], kind in basis.doubled
-    return (member.scale(2) if doubled else member), BasisSpec(family, (weight + 1) // 2), doubled
 
 
 class RationalMatrix:

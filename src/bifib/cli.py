@@ -26,20 +26,12 @@ from .bases import (
     det_by_column_reduction,
     Decomposition,
     member_index,
-    pairing,
 )
-from .coefficients import (
-    Family,
-    closed_triangle,
-    cross_check,
-    first_row,
-    oracle_triangle,
-    recurrence_triangle,
-)
+from .coefficients import METHODS, DecompositionScheme, Family, cross_check, first_row
 from .errors import BifibError
 from .poly import _var_string, signed_sum
 from .report import all_passed, checks, run_checks
-from .sequences import u_poly, v_poly
+from .sequences import SHARED_CACHES, member_coordinates, u_poly, v_poly
 from .specializations import chebyshev_t, chebyshev_u
 
 _SEQUENCE_BASES = [f.value for f in BasisFamily]
@@ -85,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("n_max", type=int)
     table.add_argument(
         "--method",
-        choices=["closed", "recurrence", "oracle", "all"],
+        choices=[*METHODS, "all"],
         default="recurrence",
         help="generation method; 'all' emits only if the methods agree",
     )
@@ -165,8 +157,7 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             return 1
         triangle = report.recurrence  # once the methods agree, 'all' prints the recurrence triangle
     else:
-        build = {"closed": closed_triangle, "oracle": oracle_triangle}.get(args.method, recurrence_triangle)
-        triangle = build(family, args.n_max)
+        triangle = METHODS[args.method](family, args.n_max)
 
     if args.format == "text":
         print(triangle.to_text())
@@ -201,12 +192,14 @@ def _cmd_det(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _enforce_cap(parser, args, args.n)
-    target, spec, doubled = pairing(args.kind, args.n, BasisFamily(args.basis))
-    decomposition = decompose(target, spec)
+    scheme = DecompositionScheme(args.kind, BasisFamily(args.basis))
+    spec = BasisSpec(scheme.basis, scheme.order(args.n))
+    member_coordinates(args.kind, args.n)  # a member with a term outside its family raises here, named
+    decomposition = decompose(SHARED_CACHES[args.kind][args.n].scale(scheme.doubling), spec)
     if args.format == "json":
         print(json.dumps(decomposition.to_json_dict()))
     else:
-        label = ("2" if doubled else "") + f"{args.kind}_{args.n}"
+        label = ("2" if scheme.doubling == 2 else "") + f"{args.kind}_{args.n}"
         print(f"{label} = {_combination_text(decomposition)}")
     return 0
 

@@ -17,9 +17,9 @@ Closed forms (delta is the Kronecker symbol):
     d(n,k) = (-1)^(n-k+1) (n+k)/n C(n,k)
     e(n,k) = (a(n-1,k) + d(n,k)) / 2 + delta(n,k)
 
-Every family also satisfies a Pascal-like two-term row recurrence: after
-the seed row, row n has the entry 0 shown and, for k >= 1, the rule on the
-right, reading 0 past the end of row n-1 (e's rule reads the a recurrence):
+Every family also satisfies a Pascal-like two-term row recurrence: after the
+seed row, row n follows from row n-1 by the rule on the right, reading 0 before
+and after row n-1; the column-0 values shown follow from it (e's reads a's rows):
 
     a(0,.) = (1)       a(n,0) = 1              a(n,k) = a(n-1,k) - a(n-1,k-1) + 2 delta(k,n)
     b(0,.) = (-1)      b(n,0) = (-1)^(n+1)     b(n,k) = -b(n-1,k) + b(n-1,k-1)
@@ -27,10 +27,10 @@ right, reading 0 past the end of row n-1 (e's rule reads the a recurrence):
     d(1,.) = (1, -2)   d(n,0) = (-1)^(n+1)     d(n,k) = -d(n-1,k) + d(n-1,k-1)
     e(1,.) = (1)       e(n,0) = n mod 2        e(n,k) = -e(n-1,k) + e(n-1,k-1) + a(n-1,k)
 
-The triangles can thus be generated three independent ways (closed form,
-recurrence, and the exact linear-solve oracle of ``bases`` on the targets of
-``DecompositionScheme``) and ``cross_check`` compares them entry by entry.
-Each family's facts are one ``FamilyFacts`` record in ``FAMILIES``.
+The triangles can thus be generated three independent ways, the ``METHODS``
+(closed form, recurrence, and the exact linear-solve oracle of ``bases`` on the
+targets of ``DecompositionScheme``), which ``cross_check`` compares entry by
+entry.  Each family's facts are one ``FamilyFacts`` record in ``FAMILIES``.
 
 Rows of the b, c and d triangles carry a final k = n entry (for example
 c(1,1) = -2).  Those values feed the recurrences and the operator
@@ -48,9 +48,9 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .bases import BASES, BasisFamily, BasisSpec, _checked_solve, member_window
-from .errors import IntegralityViolation
+from .errors import DomainError, IntegralityViolation
 from .report import CheckResult, require_n_max
-from .sequences import read_members
+from .sequences import member_of_weight, member_weight, read_members
 
 
 class Family(Enum):
@@ -183,26 +183,23 @@ def closed_triangle(family: Family, n_max: int) -> CoeffTriangle:
 def recurrence_triangle(family: Family, n_max: int) -> CoeffTriangle:
     """Rows built purely from the family's seed row and two-term recurrence, by its ``rule``."""
     numbers, facts = _row_range(family, n_max, "recurrence"), FAMILIES[family]
-    seed, first, sign, extra = facts.rule
+    seed, sign, extra = facts.rule
     a = recurrence_triangle(Family.A, n_max - 1).rows if facts.reads_a else ()
     rows = [seed]
     for n in numbers[1:]:
-        prev = rows[-1] + (0,)
-        row = [first(n)]
-        row += [sign * (prev[k] - prev[k - 1]) + extra(n, k, a) for k in range(1, facts.row_length(n))]
-        rows.append(tuple(row))
+        prev = (0, *rows[-1], 0)  # entry k of row n reads entries k - 1 and k of row n - 1
+        rows.append(tuple(sign * (prev[k + 1] - prev[k]) + extra(n, k, a) for k in range(facts.row_length(n))))
     return CoeffTriangle(family, "recurrence", numbers.start, tuple(rows))
 
 
 class DecompositionScheme(NamedTuple):
-    """One family's identity: member 2n + shift of U or V, doubled where needed, over a basis family.
+    """One identity: the U or V member (``kind``) spanning the ambient degree of an order, over that order's basis.
 
-    The one owner of row n's target: ``member`` gives its index, ``targets`` its coordinates and ``doubling``
-    (its basis's ``doubled``) its factor, for the relations, the transfers and the oracle; ``min_n`` its first row.
+    The one owner of row n's target: ``member`` gives its index (of weight 2n - ``min_n``), ``order`` inverts it,
+    ``targets`` gives its coordinates and ``doubling`` (its basis's ``doubled``) its factor; ``min_n`` its first row.
     """
 
     kind: str
-    shift: int
     basis: BasisFamily
 
     @property
@@ -215,8 +212,24 @@ class DecompositionScheme(NamedTuple):
         return 2 if self.kind in BASES[self.basis].doubled else 1
 
     def member(self, n: int) -> int:
-        """The index 2n + shift of row n's target member."""
-        return 2 * n + self.shift
+        """The index of row n's target member, of weight 2n - ``min_n``: 2n + ``shift``."""
+        return member_of_weight(self.kind, 2 * n - self.min_n)
+
+    @property
+    def shift(self) -> int:
+        """The member index less twice the row, the same for every row."""
+        return self.member(0)
+
+    def order(self, index: int) -> int:
+        """The row whose target is member ``index``; DomainError for U_0 and for a degree of the wrong parity."""
+        weight = member_weight(self.kind, index)
+        if weight < 0:
+            raise DomainError(f"{self.kind}_{index} is the zero polynomial; nothing to decompose")
+        if weight % 2 != self.min_n:
+            needed = "odd" if self.min_n else "even"
+            raise DomainError(f"{self.kind}_{index} spans canonical degree {weight}, "
+                              f"but {self.basis.value} bases span {needed}-degree spaces")
+        return (weight + self.min_n) // 2
 
     def targets(self, first: int, last: int) -> list[list[int]]:
         """The canonical coordinates of the targets of rows first..last, their ``member``s read once each."""
@@ -235,16 +248,16 @@ class FamilyFacts(NamedTuple):
     """One family's facts, the one record (in ``FAMILIES``) that every reader of them reads.
 
     Row n of the triangle, from row ``start_row`` on, holds k = 0..``row_length(n)`` - 1, and ``closed`` is its
-    closed form.  ``rule`` is its recurrence: the seed row, entry 0 of each later row n, the sign s and the extra
-    term.  Entry k >= 1 of row n is s * (prev[k] - prev[k-1]) + extra(n, k, a), where prev is row n-1 with a 0 past
-    its end and a holds the a recurrence's rows when ``reads_a``.  ``scheme`` is the decomposition identity, and
+    closed form.  ``rule`` is its recurrence: the seed row, the sign s and the extra term.  Entry k of each later
+    row n is s * (prev[k+1] - prev[k]) + extra(n, k, a), where prev is row n-1 with a 0 before its start and past
+    its end, and a holds the a recurrence's rows when ``reads_a``.  ``scheme`` is the decomposition identity, and
     ``annihilates`` says the family's operators send their sequence to 0.
     """
 
     start_row: int
     row_length: Callable[[int], int]
     closed: Callable[[int, int], int]
-    rule: tuple[tuple[int, ...], Callable[[int], int], int, Callable[..., int]]
+    rule: tuple[tuple[int, ...], int, Callable[..., int]]
     scheme: DecompositionScheme
     annihilates: bool
     reads_a: bool
@@ -252,27 +265,21 @@ class FamilyFacts(NamedTuple):
 
 FAMILIES: dict[Family, FamilyFacts] = {
     Family.A: FamilyFacts(0, lambda n: n + 1, a_closed, annihilates=False, reads_a=False,
-                          scheme=DecompositionScheme("U", 1, BasisFamily.BV),
-                          rule=((1,), lambda n: 1, 1, lambda n, k, a: 2 if k == n else 0)),
+                          scheme=DecompositionScheme("U", BasisFamily.BV),
+                          rule=((1,), 1, lambda n, k, a: 2 if k == n else 0)),
     Family.B: FamilyFacts(0, lambda n: n + 1, b_closed, annihilates=True, reads_a=False,
-                          scheme=DecompositionScheme("U", 0, BasisFamily.BU_STAR),
-                          rule=((-1,), lambda n: (-1) ** (n + 1), -1, lambda n, k, a: 0)),
+                          scheme=DecompositionScheme("U", BasisFamily.BU_STAR),
+                          rule=((-1,), -1, lambda n, k, a: 0)),
     Family.C: FamilyFacts(1, lambda n: n + 1, c_closed, annihilates=False, reads_a=False,
-                          scheme=DecompositionScheme("V", -1, BasisFamily.BU_STAR),
-                          rule=((1, -2), lambda n: 2 * (-1) ** (n + 1), -1, lambda n, k, a: -1 if n == k + 2 else 0)),
+                          scheme=DecompositionScheme("V", BasisFamily.BU_STAR),
+                          rule=((1, -2), -1, lambda n, k, a: -1 if n == k + 2 else 0)),
     Family.D: FamilyFacts(1, lambda n: n + 1, d_closed, annihilates=True, reads_a=False,
-                          scheme=DecompositionScheme("V", -1, BasisFamily.BV_STAR),
-                          rule=((1, -2), lambda n: (-1) ** (n + 1), -1, lambda n, k, a: 0)),
+                          scheme=DecompositionScheme("V", BasisFamily.BV_STAR),
+                          rule=((1, -2), -1, lambda n, k, a: 0)),
     Family.E: FamilyFacts(1, lambda n: n, e_closed, annihilates=False, reads_a=True,
-                          scheme=DecompositionScheme("U", 0, BasisFamily.BV_STAR),
-                          rule=((1,), lambda n: n % 2, -1, lambda n, k, a: a[n - 1][k])),
+                          scheme=DecompositionScheme("U", BasisFamily.BV_STAR),
+                          rule=((1,), -1, lambda n, k, a: a[n - 1][k])),
 }
-
-
-def closed_row(family: Family, n: int) -> list[int]:
-    """The closed-form coordinates of row n's decomposition identity, one per basis vector."""
-    facts = FAMILIES[family]
-    return [facts.closed(n, k) for k in range(n + 1 - facts.scheme.min_n)]
 
 
 def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
@@ -295,6 +302,14 @@ def oracle_triangle(family: Family, n_max: int) -> CoeffTriangle:
                 )
         rows.append(coords)
     return CoeffTriangle(family, "oracle", numbers.start, tuple(rows))
+
+
+# The generation methods by name, in cross_check's order; each looks up its generator when called, so wrapping it works.
+METHODS: dict[str, Callable[[Family, int], CoeffTriangle]] = {
+    "closed": lambda family, n_max: closed_triangle(family, n_max),
+    "recurrence": lambda family, n_max: recurrence_triangle(family, n_max),
+    "oracle": lambda family, n_max: oracle_triangle(family, n_max),
+}
 
 
 class MethodMismatch(NamedTuple):
@@ -323,14 +338,11 @@ def cross_check(family: Family, n_max: int) -> CrossCheckReport:
     Entries a method does not produce (the k = n seeds of b, c, d, which lie
     past the oracle's coordinate vector) are skipped, not flagged.
     """
-    triangles = {
-        "closed": closed_triangle(family, n_max),
-        "recurrence": recurrence_triangle(family, n_max),
-    }
-    if n_max >= first_row(family, "oracle"):
-        triangles["oracle"] = oracle_triangle(family, n_max)
+    numbers = _row_range(family, n_max, "closed")  # IndexError below the table's first row
+    triangles = {method: generate(family, n_max) for method, generate in METHODS.items()
+                 if n_max >= first_row(family, method)}  # the oracle from its own first row
     mismatches = []
-    for n in range(first_row(family, "closed"), n_max + 1):
+    for n in numbers:
         rows = {
             method: triangle.row(n)
             for method, triangle in triangles.items()

@@ -47,7 +47,7 @@ from .bases import BasisSpec, member_index
 from .coefficients import FAMILIES, Family, closed_value
 from .errors import DomainError, IntegralityViolation
 from .poly import _var_string, combine_columns, pack
-from .report import CheckResult
+from .report import CheckResult, require_n_max
 from .sequences import SequenceKind, read_members
 
 
@@ -102,6 +102,7 @@ def slot_width(members: list[list[int]], n_max: int) -> int:
 
 def check_shift_law(kind: SequenceKind, n_max: int) -> CheckResult:
     """(x-E)^j at base m equals (-y)^j times member m-j, for 0 <= j <= m <= n_max, by Horner's rule on packed rows."""
+    require_n_max(n_max)
     members = read_members(kind.value, range(2 * n_max + 1))
     width = slot_width(members, n_max)
     packed = row = [pack(coords, width) for coords in members]  # row[i] = P_j(j + i) = ((x-E)^j W)_(j+i)
@@ -122,6 +123,7 @@ def check_relation(family: Family, n_max: int) -> CheckResult:
     ``coefficients.FAMILIES``), based at that member's index: entry k weighs the coordinates of member base + k,
     and as x^(n-k) keeps a canonical coordinate's place, the image is one ``combine_columns`` over the members.
     """
+    require_n_max(n_max)
     facts = FAMILIES[family]
     scheme, annihilates, start = facts.scheme, facts.annihilates, facts.start_row
     letter, top = member_index(BasisSpec(scheme.basis, n_max), n_max)  # the last member read

@@ -27,7 +27,7 @@ from math import comb
 
 from .errors import DomainError, IntegralityViolation, MalformedElement
 from .poly import ONE, X, Y, ZERO, BivarPoly, Rational, sum_of_products
-from .report import CheckResult
+from .report import CheckResult, require_n_max
 
 
 class SequenceKind(Enum):
@@ -109,8 +109,13 @@ def v_poly_closed(n: int) -> BivarPoly:
 
 
 def member_weight(letter: str, index: int) -> int:
-    """The canonical degree spanned by U_index or V_index."""
+    """The canonical degree spanned by U_index or V_index, the one weight rule: U_i has weight i - 1, V_i weight i."""
     return index - 1 if letter == "U" else index
+
+
+def member_of_weight(letter: str, weight: int) -> int:
+    """The index of the U or V member (``letter``) spanning canonical degree ``weight``, ``member_weight``'s inverse."""
+    return weight + 1 if letter == "U" else weight
 
 
 def member_coordinates(letter: str, index: int) -> list[Rational]:
@@ -141,11 +146,13 @@ def _v_from_u_pair_misses(n_max: int, step: int) -> list[int]:
 
 def check_v_from_u_pair(n_max: int) -> CheckResult:
     """V_n == 2*U_{n+1} - x*U_n for 0 <= n <= n_max."""
+    require_n_max(n_max)
     return CheckResult.over("lemma2.v-from-u-pair", _v_from_u_pair_misses(n_max, 1), f"n = 0..{n_max}")
 
 
 def check_v_from_u_neighbors(n_max: int) -> CheckResult:
     """V_n == U_{n+1} + y*U_{n-1} for 1 <= n <= n_max."""
+    require_n_max(n_max)
     u, v = read_members("U", range(n_max + 2)), read_members("V", range(1, n_max + 1))
     bad = [n for n, coords in enumerate(v, 1) if coords != [a + b for a, b in zip(u[n + 1], [0, *u[n - 1]])]]
     return CheckResult.over("lemma2.v-from-u-neighbors", bad, f"n = 1..{n_max}")
@@ -153,6 +160,7 @@ def check_v_from_u_neighbors(n_max: int) -> CheckResult:
 
 def check_alternating_v_sum(n_max: int) -> CheckResult:
     """sum_{k=1..n} (-y)^(n-k) V_{2k} == U_{2n+1} - (-y)^n for 0 <= n <= n_max."""
+    require_n_max(n_max)
     u, v = read_members("U", range(1, 2 * n_max + 2, 2)), read_members("V", range(2, 2 * n_max + 1, 2))
     # T_n = V_2n - y T_(n-1) from the empty sum T_0, of weight 0; entry n of U_(2n+1) is its y^n coefficient
     totals = accumulate(v, lambda total, v_2n: [a - b for a, b in zip(v_2n, [0, *total])], initial=[0])
@@ -162,4 +170,5 @@ def check_alternating_v_sum(n_max: int) -> CheckResult:
 
 def check_v_even_simple(n_max: int) -> CheckResult:
     """V_{2n} == 2*U_{2n+1} - x*U_{2n} for 0 <= n <= n_max."""
+    require_n_max(n_max)
     return CheckResult.over("lemma2.v-even-simple", _v_from_u_pair_misses(n_max, 2), f"n = 0..{n_max}")

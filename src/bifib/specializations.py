@@ -26,10 +26,10 @@ from fractions import Fraction
 from operator import add
 
 from .bases import BasisSpec, member_index
-from .coefficients import FAMILIES, Family, closed_row
+from .coefficients import FAMILIES, Family, closed_triangle
 from .errors import DomainError
 from .poly import X, BivarPoly, combine_columns
-from .report import CheckResult
+from .report import CheckResult, require_n_max
 from .sequences import SequenceKind, u_poly, v_poly
 
 
@@ -66,6 +66,7 @@ def check_recurrence(kind: str, n_max: int) -> CheckResult:
 
     2 T_n must equal the V image n and U_n the U image n + 1, exactly: the member is doubled, the image never halved.
     """
+    require_n_max(n_max)
     member, letter, doubling, shift = (chebyshev_t, "V", 2, 0) if kind == "T" else (chebyshev_u, "U", 1, 1)
     images = univariate_images(letter, -1, n_max + 1 + shift)
     bad = [
@@ -96,14 +97,16 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
     equals sum_k c_k 2^(n-k) x^(n-k) W_(i_k), with the closed-form coefficients c_k and the
     images W_(i_k) of the basis members taken from ``univariate_images``.
     """
-    scheme = FAMILIES[family].scheme
+    require_n_max(n_max)
+    scheme, closed = FAMILIES[family].scheme, closed_triangle(family, n_max)
     doubling = scheme.doubling
     letters = {scheme.kind, member_index(BasisSpec(scheme.basis, scheme.min_n), 0)[0]}  # one letter for b and d
     images = {y0: {letter: univariate_images(letter, y0, 2 * n_max + 2) for letter in letters} for y0 in (1, -1)}
     bad = []
     for n in range(scheme.min_n, n_max + 1):
         letter, first = member_index(BasisSpec(scheme.basis, n), 0)
-        coeffs = [c << (n - k) for k, c in enumerate(closed_row(family, n))]  # (2x)^(n-k): a scale by 2^(n-k) ...
+        row = closed.row(n)[: n + 1 - scheme.min_n]  # one coefficient per basis vector
+        coeffs = [c << (n - k) for k, c in enumerate(row)]  # (2x)^(n-k): a scale by 2^(n-k) ...
         for y0, image in images.items():
             target = [doubling * c for c in image[scheme.kind][scheme.member(n)]]
             columns = [[0] * (n - k) + image[letter][first + k] for k in range(len(coeffs))]  # ... and a shift by n - k
@@ -119,6 +122,7 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
 
 def check_parity(n_max: int) -> CheckResult:
     """T_n contains only exponents with the parity of n."""
+    require_n_max(n_max)
     bad = []
     for n in range(n_max + 1):
         for (a, b), _ in chebyshev_t(n).items():

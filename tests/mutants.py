@@ -66,6 +66,9 @@ FIRST_ROW = ["tests/test_coefficients.py", "-k", "below_first_row"]
 SUM = ["tests/test_poly.py", "-k", "difference_of_squares or ring_axioms or canonical"]
 DOMAIN = ["tests/test_coefficients.py", "-k", "domains"]
 GUARD = ["tests/test_bases.py", "-k", "below_n_max_1"]
+WEIGHT = ["tests/test_sequences.py", "-k", "weight"]
+ORDER = ["tests/test_coefficients.py", "-k", "scheme_order"]
+RECURRENCE_ROWS = ["tests/test_coefficients.py", "-k", "recurrence_rows"]
 FACTS = [
     "tests/test_records.py", "tests/test_bases.py", "tests/test_coefficients.py", "tests/test_operators.py", "-k",
     "by_name or order_zero or determinant_values or oracle_rows or recurrence_rows or closed_rows or relations_pass",
@@ -142,8 +145,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (BASES, "if order > spec.n - 2:", "if order > spec.n - 1:", LEMMA1),
     (BASES, "if order > spec.n - 2:", "if order >= lowest:", LEMMA1),
     (BASES, "columns[0][:-1]]", "columns[0][1:]]", LEMMA1),
-    # the one n_max guard, which run_checks, both lemma 1 checks and the theorem checks call before they read a member
+    # the one n_max guard, which run_checks and every check call before they read a member
     (REPORT, "if n_max < 1:", "if n_max < 0:", GUARD),
+    (OPERATORS, "require_n_max(n_max)\n    facts = ", "facts = ", GUARD),
     (BASES, "require_n_max(n_max)\n    basis = BASES[family]", "basis = BASES[family]", GUARD),
     (BASES, "require_n_max(n_max)\n    chain = ", "chain = ", GUARD),
     (COEFFICIENTS, "require_n_max(n_max)\n    scheme = ", "scheme = ", GUARD),
@@ -171,15 +175,22 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the members themselves, against the sympy recurrence: V's seed and the sign of the recurrence's y term
     (SEQUENCES, "return BivarPoly.constant(2), X", "return BivarPoly.constant(1), X", SYMPY),
     (SEQUENCES, "(Y, values[-2])", "(-Y, values[-2])", SYMPY),
-    # the bases against the sympy coordinate matrices: BVstar's member offset
-    (BASES, 'BasisFacts("V", -1, 1, 2, ("U", "V"))', 'BasisFacts("V", 1, 1, 2, ("U", "V"))', SYMPY),
+    # the bases against the sympy coordinate matrices: the weight of vector k's member
+    (BASES, "spec.n + k - basis.lowest)", "spec.n + k + basis.lowest)", SYMPY),
+    # the one weight rule's inverse, which places every basis member and every target
+    (SEQUENCES, 'return weight + 1 if letter == "U" else weight', 'return weight if letter == "U" else weight', WEIGHT),
     # the closed forms against the sympy solutions of the identities: c's closed form in its record
     (COEFFICIENTS, "lambda n: n + 1, c_closed,", "lambda n: n + 1, b_closed,", SYMPY),
     # the closed forms of d and e stop at a non-integral value
     (COEFFICIENTS, "if remainder:", "if False:", INTEGRALITY),
     (COEFFICIENTS, "if odd:", "if False:", INTEGRALITY),
-    # the schemes' targets: the member each row reads, and its doubling
-    (COEFFICIENTS, "return 2 * n + self.shift", "return 2 * n", RELATIONS),
+    # the schemes' targets: the member each row reads, and its doubling; the row of a member, which refuses U_0 and a
+    # member of the wrong parity
+    (COEFFICIENTS, "member_of_weight(self.kind, 2 * n - self.min_n)", "member_of_weight(self.kind, 2 * n)", RELATIONS),
+    (COEFFICIENTS, "if weight % 2 != self.min_n:", "if False:", ORDER),
+    (COEFFICIENTS, "if weight < 0:", "if False:", ORDER),
+    # the recurrence reads row n - 1 with a 0 before its start as well as past its end
+    (COEFFICIENTS, "prev = (0, *rows[-1], 0)", "prev = (*rows[-1], 0, 0)", RECURRENCE_ROWS),
     (COEFFICIENTS, "return members if doubling == 1 else [[doubling * c for c in coords] for coords in members]", "return members", THEOREMS),
     # the triangles' first-row guard, which the oracle runs before it reads its member window, and the oracle's first
     # row, which the CLI reads too
@@ -187,12 +198,11 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (COEFFICIENTS, 'return facts.scheme.min_n if method == "oracle" else facts.start_row', "return facts.start_row", FIRST_ROW),
     # closed_value is the closed forms' one domain check
     (COEFFICIENTS, "0 <= k < facts.row_length(n)", "0 <= k <= facts.row_length(n)", DOMAIN),
-    # the fact records: a basis's offset, lowest order, determinant and doubled sequences, a family's first row, row
-    # length, annihilation and read of the a rows, and a decision on a family by name in place of its record
-    (BASES, 'BasisFacts("U", 1, 0, 1, ())', 'BasisFacts("U", 0, 0, 1, ())', FACTS),
-    (BASES, 'BasisFacts("V", -1, 1, 2, ("U", "V"))', 'BasisFacts("V", -1, 0, 2, ("U", "V"))', FACTS),
-    (BASES, 'BasisFacts("V", 0, 0, 2, ("U",))', 'BasisFacts("V", 0, 0, 1, ("U",))', FACTS),
-    (BASES, 'BasisFacts("V", -1, 1, 2, ("U", "V"))', 'BasisFacts("V", -1, 1, 2, ("U",))', FACTS),
+    # the fact records: a basis's lowest order, determinant and doubled sequences, a family's first row, row length,
+    # annihilation and read of the a rows, and a decision on a family by name in place of its record
+    (BASES, 'BasisFacts("V", 1, 2, ("U", "V"))', 'BasisFacts("V", 0, 2, ("U", "V"))', FACTS),
+    (BASES, 'BasisFacts("V", 0, 2, ("U",))', 'BasisFacts("V", 0, 1, ("U",))', FACTS),
+    (BASES, 'BasisFacts("V", 1, 2, ("U", "V"))', 'BasisFacts("V", 1, 2, ("U",))', FACTS),
     (COEFFICIENTS, "1, lambda n: n + 1, c_closed,", "0, lambda n: n + 1, c_closed,", FACTS),
     (COEFFICIENTS, "1, lambda n: n, e_closed,", "1, lambda n: n + 1, e_closed,", FACTS),
     (COEFFICIENTS, "b_closed, annihilates=True", "b_closed, annihilates=False", FACTS),

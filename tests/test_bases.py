@@ -2,7 +2,6 @@ import builtins
 import random
 import re
 from fractions import Fraction
-from functools import partial
 from itertools import permutations
 from math import prod
 
@@ -22,9 +21,8 @@ from bifib.bases import (
     coordinate_matrix,
     decompose,
     det_by_column_reduction,
-    pairing,
 )
-from bifib.coefficients import Family, check_theorem, oracle_triangle
+from bifib.coefficients import DecompositionScheme, Family, oracle_triangle
 from bifib.errors import (
     DimensionError,
     DomainError,
@@ -32,7 +30,7 @@ from bifib.errors import (
     SingularMatrixError,
 )
 from bifib.poly import BivarPoly, X, Y, sum_of_products
-from bifib.report import all_passed, run_checks
+from bifib.report import all_passed, checks, run_checks
 from bifib.sequences import u_poly, v_poly
 
 SEQUENCE_BASES = list(EXPECTED_DETERMINANTS)
@@ -378,18 +376,11 @@ def test_check_determinants_report():
     }
 
 
-_GUARDED = [
-    *(pytest.param(partial(check, basis), id=f"{check.__name__}-{basis.value}")
-      for check in (bases.check_determinant, bases.check_determinant_cross) for basis in BasisFamily),
-    *(pytest.param(partial(check_theorem, family), id=f"check_theorem-{family.value}") for family in Family),
-]
-
-
 @pytest.mark.parametrize("n_max", [0, -1])
-@pytest.mark.parametrize("check", _GUARDED)
+@pytest.mark.parametrize("check", [pytest.param(check, id=name) for name, check in checks("all")])
 def test_checks_below_n_max_1_raise_the_error_of_run_checks(check, n_max):
-    # Called on their own, the lemma 1 checks neither pass vacuously (BU, BV: orders 1..0 are none) nor raise the
-    # starred bases' own domain error, and the theorem checks agree with them.
+    # Called on their own, no registered check passes vacuously (relations.c: n = 1..0 is none) or raises a domain
+    # error of its own (the starred bases' lowest order).
     message = f"^{re.escape(f'n_max must be >= 1, got {n_max}')}$"
     with pytest.raises(DomainError, match=message):
         run_checks("all", n_max)
@@ -535,7 +526,8 @@ def test_decompose_raises_on_a_nonzero_residual(monkeypatch):
 def test_a_warm_oracle_still_meets_a_corrupted_member(corrupt_member):
     oracle_triangle(Family.A, 12)
     corrupt_member("V", 7, in_family=True)
-    target, spec, _ = pairing("U", 17, BasisFamily.BV)
+    scheme = DecompositionScheme("U", BasisFamily.BV)
+    target, spec = u_poly(17).scale(scheme.doubling), BasisSpec(scheme.basis, scheme.order(17))
     with pytest.raises(ArithmeticError, match=r"residual is not zero \(BV, n = 8\)"):
         decompose(target, spec)
 

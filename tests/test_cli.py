@@ -63,8 +63,7 @@ def test_table_all_builds_the_recurrence_triangle_once(run_cli, monkeypatch):
         calls.append((family, n_max))
         return build(family, n_max)
 
-    monkeypatch.setattr(coefficients, "recurrence_triangle", counted)
-    monkeypatch.setattr(cli, "recurrence_triangle", counted)
+    monkeypatch.setattr(coefficients, "recurrence_triangle", counted)  # METHODS looks it up when called
     assert run_cli(["table", "a", "10", "--method", "all"]) == (0, expected, "")
     assert calls == [(coefficients.Family.A, 10)]
 

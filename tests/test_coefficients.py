@@ -1,13 +1,16 @@
 import json
+from itertools import product
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from bifib import bases, coefficients, operators, specializations
-from bifib.bases import BasisFamily, BasisSpec, RationalMatrix
+from bifib.bases import BasisFamily, BasisSpec, RationalMatrix, ambient_degree
 from bifib.coefficients import (
     FAMILIES,
+    METHODS,
+    DecompositionScheme,
     CoeffTriangle,
     Family,
     a_closed,
@@ -23,7 +26,7 @@ from bifib.coefficients import (
     oracle_triangle,
     recurrence_triangle,
 )
-from bifib.errors import IntegralityViolation
+from bifib.errors import DomainError, IntegralityViolation
 from bifib.poly import BivarPoly, sum_of_products
 from bifib.report import all_passed, run_checks
 from bifib.sequences import SequenceCache, u_poly, v_poly
@@ -361,8 +364,8 @@ def test_theorem_checks_pass():
 
 @pytest.mark.parametrize("family", list(Family))
 def test_theorem_check_fails_at_the_first_row_a_planted_rule_changes(monkeypatch, family):
-    seed, first, sign, extra = FAMILIES[family].rule
-    plant(monkeypatch, family, rule=(seed, lambda n: first(n) + (n == 6), sign, extra))
+    seed, sign, extra = FAMILIES[family].rule
+    plant(monkeypatch, family, rule=(seed, sign, lambda n, k, a: extra(n, k, a) + ((n, k) == (6, 0))))
     assert check_theorem(family, 8).detail == "fails at n = 6, 7, 8"
 
 
@@ -397,14 +400,49 @@ def test_row_accessor_bounds():
 
 def test_n_max_below_first_row_rejected():
     generators = {"closed": closed_triangle, "recurrence": recurrence_triangle, "oracle": oracle_triangle}
+    assert list(METHODS) == list(generators)
     for family in Family:
         for method, generate in generators.items():
             start = first_row(family, method)
             assert generate(family, start).start_row == start
+            assert METHODS[method](family, start + 2) == generate(family, start + 2)
             if start > 0:
                 with pytest.raises(IndexError):
                     generate(family, start - 1)
+                with pytest.raises(IndexError):
+                    METHODS[method](family, start - 1)
+        if first_row(family, "closed") > 0:
+            with pytest.raises(IndexError):
+                cross_check(family, first_row(family, "closed") - 1)
     assert [first_row(family, "oracle") for family in Family] == [0, 1, 1, 1, 1]  # b's oracle starts after its table
+    report = cross_check(Family.B, 0)  # so cross_check adds it from its own first row
+    assert (report.methods, report.passed) == (("closed", "recurrence"), True)
+    assert cross_check(Family.B, 1).methods == ("closed", "recurrence", "oracle")
+
+
+def test_scheme_order_inverts_member_and_refuses_what_no_row_targets():
+    for family in Family:
+        scheme = FAMILIES[family].scheme
+        rows = range(scheme.min_n, 20)
+        assert [scheme.order(scheme.member(n)) for n in rows] == list(rows), family
+        assert {scheme.member(n) - 2 * n for n in rows} == {scheme.shift}, family
+    for kind, basis in product("UV", BasisFamily):
+        scheme, lowest = DecompositionScheme(kind, basis), bases.BASES[basis].lowest
+        for index in range(12):
+            weight = index - 1 if kind == "U" else index
+            if weight < 0:
+                message = "U_0 is the zero polynomial; nothing to decompose"
+            elif weight % 2 != lowest:
+                needed = "odd" if lowest else "even"
+                message = (f"{kind}_{index} spans canonical degree {weight}, "
+                           f"but {basis.value} bases span {needed}-degree spaces")
+            else:
+                n = scheme.order(index)
+                assert (scheme.member(n), ambient_degree(BasisSpec(basis, n))) == (index, weight), (kind, basis, index)
+                continue
+            with pytest.raises(DomainError) as raised:
+                scheme.order(index)
+            assert str(raised.value) == message
 
 
 def test_text_rendering_is_tab_separated(golden_dir):

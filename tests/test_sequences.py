@@ -7,12 +7,15 @@ from bifib.errors import DomainError
 from bifib.poly import BivarPoly, ONE, X, Y, ZERO
 from bifib.report import all_passed, run_checks
 from bifib.sequences import (
+    SHARED_CACHES,
     SequenceCache,
     SequenceKind,
     check_alternating_v_sum,
     check_v_even_simple,
     check_v_from_u_neighbors,
     check_v_from_u_pair,
+    member_of_weight,
+    member_weight,
     u_poly,
     u_poly_closed,
     v_poly,
@@ -91,6 +94,15 @@ def test_homogeneity_weights():
     for n in range(61):
         assert {a + 2 * b for (a, b), _ in u_poly(n + 1).items()} == {n}
         assert {a + 2 * b for (a, b), _ in v_poly(n).items()} == {n}
+
+
+def test_member_of_weight_inverts_the_weight_rule():
+    for letter in "UV":
+        assert [member_weight(letter, member_of_weight(letter, w)) for w in range(-1, 40)] == list(range(-1, 40))
+        for weight in range(30):
+            member = SHARED_CACHES[letter][member_of_weight(letter, weight)]
+            assert {a + 2 * b for (a, b), _ in member.items()} == {weight}, (letter, weight)
+    assert [member_of_weight(letter, 4) for letter in "UV"] == [5, 4]  # U_5 and V_4 span degree 4
 
 
 def test_numeric_anchors_at_one_one():

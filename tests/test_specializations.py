@@ -5,7 +5,7 @@ import pytest
 
 from bifib import bases, specializations
 from bifib.bases import BasisFamily, BasisSpec
-from bifib.coefficients import Family
+from bifib.coefficients import FAMILIES, Family
 from bifib.errors import DomainError
 from bifib.poly import BivarPoly, ONE, X
 from bifib.report import all_passed, run_checks
@@ -128,13 +128,9 @@ def test_univariate_images_are_the_substituted_members(letter, y0):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_a_wrong_closed_coefficient_fails_the_transfer_at_its_row(monkeypatch, family):
-    closed_row = specializations.closed_row
-
-    def planted(family, n):
-        row = closed_row(family, n)
-        return [row[0] + 1, *row[1:]] if n == 7 else row
-
-    monkeypatch.setattr(specializations, "closed_row", planted)
+    closed = FAMILIES[family].closed
+    planted = FAMILIES[family]._replace(closed=lambda n, k: closed(n, k) + ((n, k) == (7, 0)))
+    monkeypatch.setitem(FAMILIES, family, planted)
     assert check_transfer(family, 12).detail == "fails at (n, y image) = (7, 1), (7, -1)"
 
 
