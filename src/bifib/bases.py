@@ -30,19 +30,19 @@ for all its rows and the lemma 1 chain reads for its own checks.
 All linear algebra is exact, with no floating point.  ``RationalMatrix`` runs
 fraction-free (Bareiss) elimination on int rows scaled by the lcm of their
 denominators.  ``det_by_column_reduction`` gives the determinants of every
-order up to n from one chain of reductions that starts at the product-built
-order-n vectors and checks each lower level against that order's members.
-Orders n, n-1 and n-2 are full; below them column j >= 1 of an order is
-column j-1 of the order above less its last entry (the same member), which
-the full comparisons at n-1 and n-2 make exact, so the chain carries only
-the new column 0 and that one shifted column: O(n^2) after ``build_basis``.
+order up to n from one pass over the ``member_window``, on the step the peel
+uses: vectors k - 1 and k differ by x^(n-k) (W_(i+1) - x W_i) = x^(n-k) y W_(i-1),
+the shared recurrence read on coordinates.  The same member pair serves every
+order that holds it, so the pass checks each neighbouring pair once, after the
+product-built order-n vectors, and the determinants are the running products
+of the leading members' x^m coordinates: O(n^2) after ``build_basis``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, starmap, zip_longest
 from math import lcm
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -234,45 +234,32 @@ def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
 
 
 def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
-    """Determinants of orders lowest..n from one chain of column reductions, independent of Bareiss.
+    """Determinants of orders lowest..n from one pass over the ``member_window``, independent of Bareiss.
 
-    The chain starts at the integer coordinates of the product-built ``build_basis`` vectors of
-    order n.  Replacing column k by its difference with column k-1 leaves entry 0 (the x^m
-    coordinate) zero; expanding along entry 0 and dropping it from the differences (dividing by y)
-    leaves the columns of the same family one order lower, so det(m) = pivot(m) * det(m - 1).
-    Each step is verified against that order's members, read once per chain; violations raise
-    ArithmeticError.  Orders n, n-1 and n-2 are full: every column is differenced and checked, and
-    every column of orders n-1 and n-2 is compared with its member.  Those comparisons make column
-    j >= 1 of order n-2 column j-1 of order n-1 less its last entry, for any input, and as slicing
-    commutes with differencing the same holds at every order below.  So below n-2 the chain carries
-    two columns: the new column 0 (checked, compared, the pivot) and the previous column 0 less its
-    last entry; the checks it leaves out repeat checks made one order up.  After ``build_basis`` a
-    chain costs O(n^2) element operations, not O(n^3).
+    Entry w of the window is the member of weight w; vector k of order m is x^(m-k) times entry m - lowest + k.
+    As W_(w+1) - x W_w = y W_(w-1), replacing each vector but the first by its difference with the one before
+    leaves column 0 the only one with an x^(2m - lowest) entry, and the rest of column k is vector k - 1 of order
+    m - 1: det(m) = entry (m - lowest)[0] * det(m - 1).  The product-built ``build_basis`` vectors of order n are
+    checked against their entries, then each neighbouring pair once, the same pair at every order that holds it;
+    a fault raises ArithmeticError naming its members.
     """
     lowest, degree = BASES[spec.family].lowest, ambient_degree(spec)
-    letter, first = member_index(BasisSpec(spec.family, lowest), 0)
-    members = member_window(spec)
-    columns = [v.canonical_coordinates(degree) for v in build_basis(spec)]
-    pivots: list[Rational] = []
-    for order in range(spec.n, lowest - 1, -1):
-        if order > lowest and columns[0][0] == 0:
-            raise ArithmeticError(f"leading vector lost its x^{degree} component")
-        differences = [list(map(sub, b, a)) for a, b in zip(columns, columns[1:])]
-        for j, difference in enumerate(differences, 1):
-            if difference[0] != 0:
-                raise ArithmeticError(f"difference column {j} keeps an x^{degree} component")
-        if order < spec.n:  # the top order's columns are the product-built vectors themselves
-            checked = columns if order >= spec.n - 2 else columns[:1]
-            for j, (column, coords) in enumerate(zip(checked, members[order - lowest :])):
-                if column[: len(coords)] != coords or any(column[len(coords) :]):
-                    raise ArithmeticError(f"order {order} column {j} is not {letter}_{first + order - lowest + j}")
-        pivots.append(columns[0][0])
-        if order > spec.n - 2:
-            columns = [difference[1:] for difference in differences]
-        elif differences:  # column 1 one order down is this order's column 0, same member, one entry shorter
-            columns = [differences[0][1:], columns[0][:-1]][: order - lowest]
-        degree -= 2
-    return list(map(as_rational, accumulate(reversed(pivots), mul)))
+    letter, first = member_index(BasisSpec(spec.family, lowest), 0)  # entry w is member first + w
+    window, top = member_window(spec), spec.n - lowest
+    for k, vector in enumerate(build_basis(spec)):
+        column, coords = vector.canonical_coordinates(degree), window[top + k]
+        if column[: len(coords)] != coords or any(column[len(coords) :]):
+            raise ArithmeticError(f"order {spec.n} vector {k} is not {letter}_{first + top + k}")
+    for w in range(1, 2 * top):
+        head, *rest = starmap(sub, zip_longest(window[w + 1], window[w], fillvalue=0))
+        if head != 0 or rest != window[w - 1]:
+            fault = f"keeps an x^{w + 1} component" if head else f"is not y {letter}_{first + w - 1}"
+            raise ArithmeticError(f"{letter}_{first + w + 1} - x {letter}_{first + w} {fault}")
+    pivots = [coords[0] for coords in window[: top + 1]]
+    if 0 in pivots[1:]:
+        w = pivots.index(0, 1)
+        raise ArithmeticError(f"{letter}_{first + w} has no x^{w} component, a zero pivot at order {lowest + w}")
+    return list(map(as_rational, accumulate(pivots, mul)))
 
 
 def member_window(spec: BasisSpec) -> list[list[Rational]]:

@@ -195,7 +195,8 @@ def _cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     scheme = DecompositionScheme(args.kind, BasisFamily(args.basis))
     spec = BasisSpec(scheme.basis, scheme.order(args.n))
     member_coordinates(args.kind, args.n)  # a member with a term outside its family raises here, named
-    decomposition = decompose(SHARED_CACHES[args.kind][args.n].scale(scheme.doubling), spec)
+    member = SHARED_CACHES[args.kind][args.n]  # its coordinates now memoised at the ambient degree
+    decomposition = decompose(member if scheme.doubling == 1 else member.scale(scheme.doubling), spec)
     if args.format == "json":
         print(json.dumps(decomposition.to_json_dict()))
     else:

@@ -1,13 +1,15 @@
 """A mutation gate: each entry plants one bug and runs the tests that must catch it.
 
 An entry is (file, exact old text, new text, pytest selection).  The script
-copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary directory and
-first runs every selection there unchanged, which must pass.  Then, for each
-entry, it replaces the old text, which must occur exactly once in the file,
-runs that entry's selection, and restores the file.  A mutant is killed when
-its selection fails and survives when it passes; a run that ends in any other
-way (a collection or usage error) is an error.  Bytecode is never written, so
-no stale ``.pyc`` can hide a mutant.  When the unmutated selections fail, or a
+copies ``src``, ``tests`` and ``pyproject.toml`` into one temporary tree per
+worker, min(2, os.cpu_count()) of them, and first runs every selection in one
+tree unchanged, which must pass.  Then the workers take the entries, each
+planting one in its own tree at a time: it replaces the old text, which must
+occur exactly once in the file, runs that entry's selection, and restores the
+file.  Results print in entry order.  A mutant is killed when its selection
+fails and survives when it passes; a run that ends in any other way (a
+collection or usage error) is an error.  Bytecode is never written, so no
+stale ``.pyc`` can hide a mutant.  When the unmutated selections fail, or a
 mutant's run ends in an error, the script prints the FAILED and ERROR lines of
 pytest's short test summary under it, then the last lines pytest wrote to
 stderr, where an error that stops it before any test (exit 4, say from a
@@ -23,11 +25,15 @@ not collected by pytest.  From a checkout root:
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from itertools import count
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +60,7 @@ KERNEL = ["tests/test_poly.py", "-k", "combine_columns"]
 COORDINATES = ["tests/test_poly.py", "-k", "coordinates"]
 DECOMPOSE = ["tests/test_bases.py", "-k", "peel or residual or decompos"]
 LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
+CERT = ["tests/test_sequences.py", "-k", "for_every_n or closed_coordinates"]
 TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 # verify's own chebyshev checks, through the CLI and on their own, without the unit tests of the images
 RECURRENCE = ["tests/test_cli.py", "tests/test_specializations.py", "-k", "verify_scopes and chebyshev or remark_checks"]
@@ -132,19 +139,19 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (BASES, "rest if pivot == 1 else as_rational(Fraction(rest, pivot))", "rest", DECOMPOSE),
     (BASES, "if product != rhs:", "if product[:1] != rhs[:1]:", DECOMPOSE),
     (BASES, "columns = window[top : top + len(rhs)]", "columns = window[top + 1 : top + 1 + len(rhs)]", DECOMPOSE),
-    # the lemma 1 chain: its pivot and difference checks, the entry it drops, which columns each order is compared with
-    # (all at orders n-1 and n-2, column 0 below), and the two columns it carries below n-2: from which order on, and
-    # which entry of column 0 the carried column 1 drops
-    (BASES, "if order > lowest and columns[0][0] == 0:", "if False:", LEMMA1),
-    (BASES, "if difference[0] != 0:", "if False:", LEMMA1),
-    (BASES, "columns = [difference[1:] for difference in differences]", "columns = [difference[:-1] for difference in differences]", LEMMA1),
-    (BASES, "checked = columns if order >= spec.n - 2 else columns[:1]", "checked = columns[:1]", LEMMA1),
-    (BASES, "checked = columns if order >= spec.n - 2 else columns[:1]", "checked = columns if order >= spec.n - 2 else []", LEMMA1),
-    (BASES, "checked = columns if order >= spec.n - 2 else columns[:1]", "checked = columns if order >= spec.n - 2 else columns[1:2]", LEMMA1),
-    (BASES, "checked = columns if order >= spec.n - 2 else columns[:1]", "checked = columns if order >= spec.n - 1 else columns[:1]", LEMMA1),
-    (BASES, "if order > spec.n - 2:", "if order > spec.n - 1:", LEMMA1),
-    (BASES, "if order > spec.n - 2:", "if order >= lowest:", LEMMA1),
-    (BASES, "columns[0][:-1]]", "columns[0][1:]]", LEMMA1),
+    # the lemma 1 chain: the top order's product-built vectors against their members, and the entries past a member;
+    # each neighbouring pair's x^m entry check, the entry it drops, the zero padding of the shorter member, the member
+    # its rest is compared with, and the pair range's start and end; the zero-pivot check and the pivots' slice
+    (BASES, "if column[: len(coords)] != coords or any(column[len(coords) :]):", "if False:", LEMMA1),
+    (BASES, " or any(column[len(coords) :]):", ":", LEMMA1),
+    (BASES, "if head != 0 or rest != window[w - 1]:", "if rest != window[w - 1]:", LEMMA1),
+    (BASES, "head, *rest = starmap(", "*rest, head = starmap(", LEMMA1),
+    (BASES, "zip_longest(window[w + 1], window[w], fillvalue=0)", "zip(window[w + 1], window[w])", LEMMA1),
+    (BASES, "rest != window[w - 1]:", "rest != window[w]:", LEMMA1),
+    (BASES, "for w in range(1, 2 * top):", "for w in range(2, 2 * top):", LEMMA1),
+    (BASES, "for w in range(1, 2 * top):", "for w in range(1, 2 * top - 1):", LEMMA1),
+    (BASES, "if 0 in pivots[1:]:", "if False:", LEMMA1),
+    (BASES, "for coords in window[: top + 1]]", "for coords in window[1 : top + 2]]", LEMMA1),
     # the one n_max guard, which run_checks and every check call before they read a member
     (REPORT, "if n_max < 1:", "if n_max < 0:", GUARD),
     (OPERATORS, "require_n_max(n_max)\n    facts = ", "facts = ", GUARD),
@@ -172,6 +179,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (SPECIALIZATIONS, ".scale(Fraction(1, 2))", ".scale(1)", RECURRENCE),
     (SPECIALIZATIONS, "[*(y0 * c for c in images[-2]), 0, 0]", "[*(-y0 * c for c in images[-2]), 0, 0]", SYMPY),
     (SPECIALIZATIONS, '"V": ((2,), (0, 2))', '"V": ((2,), (0, 1))', SYMPY),
+    # the closed forms, whose coordinates the certificate that they keep the recurrence for every n reads
+    (SEQUENCES, "for k in range(m // 2 + 1)}", "for k in range((m + 1) // 2)}", CERT),
+    (SEQUENCES, "coeff = Fraction(n, n - k) * comb(n - k, k)", "coeff = Fraction(n, n - k) * comb(n - k - 1, k)", CERT),
     # the members themselves, against the sympy recurrence: V's seed and the sign of the recurrence's y term
     (SEQUENCES, "return BivarPoly.constant(2), X", "return BivarPoly.constant(1), X", SYMPY),
     (SEQUENCES, "(Y, values[-2])", "(-Y, values[-2])", SYMPY),
@@ -227,36 +237,53 @@ def _pytest(copy: Path, selection: list[str]) -> tuple[int, list[str]]:
     return run.returncode, summary + run.stderr.splitlines()[-STDERR_LINES:]
 
 
+def _plant(trees: queue.SimpleQueue, number: int, entry: tuple[str, str, str, list[str]]) -> tuple[list[str], str]:
+    """Plant ``entry`` in a free tree, run its selection and restore the file: the lines to print, and the failure
+    to report ("" when the mutant is killed)."""
+    file, old, new, selection = entry
+    label = f"mutant {number} ({file}: {old!r} -> {new!r})"
+    copy = trees.get()
+    try:
+        path = copy / file
+        original = path.read_text()
+        if original.count(old) != 1:
+            return [], f"{label}: the old text occurs {original.count(old)} times, not once"
+        path.write_text(original.replace(old, new))
+        start = time.perf_counter()
+        try:
+            code, summary = _pytest(copy, selection)
+        finally:
+            path.write_text(original)
+    finally:
+        trees.put(copy)
+    outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+    lines = [f"{outcome:>8}  {label} in {time.perf_counter() - start:.1f} s", *(summary if code > 1 else [])]
+    return lines, "" if code == 1 else f"{label}: {outcome}"
+
+
 def main() -> int:
     failures = []
+    workers = min(2, os.cpu_count() or 1)
     with tempfile.TemporaryDirectory() as temp:
-        copy = Path(temp)
+        trees: queue.SimpleQueue = queue.SimpleQueue()
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        for worker in range(workers):
+            copy = Path(temp) / str(worker)
+            for name in ("src", "tests"):
+                shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+            shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+            trees.put(copy)
         paths = sorted({arg for *_, selection in MUTANTS for arg in selection if arg.startswith("tests/")})
-        code, summary = _pytest(copy, paths)
+        code, summary = _pytest(Path(temp) / "0", paths)
         if code != 0:
             print(f"the unmutated selections do not pass: {' '.join(paths)}", *summary, sep="\n")
             return 1
-        for number, (file, old, new, selection) in enumerate(MUTANTS, 1):
-            path = copy / file
-            original = path.read_text()
-            label = f"mutant {number} ({file}: {old!r} -> {new!r})"
-            if original.count(old) != 1:
-                failures.append(f"{label}: the old text occurs {original.count(old)} times, not once")
-                continue
-            path.write_text(original.replace(old, new))
-            start = time.perf_counter()
-            try:
-                code, summary = _pytest(copy, selection)
-            finally:
-                path.write_text(original)
-            outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-            print(f"{outcome:>8}  {label} in {time.perf_counter() - start:.1f} s", *(summary if code > 1 else []), sep="\n")
-            if code != 1:
-                failures.append(f"{label}: {outcome}")
+        with ThreadPoolExecutor(workers) as pool:
+            for lines, failure in pool.map(partial(_plant, trees), count(1), MUTANTS):
+                if lines:
+                    print(*lines, sep="\n", flush=True)
+                if failure:
+                    failures.append(failure)
     for failure in failures:
         print(failure)
     print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")

@@ -31,7 +31,7 @@ from bifib.errors import (
 )
 from bifib.poly import BivarPoly, X, Y, sum_of_products
 from bifib.report import all_passed, checks, run_checks
-from bifib.sequences import u_poly, v_poly
+from bifib.sequences import SequenceCache, u_poly, v_poly
 
 SEQUENCE_BASES = list(EXPECTED_DETERMINANTS)
 
@@ -242,36 +242,57 @@ def test_column_reduction_exercises_the_difference_identity():
 
 
 @pytest.mark.parametrize(
-    "k, plant, error, message",
+    "n, k, plant, members, error, message",
     [
-        (
-            0,
-            lambda v: v - BivarPoly.monomial(10, 0).scale(v.coefficient(10, 0)),
-            ArithmeticError,
-            "leading vector lost its x^10 component",
-        ),
-        (2, lambda v: v + X**10, ArithmeticError, "difference column 2 keeps an x^10 component"),
-        (3, lambda v: v + Y * X**8, ArithmeticError, "difference column 2 keeps an x^8 component"),
-        (1, lambda v: v + X**9, MalformedElement, "monomial x^9 lies outside the degree-10 canonical family"),
-        # y^5 passes every pivot and difference check; the order-4 columns then differ from their members
-        (5, lambda v: v + Y**5, ArithmeticError, "order 4 column 4 is not U_9"),
-        (1, lambda v: v + Y**5, ArithmeticError, "order 4 column 0 is not U_5"),  # past U_5's last coordinate
+        (5, 0, lambda v: v - BivarPoly.monomial(10, 0).scale(v.coefficient(10, 0)), (), ArithmeticError,
+         "order 5 vector 0 is not U_6"),
+        (5, 2, lambda v: v + X**10, (), ArithmeticError, "order 5 vector 2 is not U_8"),
+        (5, 3, lambda v: v + Y * X**8, (), ArithmeticError, "order 5 vector 3 is not U_9"),
+        (5, 1, lambda v: v + X**9, (), MalformedElement, "monomial x^9 lies outside the degree-10 canonical family"),
+        (5, 5, lambda v: v + Y**5, (), ArithmeticError, "order 5 vector 5 is not U_11"),
+        (5, 1, lambda v: v + Y**5, (), ArithmeticError, "order 5 vector 1 is not U_7"),  # past U_7's last coordinate
+        # a y^6 in vector 3 of BU(6), with U_8 and U_9 read as the order-5 vectors 2 and 3 that it gives: the top
+        # order's vector 1 is the first to differ from its member
+        (6, 3, lambda v: v + Y**6, (7, 8), ArithmeticError, "order 6 vector 1 is not U_8"),
     ],
-    ids=["pivot-lost", "x10-kept", "x8-kept-one-order-down", "outside-family", "y5-in-the-last-column", "y5-past-a-member"],
+    ids=[
+        "pivot-lost", "x10-kept", "x8-kept-one-order-down", "outside-family", "y5-in-the-last-column",
+        "y5-past-a-member", "y6-read-into-two-members",
+    ],
 )
-def test_column_reduction_rejects_a_corrupted_basis(monkeypatch, k, plant, error, message):
-    spec = BasisSpec(BasisFamily.BU, 5)
+def test_column_reduction_rejects_a_corrupted_basis(monkeypatch, n, k, plant, members, error, message):
+    spec = BasisSpec(BasisFamily.BU, n)
     vectors = build_basis(spec)
     vectors[k] = plant(vectors[k])
+    window = bases.member_window(spec)  # entry w holds U_(w+1); vector j of order n - 1 is entry n - 1 + j
+    for w in members:  # each reads as the order n - 1 vector that the planted order-n vectors give
+        a, b = (v.canonical_coordinates(2 * n) for v in vectors[w - n + 1 : w - n + 3])
+        window[w] = [q - p for p, q in zip(a, b)][1:]
     monkeypatch.setattr(bases, "build_basis", lambda _spec: vectors)
+    monkeypatch.setattr(bases, "member_window", lambda _spec: window)
     with pytest.raises(error) as excinfo:
         det_by_column_reduction(spec)
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("family, order", [(BasisFamily.BU, 1), (BasisFamily.BU_STAR, 2)])
+def test_column_reduction_raises_at_a_zero_pivot(monkeypatch, family, order):
+    # U_i read as y U_(i-2) from U_2 on keeps the two-term rule, so every pair checks out, but U_2 reads 0 and every
+    # order above the lowest has a zero pivot
+    read = SequenceCache.__getitem__
+
+    def shifted(self, n):
+        return Y * read(self, n - 2) if self.kind.value == "U" and n >= 2 else read(self, n)
+
+    monkeypatch.setattr(SequenceCache, "__getitem__", shifted)
+    with pytest.raises(ArithmeticError) as excinfo:
+        det_by_column_reduction(BasisSpec(family, 6))
+    assert str(excinfo.value) == f"U_2 has no x^1 component, a zero pivot at order {order}"
+
+
 def full_reduction_chain(spec):
     """The reference chain: every column differenced and checked at every order, all columns compared at order
-    n - 1 and column 0 below; the chain under test carries two columns below order n - 2."""
+    n - 1 and column 0 below; the chain under test checks each neighbouring member pair once instead."""
     lowest, degree = BASES[spec.family].lowest, ambient_degree(spec)
     letter, first = bases.member_index(BasisSpec(spec.family, lowest), 0)
     members = bases.member_window(spec)
@@ -298,34 +319,39 @@ def full_reduction_chain(spec):
 def chain_outcome(chain, spec):
     try:
         return chain(spec)
-    except Exception as exc:  # the outcome compared is the exception's type and text
+    except Exception as exc:  # the outcome compared is the exception's type; its text must name a member
         return type(exc), str(exc)
 
 
 def test_column_reduction_matches_the_full_chain_on_planted_members(monkeypatch, corrupt_member):
-    assert all(
-        chain_outcome(det_by_column_reduction, BasisSpec(family, n)) == full_reduction_chain(BasisSpec(family, n))
-        for family in SEQUENCE_BASES
-        for n in range(BASES[family].lowest, 15)
-    )
+    # the chain under test and the reference give the same determinants, or raise the same exception type
     raised = 0
+
+    def compare(spec, *planted):
+        nonlocal raised
+        outcome, reference = chain_outcome(det_by_column_reduction, spec), chain_outcome(full_reduction_chain, spec)
+        if isinstance(outcome, tuple):
+            raised += 1
+            assert re.search(r"[UV]_\d+", outcome[1]), (outcome, *planted, spec)
+            outcome, reference = outcome[0], reference[0] if isinstance(reference, tuple) else reference
+        assert outcome == reference, (*planted, spec)
+
+    specs = [BasisSpec(family, n) for family in SEQUENCE_BASES for n in range(BASES[family].lowest, 15)]
+    for spec in specs:
+        compare(spec)
     for letter in "UV":
         for index in range(18):
             for in_family in (False, True):
                 corrupt_member(letter, index, in_family)
-                for family in SEQUENCE_BASES:
-                    for n in range(BASES[family].lowest, 15):
-                        spec = BasisSpec(family, n)
-                        outcome = chain_outcome(det_by_column_reduction, spec)
-                        assert outcome == chain_outcome(full_reduction_chain, spec), (letter, index, in_family, spec)
-                        raised += isinstance(outcome, tuple)
+                for spec in specs:
+                    compare(spec, letter, index, in_family)
                 monkeypatch.undo()
-    assert raised > 1000  # a third of the 4176 runs raise, so the chains are compared on their messages too
+    assert raised > 1000  # a third of the 4234 runs raise, so the chains are compared where they fail too
 
 
 def test_column_reduction_costs_quadratic_element_operations(monkeypatch):
-    # orders n, n-1 and n-2 difference all c - 1 column pairs of length c (c = order - lowest + 1), each lower
-    # order one pair; doubling n then multiplies the count by about 4, against 8 for differencing every order
+    # each member from weight 2 up is the upper member of one neighbouring pair, differenced once over its length;
+    # doubling n then multiplies the count by about 4, against 8 for differencing every column of every order
     calls = []
     monkeypatch.setattr(bases, "sub", lambda a, b: calls.append(None) or a - b)
 
@@ -335,30 +361,12 @@ def test_column_reduction_costs_quadratic_element_operations(monkeypatch):
         return len(calls)
 
     for family in SEQUENCE_BASES:
-        lowest = BASES[family].lowest
         counts = {}
         for n in (40, 80):
-            sizes = [order - lowest + 1 for order in range(lowest + 1, n + 1)]
-            assert subtractions(BasisSpec(family, n)) == sum(c * (c - 1) for c in sizes[-3:]) + sum(sizes[:-3])
+            spec = BasisSpec(family, n)
+            assert subtractions(spec) == sum(map(len, bases.member_window(spec)[2:]))
             counts[n] = len(calls)
         assert counts[80] / counts[40] <= 4.5, (family, counts)
-
-
-def test_column_reduction_compares_every_column_two_orders_down(monkeypatch):
-    # a y^6 planted in vector 3 of BU(6) changes order 5's columns 2 and 3 (U_8 and U_9); with those two members
-    # read as the columns it gives, it passes every check down to order 5.  Order 4's column 1 then differs from
-    # U_6, the shift identity's first fault, which the carried columns below would otherwise take on trust.
-    spec = BasisSpec(BasisFamily.BU, 6)
-    vectors = build_basis(spec)
-    vectors[3] = vectors[3] + Y**6
-    top = [v.canonical_coordinates(12) for v in vectors]
-    window = bases.member_window(spec)  # entry i holds U_(i+1)
-    window[7:9] = [[q - p for p, q in zip(a, b)][1:] for a, b in zip(top[2:4], top[3:5])]
-    monkeypatch.setattr(bases, "build_basis", lambda _spec: vectors)
-    monkeypatch.setattr(bases, "member_window", lambda _spec: window)
-    with pytest.raises(ArithmeticError) as excinfo:
-        det_by_column_reduction(spec)
-    assert str(excinfo.value) == "order 4 column 1 is not U_6"
 
 
 def test_check_determinants_report():
@@ -421,9 +429,9 @@ def test_lemma1_checks_read_the_chain_order_by_order(monkeypatch):
 @pytest.mark.parametrize(
     "letter, index, in_family, error, messages",
     [
-        ("V", 7, True, "ArithmeticError", {"BV": "order 7 column 0 is not V_7", "BVstar": "order 8 column 0 is not V_7"}),
-        ("U", 8, True, "ArithmeticError", {"BU": "order 7 column 0 is not U_8", "BUstar": "order 8 column 0 is not U_8"}),
-        ("U", 1, True, "ArithmeticError", {"BU": "order 0 column 0 is not U_1", "BUstar": "order 1 column 0 is not U_1"}),
+        ("V", 7, True, "ArithmeticError", dict.fromkeys(["BV", "BVstar"], "V_7 - x V_6 keeps an x^7 component")),
+        ("U", 8, True, "ArithmeticError", dict.fromkeys(["BU", "BUstar"], "U_8 - x U_7 keeps an x^7 component")),
+        ("U", 1, True, "ArithmeticError", dict.fromkeys(["BU", "BUstar"], "U_3 - x U_2 is not y U_1")),
         (
             "U",
             8,

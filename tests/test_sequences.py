@@ -1,5 +1,7 @@
 import sys
 import threading
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -82,6 +84,55 @@ def test_closed_form_matches_recurrence_up_to_40():
     for n in range(1, 41):
         assert u_poly(n) == u_poly_closed(n)
         assert v_poly(n) == v_poly_closed(n)
+
+
+# Coordinate j, of x^(m-2j) y^j, of U_(m+1) (m >= 0) and of V_m (m >= 1) by the closed forms; past a member's
+# last coordinate, j > m/2, both read 0
+CLOSED = {"U": lambda m, j: Fraction(comb(m - j, j)), "V": lambda m, j: Fraction(m, m - j) * comb(m - j, j)}
+# Entry j >= 1 of the recurrence's row m, w(m+1, j) = w(m, j) + w(m-1, j-1), divided by B = C(m-j, j-1): as
+# C(m+1-j, j) = B (m+1-j)/j and C(m-j, j) = B (m-2j+1)/j, each of its three terms is a product of linear forms
+# a m + b j + c, written (a, b, c), over one common denominator D, which is not 0 for 1 <= j <= (m+1)/2
+RATIOS = {
+    "U": ([[(1, -1, 1)], [(1, -2, 1)], [(0, 1, 0)]], [(0, 1, 0)]),
+    "V": ([[(1, 0, 1), (1, -1, 0)], [(1, 0, 0), (1, -2, 1)], [(0, 1, 0), (1, 0, -1)]], [(0, 1, 0), (1, -1, 0)]),
+}
+DEGREE = {"U": 1, "V": 2}
+FIRST_ROW = {"U": 1, "V": 2}  # the first m whose three members all have a closed form: U_m and V_(m-1) from index 1
+
+
+def linear_product(factors, m, j):
+    return prod((a * m + b * j + c for a, b, c in factors), start=Fraction(1))
+
+
+def test_closed_coordinates_read_the_closed_forms():
+    for m in range(41):
+        assert u_poly_closed(m + 1).canonical_coordinates(m) == [CLOSED["U"](m, j) for j in range(m // 2 + 1)]
+    for m in range(1, 41):
+        assert v_poly_closed(m).canonical_coordinates(m) == [CLOSED["V"](m, j) for j in range(m // 2 + 1)]
+    for letter, (numerators, denominator) in RATIOS.items():
+        w = CLOSED[letter]
+        for m in range(FIRST_ROW[letter], 41):
+            for j in range(1, (m + 1) // 2 + 1):
+                terms = (w(m + 1, j), w(m, j), w(m - 1, j - 1))
+                scaled = [comb(m - j, j - 1) * linear_product(factors, m, j) for factors in numerators]
+                assert [linear_product(denominator, m, j) * t for t in terms] == scaled, (letter, m, j)
+
+
+def test_closed_forms_keep_the_recurrence_for_every_n():
+    for letter, (numerators, _) in RATIOS.items():
+        # cleared of D, entry j >= 1 of every row is P(m, j) = 0, P a sum of products of at most d linear forms, so of
+        # degree <= d in m and in j; vanishing on the grid {0..d}^2 it vanishes everywhere
+        d = max(map(len, numerators))
+        assert d == DEGREE[letter]
+        first, *rest = numerators
+        for m in range(d + 1):
+            for j in range(d + 1):
+                assert linear_product(first, m, j) == sum(linear_product(f, m, j) for f in rest), (letter, m, j)
+    # entry 0 of every row reads 1 = 1 + 0, as C(m, 0) = m/m = 1
+    assert all(CLOSED[letter](m, 0) == 1 for letter in "UV" for m in range(1, 101))
+    # the seeds: closed forms start where the recurrence does, U_1, U_2 and V_1, V_2 (U_0 and V_0 have none)
+    assert [u_poly_closed(n) for n in (1, 2)] == [u_poly(1), u_poly(2)] == [ONE, X]
+    assert [v_poly_closed(n) for n in (1, 2)] == [v_poly(1), v_poly(2)] == [X, X * X + Y * v_poly(0)]
 
 
 def test_coefficients_are_non_negative_integers():
