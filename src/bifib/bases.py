@@ -33,9 +33,10 @@ denominators.  ``det_by_column_reduction`` gives the determinants of every
 order up to n from one pass over the ``member_window``, on the step the peel
 uses: vectors k - 1 and k differ by x^(n-k) (W_(i+1) - x W_i) = x^(n-k) y W_(i-1),
 the shared recurrence read on coordinates.  The same member pair serves every
-order that holds it, so the pass checks each neighbouring pair once, after the
-product-built order-n vectors, and the determinants are the running products
-of the leading members' x^m coordinates: O(n^2) after ``build_basis``.
+order that holds it, so the pass checks each neighbouring pair once, and the
+determinants are the running products of the leading members' x^m
+coordinates: O(n^2) in all.  No verb path here multiplies polynomials;
+``build_basis`` is the product-built reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def member_index(spec: BasisSpec, k: int) -> tuple[str, int]:
 
 
 def build_basis(spec: BasisSpec) -> list[BivarPoly]:
-    """The basis vectors in ascending k order."""
+    """Vectors k = 0.. as products x^(n-k) W: the product-built reference the tests compare with."""
     count = ambient_degree(spec) // 2 + 1
     letter, first = member_index(spec, 0)
     members = SHARED_CACHES[letter]
@@ -226,10 +227,8 @@ def _eliminate(rows: list[Sequence[Rational]]) -> Fraction:
 
 def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
     """Square matrix whose column k holds the canonical coordinates of vector k,
-    which are its member's own, as x^(n-k) moves no canonical index."""
-    size = ambient_degree(spec) // 2 + 1
-    letter, first = member_index(spec, 0)
-    columns = read_members(letter, range(first, first + size))
+    which are its member's own, as x^(n-k) moves no canonical index: ``member_window`` entries n - lowest on."""
+    columns = member_window(spec)[spec.n - BASES[spec.family].lowest :]
     return RationalMatrix._of([list(row) for row in zip_longest(*columns, fillvalue=0)])
 
 
@@ -239,17 +238,12 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
     Entry w of the window is the member of weight w; vector k of order m is x^(m-k) times entry m - lowest + k.
     As W_(w+1) - x W_w = y W_(w-1), replacing each vector but the first by its difference with the one before
     leaves column 0 the only one with an x^(2m - lowest) entry, and the rest of column k is vector k - 1 of order
-    m - 1: det(m) = entry (m - lowest)[0] * det(m - 1).  The product-built ``build_basis`` vectors of order n are
-    checked against their entries, then each neighbouring pair once, the same pair at every order that holds it;
-    a fault raises ArithmeticError naming its members.
+    m - 1: det(m) = entry (m - lowest)[0] * det(m - 1).  Each neighbouring pair is checked once, the same pair at
+    every order that holds it, O(n^2) in all; a fault raises ArithmeticError naming its members.
     """
-    lowest, degree = BASES[spec.family].lowest, ambient_degree(spec)
-    letter, first = member_index(BasisSpec(spec.family, lowest), 0)  # entry w is member first + w
-    window, top = member_window(spec), spec.n - lowest
-    for k, vector in enumerate(build_basis(spec)):
-        column, coords = vector.canonical_coordinates(degree), window[top + k]
-        if column[: len(coords)] != coords or any(column[len(coords) :]):
-            raise ArithmeticError(f"order {spec.n} vector {k} is not {letter}_{first + top + k}")
+    basis = BASES[spec.family]
+    letter, first = basis.letter, member_of_weight(basis.letter, 0)  # entry w is member first + w
+    window, top = member_window(spec), spec.n - basis.lowest
     for w in range(1, 2 * top):
         head, *rest = starmap(sub, zip_longest(window[w + 1], window[w], fillvalue=0))
         if head != 0 or rest != window[w - 1]:
@@ -258,15 +252,16 @@ def det_by_column_reduction(spec: BasisSpec) -> list[Rational]:
     pivots = [coords[0] for coords in window[: top + 1]]
     if 0 in pivots[1:]:
         w = pivots.index(0, 1)
-        raise ArithmeticError(f"{letter}_{first + w} has no x^{w} component, a zero pivot at order {lowest + w}")
+        raise ArithmeticError(f"{letter}_{first + w} has no x^{w} component, a zero pivot at order {basis.lowest + w}")
     return list(map(as_rational, accumulate(pivots, mul)))
 
 
 def member_window(spec: BasisSpec) -> list[list[Rational]]:
     """The coordinates of every member the family's bases read up to order ``spec.n``, each read once (``read_members``):
     order m's vector k is entry m - lowest + k, and its peel reads entries m - lowest..0."""
-    letter, first = member_index(BasisSpec(spec.family, BASES[spec.family].lowest), 0)
-    return read_members(letter, range(first, member_index(spec, ambient_degree(spec) // 2)[1] + 1))
+    basis = BASES[spec.family]
+    first = member_of_weight(basis.letter, 0)
+    return read_members(basis.letter, range(first, first + ambient_degree(spec) - basis.lowest + 1))
 
 
 def _peel_solve(spec: BasisSpec, rhs: Sequence[Rational], window: Sequence[list[Rational]]) -> list[Rational]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .bases import BasisSpec, member_index
+from .bases import BASES, BasisSpec, member_index
 from .coefficients import FAMILIES, Family, closed_triangle
 from .errors import DomainError
 from .poly import X, BivarPoly, combine_columns
@@ -53,7 +53,7 @@ def evaluate_numbers(kind: SequenceKind, n: int, x0: int, y0: int) -> int:
         raise TypeError("evaluation point must be a pair of integers")
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    previous, current = (0, 1) if kind is SequenceKind.FIBONACCI_U else (2, x0)
+    previous, current = (seed.evaluate(x0, y0) for seed in kind.seeds())
     if n == 0:
         return previous
     for _ in range(n - 1):
@@ -100,7 +100,7 @@ def check_transfer(family: Family, n_max: int) -> CheckResult:
     require_n_max(n_max)
     scheme, closed = FAMILIES[family].scheme, closed_triangle(family, n_max)
     doubling = scheme.doubling
-    letters = {scheme.kind, member_index(BasisSpec(scheme.basis, scheme.min_n), 0)[0]}  # one letter for b and d
+    letters = {scheme.kind, BASES[scheme.basis].letter}  # one letter for b and d
     images = {y0: {letter: univariate_images(letter, y0, 2 * n_max + 2) for letter in letters} for y0 in (1, -1)}
     bad = []
     for n in range(scheme.min_n, n_max + 1):

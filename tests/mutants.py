@@ -60,7 +60,11 @@ KERNEL = ["tests/test_poly.py", "-k", "combine_columns"]
 COORDINATES = ["tests/test_poly.py", "-k", "coordinates"]
 DECOMPOSE = ["tests/test_bases.py", "-k", "peel or residual or decompos"]
 LEMMA1 = ["tests/test_bases.py", "-k", "lemma1 or column_reduction"]
-CERT = ["tests/test_sequences.py", "-k", "for_every_n or closed_coordinates"]
+# the certificates for every n: the closed forms' recurrence, lemma 1 and triangles b, c and d
+CERT = [
+    "tests/test_sequences.py", "tests/test_bases.py", "tests/test_coefficients.py", "-k", "for_every_n or closed_coordinates",
+]
+COORDINATE_MATRIX = ["tests/test_bases.py", "-k", "coordinate_matrix"]
 TRANSFER = ["tests/test_specializations.py", "-k", "transfer or univariate"]
 # verify's own chebyshev checks, through the CLI and on their own, without the unit tests of the images
 RECURRENCE = ["tests/test_cli.py", "tests/test_specializations.py", "-k", "verify_scopes and chebyshev or remark_checks"]
@@ -133,17 +137,19 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (POLY, "zip_longest(*columns, fillvalue=0)", "zip(*columns)", KERNEL),
     # the member window, the peel's forward substitution (its subtraction, the skew of the leads that gives the
     # anti-diagonals, the V_0 divisor) and the residual check (what it compares and which columns it reads)
-    (BASES, "return read_members(letter, range(first, member_index(", "return read_members(letter, range(first + 1, member_index(", DECOMPOSE),
+    (BASES, "return read_members(basis.letter, range(first, first +", "return read_members(basis.letter, range(first + 1, first +",
+     DECOMPOSE),
     (BASES, "value - sum(map(mul, sums, row))", "value + sum(map(mul, sums, row))", DECOMPOSE),
     (BASES, "([0] * l + lead for", "([0] * (l + 1) + lead for", DECOMPOSE),
     (BASES, "rest if pivot == 1 else as_rational(Fraction(rest, pivot))", "rest", DECOMPOSE),
     (BASES, "if product != rhs:", "if product[:1] != rhs[:1]:", DECOMPOSE),
     (BASES, "columns = window[top : top + len(rhs)]", "columns = window[top + 1 : top + 1 + len(rhs)]", DECOMPOSE),
-    # the lemma 1 chain: the top order's product-built vectors against their members, and the entries past a member;
-    # each neighbouring pair's x^m entry check, the entry it drops, the zero padding of the shorter member, the member
-    # its rest is compared with, and the pair range's start and end; the zero-pivot check and the pivots' slice
-    (BASES, "if column[: len(coords)] != coords or any(column[len(coords) :]):", "if False:", LEMMA1),
-    (BASES, " or any(column[len(coords) :]):", ":", LEMMA1),
+    # the coordinate matrices read their columns from the member window, from the order's vector 0 on
+    (BASES, "member_window(spec)[spec.n - BASES[spec.family].lowest :]", "member_window(spec)[spec.n :]", COORDINATE_MATRIX),
+    # the lemma 1 chain: the member its fault texts count from; each neighbouring pair's x^m entry check, the entry it
+    # drops, the zero padding of the shorter member, the member its rest is compared with, and the pair range's start
+    # and end; the zero-pivot check and the pivots' slice
+    (BASES, "basis.letter, member_of_weight(basis.letter, 0)", "basis.letter, member_of_weight(basis.letter, 1)", LEMMA1),
     (BASES, "if head != 0 or rest != window[w - 1]:", "if rest != window[w - 1]:", LEMMA1),
     (BASES, "head, *rest = starmap(", "*rest, head = starmap(", LEMMA1),
     (BASES, "zip_longest(window[w + 1], window[w], fillvalue=0)", "zip(window[w + 1], window[w])", LEMMA1),
@@ -182,11 +188,20 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the closed forms, whose coordinates the certificate that they keep the recurrence for every n reads
     (SEQUENCES, "for k in range(m // 2 + 1)}", "for k in range((m + 1) // 2)}", CERT),
     (SEQUENCES, "coeff = Fraction(n, n - k) * comb(n - k, k)", "coeff = Fraction(n, n - k) * comb(n - k - 1, k)", CERT),
+    # lemma 1's determinants, the running products of the pivots, which its certificate ties to the chain
+    (BASES, "accumulate(pivots, mul)", "pivots", CERT),
+    # the closed forms and rules of b, c and d, which the triangles' certificate ties to its cleared identities
+    (COEFFICIENTS, "numerator = (n + k) * comb(n, k)", "numerator = (n + k + 1) * comb(n, k)", CERT),
+    (COEFFICIENTS, "(1 if n - 1 == k else 0)", "(1 if n - 2 == k else 0)", CERT),
+    (COEFFICIENTS, "-1 if n == k + 2 else 0", "-1 if n == k + 1 else 0", CERT),
     # the members themselves, against the sympy recurrence: V's seed and the sign of the recurrence's y term
     (SEQUENCES, "return BivarPoly.constant(2), X", "return BivarPoly.constant(1), X", SYMPY),
     (SEQUENCES, "(Y, values[-2])", "(-Y, values[-2])", SYMPY),
-    # the bases against the sympy coordinate matrices: the weight of vector k's member
-    (BASES, "spec.n + k - basis.lowest)", "spec.n + k + basis.lowest)", SYMPY),
+    # the bases against the sympy coordinate matrices: the window entry of each order's vector 0; and the weight of
+    # vector k's member, which lemma 1's certificate states for every n
+    (BASES, "member_window(spec)[spec.n - BASES[spec.family].lowest :]", "member_window(spec)[spec.n + BASES[spec.family].lowest :]",
+     SYMPY),
+    (BASES, "spec.n + k - basis.lowest)", "spec.n + k + basis.lowest)", CERT),
     # the one weight rule's inverse, which places every basis member and every target
     (SEQUENCES, 'return weight + 1 if letter == "U" else weight', 'return weight if letter == "U" else weight', WEIGHT),
     # the closed forms against the sympy solutions of the identities: c's closed form in its record

@@ -2,8 +2,9 @@ import builtins
 import random
 import re
 from fractions import Fraction
-from itertools import permutations
-from math import prod
+from itertools import accumulate, permutations, product
+from math import comb, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from bifib.errors import (
 )
 from bifib.poly import BivarPoly, X, Y, sum_of_products
 from bifib.report import all_passed, checks, run_checks
-from bifib.sequences import SequenceCache, u_poly, v_poly
+from bifib.sequences import SequenceCache, member_weight, u_poly, v_poly
 
 SEQUENCE_BASES = list(EXPECTED_DETERMINANTS)
 
@@ -242,37 +243,42 @@ def test_column_reduction_exercises_the_difference_identity():
 
 
 @pytest.mark.parametrize(
-    "n, k, plant, members, error, message",
+    "entry, plant, message",
     [
-        (5, 0, lambda v: v - BivarPoly.monomial(10, 0).scale(v.coefficient(10, 0)), (), ArithmeticError,
-         "order 5 vector 0 is not U_6"),
-        (5, 2, lambda v: v + X**10, (), ArithmeticError, "order 5 vector 2 is not U_8"),
-        (5, 3, lambda v: v + Y * X**8, (), ArithmeticError, "order 5 vector 3 is not U_9"),
-        (5, 1, lambda v: v + X**9, (), MalformedElement, "monomial x^9 lies outside the degree-10 canonical family"),
-        (5, 5, lambda v: v + Y**5, (), ArithmeticError, "order 5 vector 5 is not U_11"),
-        (5, 1, lambda v: v + Y**5, (), ArithmeticError, "order 5 vector 1 is not U_7"),  # past U_7's last coordinate
-        # a y^6 in vector 3 of BU(6), with U_8 and U_9 read as the order-5 vectors 2 and 3 that it gives: the top
-        # order's vector 1 is the first to differ from its member
-        (6, 3, lambda v: v + Y**6, (7, 8), ArithmeticError, "order 6 vector 1 is not U_8"),
+        (5, lambda c: [0, *c[1:]], "U_6 - x U_5 keeps an x^5 component"),  # the lead of vector 0 of BU(5)
+        (7, lambda c: [c[0] + 1, *c[1:]], "U_8 - x U_7 keeps an x^7 component"),  # a second x^10 in vector 2
+        (8, lambda c: [c[0], c[1] + 1, *c[2:]], "U_9 - x U_8 is not y U_7"),  # x^8 y in vector 3, an interior entry
+        (10, lambda c: [*c[:-1], c[-1] + 1], "U_11 - x U_10 is not y U_9"),  # the last entry, y^5 in vector 5
+        (6, lambda c: [*c, 0, 1], "U_7 - x U_6 is not y U_5"),  # y^5 in vector 1, past U_7's last entry y^3
+        (5, lambda c: [*c, 1], "U_6 - x U_5 is not y U_4"),  # one past U_6, shorter than the U_7 it pairs with
+        (0, lambda c: [2], "U_3 - x U_2 is not y U_1"),  # entry 0, which only the first pair reads
     ],
     ids=[
-        "pivot-lost", "x10-kept", "x8-kept-one-order-down", "outside-family", "y5-in-the-last-column",
-        "y5-past-a-member", "y6-read-into-two-members",
+        "pivot-lost", "x10-kept", "x8-kept-one-order-down", "y5-in-the-last-column", "y5-past-a-member",
+        "one-past-a-shorter-member", "entry-0",
     ],
 )
-def test_column_reduction_rejects_a_corrupted_basis(monkeypatch, n, k, plant, members, error, message):
-    spec = BasisSpec(BasisFamily.BU, n)
-    vectors = build_basis(spec)
-    vectors[k] = plant(vectors[k])
-    window = bases.member_window(spec)  # entry w holds U_(w+1); vector j of order n - 1 is entry n - 1 + j
-    for w in members:  # each reads as the order n - 1 vector that the planted order-n vectors give
-        a, b = (v.canonical_coordinates(2 * n) for v in vectors[w - n + 1 : w - n + 3])
-        window[w] = [q - p for p, q in zip(a, b)][1:]
-    monkeypatch.setattr(bases, "build_basis", lambda _spec: vectors)
+def test_column_reduction_rejects_a_corrupted_basis(monkeypatch, entry, plant, message):
+    # the chain's one input is the member window of BU(5), whose entry w holds U_(w+1); one entry is planted
+    spec = BasisSpec(BasisFamily.BU, 5)
+    window = bases.member_window(spec)
+    window[entry] = plant(window[entry])
     monkeypatch.setattr(bases, "member_window", lambda _spec: window)
-    with pytest.raises(error) as excinfo:
+    with pytest.raises(ArithmeticError) as excinfo:
         det_by_column_reduction(spec)
     assert str(excinfo.value) == message
+
+
+def test_lemma1_and_det_cross_check_never_build_the_product_basis(monkeypatch, run_cli):
+    def forbidden(*args):
+        raise AssertionError("built the product basis")
+
+    monkeypatch.setattr(bases, "build_basis", forbidden)
+    with pytest.raises(AssertionError, match="product basis"):
+        bases.build_basis(BasisSpec(BasisFamily.BV, 2))
+    assert all_passed(run_checks("lemma1", 12))
+    for family in SEQUENCE_BASES:
+        assert run_cli(["det", family.value, "12", "--cross-check"]) == (0, f"{EXPECTED_DETERMINANTS[family]}\n", "")
 
 
 @pytest.mark.parametrize("family, order", [(BasisFamily.BU, 1), (BasisFamily.BU_STAR, 2)])
@@ -367,6 +373,43 @@ def test_column_reduction_costs_quadratic_element_operations(monkeypatch):
             assert subtractions(spec) == sum(map(len, bases.member_window(spec)[2:]))
             counts[n] = len(calls)
         assert counts[80] / counts[40] <= 4.5, (family, counts)
+
+
+def test_lemma1_holds_for_every_n():
+    # Lemma 1 at every order n from three facts, each shown for every n:
+    # - the pair step W_(w+1) - x W_w = y W_(w-1) on coordinates, at every w: the closed forms keep the recurrence
+    #   (tests/test_sequences.py::test_closed_forms_keep_the_recurrence_for_every_n), so the difference of vectors
+    #   k - 1 and k of order n is y times vector k - 1 of order n - 1;
+    # - vector k of order n is x^(n-k) times the member of weight n + k - lowest, and (n + k - lowest) + (n - k) is
+    #   2n - lowest, of degree 1 in n and in k, so vanishing on {0, 1}^2 it holds for all n and k: x^(n-k) carries
+    #   the member into the ambient family and keeps every canonical index j, and column k is the member's coordinates;
+    # - the pivot of order m is the j = 0 entry of the member of weight w = m - lowest: C(w, 0) = 1 for U_(w+1),
+    #   w/w C(w, 0) = 1 for V_w, w >= 1, which cleared of w is w C(w, 0) - w = 0, of degree 1 in w, and 2 for V_0.
+    # So det(n) = pivot(n) det(n - 1) is 1, 2, 1, 2 for BU, BV, BUstar, BVstar at every n.
+    for lowest in (0, 1):
+        for n, k in product(range(2), repeat=2):
+            assert (n + k - lowest) + (n - k) - (2 * n - lowest) == 0, (lowest, n, k)
+    assert all(w * comb(w, 0) - w == 0 for w in range(2))
+
+    def pivot(letter, w):
+        return comb(w, 0) if letter == "U" else (Fraction(w, w) * comb(w, 0) if w else 2)
+
+    # tied to the chain for n <= 40
+    for family, basis in BASES.items():
+        spec = BasisSpec(family, 40)
+        window, top = bases.member_window(spec), 40 - basis.lowest
+        for n in range(basis.lowest, 41):
+            for k in range(n + 1 - basis.lowest):
+                letter, index = bases.member_index(BasisSpec(family, n), k)
+                assert (letter, member_weight(letter, index)) == (basis.letter, n + k - basis.lowest)
+        degree = ambient_degree(spec)
+        assert degree == 2 * 40 - basis.lowest
+        for k, vector in enumerate(build_basis(spec)):  # x^(40-k) keeps each coordinate's index
+            coords = window[top + k]
+            assert vector.canonical_coordinates(degree) == coords + [0] * (degree // 2 + 1 - len(coords))
+        pivots = [pivot(basis.letter, w) for w in range(top + 1)]
+        assert [coords[0] for coords in window[: top + 1]] == pivots
+        assert det_by_column_reduction(spec) == list(accumulate(pivots, mul)) == [basis.determinant] * (top + 1)
 
 
 def test_check_determinants_report():

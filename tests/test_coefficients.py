@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -202,6 +204,63 @@ def test_closed_matches_recurrence_up_to_40():
             assert closed_triangle(family, n_max).rows == recurrence_triangle(family, n_max).rows, (family, n_max)
 
 
+# Triangles b, c and d keep their recurrences for every n (ROADMAP item 8).  Off the boundary, 1 <= k <= n - 1, the
+# rule f(n, k) = s (f(n-1, k) - f(n-1, k-1)) + extra, with s = -1 and no extra for b and d, has three terms f(n, k),
+# s f(n-1, k) and -s f(n-1, k-1) that all carry the sign (-1)^(n-k+1).  Divided by it and by B = C(n-1, k-1), as
+# C(n, k) = B n/k and C(n-1, k) = B (n-k)/k, each term is a polynomial P(n, k) over one denominator Q, not 0 there:
+#   b(n, k) = (-1)^(n-k+1) C(n, k),         Q = k:         n = (n - k) + k                                    degree 1
+#   d(n, k) = (-1)^(n-k+1) (n+k)/n C(n, k), Q = k(n - 1):  (n + k)(n - 1) = (n - 1 + k)(n - k) + k(n + k - 2) degree 2
+# Each side is a sum of products of at most d linear forms, so of degree <= d in n and in k; vanishing on the grid
+# {0..d}^2 it vanishes everywhere.  (denominator Q, the three numerators P) for each:
+CLEARED = {
+    Family.B: (lambda n, k: k, lambda n, k: (n, n - k, k)),
+    Family.D: (lambda n, k: k * (n - 1), lambda n, k: ((n + k) * (n - 1), (n - 1 + k) * (n - k), k * (n + k - 2))),
+}
+CLEARED_DEGREE = {Family.B: 1, Family.D: 2}
+
+
+def kronecker(t, at):
+    return 1 if t == at else 0
+
+
+def test_triangles_b_c_d_keep_their_recurrences_for_every_n():
+    for family, (_, numerators) in CLEARED.items():
+        d = CLEARED_DEGREE[family]
+        for n, k in product(range(d + 1), repeat=2):
+            head, *rest = numerators(n, k)
+            assert Fraction(head) == sum(map(Fraction, rest)), (family, n, k)
+    # c(n, k) = 2 b(n, k) - delta(n - k, 1), and c's rule has b's sign and the extra -delta(n - k, 2): its residual is
+    # twice b's plus K(t), t = n - k, whose deltas fire only at t = 1 and t = 2, so K vanishes once it does on t <= 3
+    for t in range(4):
+        kappa = [-kronecker(t - 1, 1), -kronecker(t, 1)]  # c(n-1, k) and c(n-1, k-1) sit at t - 1 and t
+        assert -kronecker(t, 1) == -(kappa[0] - kappa[1]) - kronecker(t, 2), t
+    # At k = 0 and k = n the closed forms are (-1)^(n+1) or -1 times C(n, 0) = C(n, n) = 1, n/n = 1 or 2n/n = 2,
+    # constants once n >= 1, with c's delta at n = 1; so from row 3 on each boundary recurrence is one statement per
+    # parity of n, and rows 3 and 4 settle it.
+    # Tied to the closed forms, the rules and the seeds, for n <= 40:
+    for family in (Family.B, Family.C, Family.D):
+        facts = FAMILIES[family]
+        seed, sign, extra = facts.rule
+        assert sign == -1
+        assert seed == tuple(closed_value(family, facts.start_row, k) for k in range(len(seed)))
+        for n in range(facts.start_row + 1, 41):
+            row, prev = (
+                [closed_value(family, m, k) for k in range(facts.row_length(m))] for m in (n, n - 1)
+            )
+            assert row == [sign * (b - a) + extra(n, k, ()) for k, (a, b) in enumerate(zip([0, *prev], [*prev, 0]))]
+            for k in range(facts.row_length(n)):
+                if family is Family.C:
+                    assert row[k] == 2 * closed_value(Family.B, n, k) - kronecker(n - k, 1), (n, k)
+                    assert extra(n, k, ()) == -kronecker(n - k, 2), (n, k)
+                    continue
+                assert extra(n, k, ()) == 0, (family, n, k)
+                if 1 <= k <= n - 1:
+                    denominator, numerators = CLEARED[family]
+                    terms = (row[k], sign * prev[k], -sign * prev[k - 1])
+                    scale = (-1) ** (n - k + 1) * comb(n - 1, k - 1)
+                    assert [denominator(n, k) * t for t in terms] == [scale * p for p in numerators(n, k)], (n, k)
+
+
 def test_recurrence_route_reads_neither_closed_forms_nor_the_oracle(monkeypatch):
     expected = {family: recurrence_triangle(family, 30).rows for family in Family}
 
@@ -349,10 +408,11 @@ def test_pairing_gives_each_scheme_its_target():
 
 def test_only_the_schemes_read_the_doubling():
     """The relations and the transfers take each target's doubling and index from its scheme, so the pairing has one
-    owner."""
+    owner; a basis record is read for its member letter alone."""
     for module in (operators, specializations):
         source = Path(module.__file__).read_text()
-        assert [name for name in ("BASES", ".doubled", "scheme.shift") if name in source] == [], module.__name__
+        assert [name for name in (".doubled", ".lowest", "scheme.shift") if name in source] == [], module.__name__
+        assert set(re.findall(r"BASES\[[^]]*\](\.\w+)?", source)) <= {".letter"}, module.__name__
 
 
 def test_theorem_checks_pass():

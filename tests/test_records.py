@@ -99,28 +99,35 @@ def test_no_module_decides_on_a_family_or_a_basis_by_name():
 
 
 def _holds_a_letter(node):
-    """Whether ``node`` is the string "U" or "V", or a tuple, list or set literal holding one."""
+    """Whether ``node`` is the string "U" or "V", a ``SequenceKind`` member, or a tuple, list or set literal holding
+    one."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return any(map(_holds_a_letter, node.elts))
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "SequenceKind"
     return isinstance(node, ast.Constant) and node.value in ("U", "V")
 
 
 def letter_comparisons(source, module):
     """Where ``source`` compares with the sequence letter "U" or "V": any comparison one of whose operands is that
-    string or a tuple, list or set literal holding it."""
+    string, a ``SequenceKind`` member, or a tuple, list or set literal holding one."""
     return [f"{module}:{node.lineno}" for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Compare) and any(map(_holds_a_letter, [node.left, *node.comparators]))]
 
 
 def test_only_sequences_decides_on_a_member_by_its_letter():
-    """The weight rule (U_i has weight i - 1, V_i weight i) lives in ``sequences``, so no other module tells U from V
-    by its letter: bases, schemes and the CLI derive indices and orders from ``member_weight`` and its inverse."""
+    """The weight rule (U_i has weight i - 1, V_i weight i) and the seeds live in ``sequences``, so no other module
+    tells U from V by its letter or its ``SequenceKind``: bases, schemes and the CLI derive indices and orders from
+    ``member_weight`` and its inverse, and ``evaluate_numbers`` its seeds from ``SequenceKind.seeds``."""
     planted = {
         'def f(kind, index):\n    return kind == "U" and index == 0\n': ["planted:2"],
         'def f(kind):\n    return "V" != kind\n': ["planted:2"],
         'def f(kind):\n    return kind is "U"\n': ["planted:2"],
         'def f(kind):\n    return kind in ("U", "V") or kind not in ["V"]\n': ["planted:2", "planted:2"],
         'def f(kind):\n    return kind == "T" or kind in "UV"\n': [],  # another letter, or a membership in a string
+        "def f(kind):\n    return kind is SequenceKind.FIBONACCI_U\n": ["planted:2"],
+        "def f(kind):\n    return kind in (SequenceKind.LUCAS_V,) or kind is Family.A\n": ["planted:2"],
+        "def f(kind):\n    return kind.seeds() if kind else SequenceKind.LUCAS_V\n": [],  # no comparison
         'LETTERS = {"U": 0, "V": 1}\n': [],  # a table keyed by the letters decides nothing
     }
     for source, expected in planted.items():
