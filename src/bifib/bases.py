@@ -226,9 +226,10 @@ def _eliminate(rows: list[Sequence[Rational]]) -> Fraction:
 
 
 def coordinate_matrix(spec: BasisSpec) -> RationalMatrix:
-    """Square matrix whose column k holds the canonical coordinates of vector k,
-    which are its member's own, as x^(n-k) moves no canonical index: ``member_window`` entries n - lowest on."""
-    columns = member_window(spec)[spec.n - BASES[spec.family].lowest :]
+    """Square matrix whose column k holds the canonical coordinates of vector k, which are its member's own, as
+    x^(n-k) moves no canonical index: the order's own members, from vector 0's on, each read once (``read_members``)."""
+    letter, first = member_index(spec, 0)
+    columns = read_members(letter, range(first, first + ambient_degree(spec) // 2 + 1))
     return RationalMatrix._of([list(row) for row in zip_longest(*columns, fillvalue=0)])
 
 

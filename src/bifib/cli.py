@@ -220,7 +220,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.n_max < 1:
         parser.error("verify needs n_max >= 1")
     results = run_checks(args.scope, args.n_max)
-    passed = all_passed(results)
+    passed = all_passed(result for result, _ in results)
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -233,15 +233,15 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                     "name": result.name,
                     "passed": result.passed,
                     "detail": result.detail,
-                    "seconds": round(result.seconds, 6),
+                    "seconds": round(seconds, 6),
                 }
-                for result in results
+                for result, seconds in results
             ],
         }
         print(json.dumps(payload))
     else:
-        for result in results:
+        for result, _ in results:
             print(result.line())
-        ok = sum(1 for result in results if result.passed)
+        ok = sum(1 for result, _ in results if result.passed)
         print(f"{ok}/{len(results)} checks passed")
     return 0 if passed else 1

@@ -1,4 +1,4 @@
-"""Uniform pass/fail records and the one registry of verification checks."""
+"""Uniform pass/fail records, the one registry of verification checks, and the runner that times each check."""
 
 from __future__ import annotations
 
@@ -10,22 +10,11 @@ from .errors import BifibError, DomainError
 
 
 class CheckResult(NamedTuple):
-    """Outcome of one named verification check; ``seconds`` is its run time, left out of equality and hash."""
+    """One verification check's name, verdict and detail."""
 
     name: str
     passed: bool
     detail: str = ""
-    seconds: float = 0.0
-
-    # tuple compares and hashes every field, ``seconds`` too, and defines its own ``__ne__``
-    def __eq__(self, other: object) -> bool:
-        return self[:3] == other[:3] if isinstance(other, CheckResult) else NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        return self[:3] != other[:3] if isinstance(other, CheckResult) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self[:3])
 
     @classmethod
     def over(cls, name: str, bad: Sequence[object], passed_detail: str, at: str = "n") -> CheckResult:
@@ -90,15 +79,16 @@ def checks(scope: str = "all") -> list[tuple[str, Check]]:
     return selected
 
 
-def run_checks(scope: str, n_max: int) -> list[CheckResult]:
-    """Run and time every registered check of ``scope`` up to ``n_max``; the results sorted by name."""
+def run_checks(scope: str, n_max: int) -> list[tuple[CheckResult, float]]:
+    """Run and time every registered check of ``scope`` up to ``n_max``: each result beside its run time in seconds,
+    sorted by name."""
     require_n_max(n_max)
-    results = []
+    timed = []
     for name, check in checks(scope):
         start = time.perf_counter()
         try:
             result = check(n_max)
         except (ArithmeticError, BifibError) as exc:  # a wrong value met partway; other errors are bugs
             result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
-        results.append(result._replace(seconds=time.perf_counter() - start))
-    return sorted(results, key=lambda result: result.name)
+        timed.append((result, time.perf_counter() - start))
+    return sorted(timed, key=lambda pair: pair[0].name)

@@ -16,8 +16,9 @@ stderr, where an error that stops it before any test (exit 4, say from a
 module that does not import) goes.
 
 The exit status is 1 when a mutant survives, an old text does not occur
-exactly once, or a run ends in an error, and 0 otherwise.  Stdlib only; it is
-not collected by pytest.  From a checkout root:
+exactly once, or a run ends in an error, and 0 otherwise.  The last line
+gives the count of mutants killed and the gate's wall time.  Stdlib only; it
+is not collected by pytest.  From a checkout root:
 
     python tests/mutants.py
 """
@@ -72,7 +73,7 @@ RECURRENCE = ["tests/test_cli.py", "tests/test_specializations.py", "-k", "verif
 SYMPY = ["tests/test_sympy_oracle.py", "-k", "univariate_images or lemma1 or lemma2 or relations or theorem"]
 THEOREMS = ["tests/test_coefficients.py", "-k", "theorem"]
 INTEGRALITY = ["tests/test_coefficients.py", "-k", "non_integral"]
-SECONDS = ["tests/test_cli.py", "-k", "without_their_seconds"]
+RUNNER = ["tests/test_cli.py", "-k", "beside_its_run_time"]
 FIRST_ROW = ["tests/test_coefficients.py", "-k", "below_first_row"]
 SUM = ["tests/test_poly.py", "-k", "difference_of_squares or ring_axioms or canonical"]
 DOMAIN = ["tests/test_coefficients.py", "-k", "domains"]
@@ -144,8 +145,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (BASES, "rest if pivot == 1 else as_rational(Fraction(rest, pivot))", "rest", DECOMPOSE),
     (BASES, "if product != rhs:", "if product[:1] != rhs[:1]:", DECOMPOSE),
     (BASES, "columns = window[top : top + len(rhs)]", "columns = window[top + 1 : top + 1 + len(rhs)]", DECOMPOSE),
-    # the coordinate matrices read their columns from the member window, from the order's vector 0 on
-    (BASES, "member_window(spec)[spec.n - BASES[spec.family].lowest :]", "member_window(spec)[spec.n :]", COORDINATE_MATRIX),
+    # the coordinate matrices read their columns from the order's own members, from its vector 0 on
+    (BASES, "range(first, first + ambient_degree(spec) // 2 + 1)", "range(first + 1, first + ambient_degree(spec) // 2 + 2)",
+     COORDINATE_MATRIX),
     # the lemma 1 chain: the member its fault texts count from; each neighbouring pair's x^m entry check, the entry it
     # drops, the zero padding of the shorter member, the member its rest is compared with, and the pair range's start
     # and end; the zero-pivot check and the pivots' slice
@@ -194,13 +196,18 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (COEFFICIENTS, "numerator = (n + k) * comb(n, k)", "numerator = (n + k + 1) * comb(n, k)", CERT),
     (COEFFICIENTS, "(1 if n - 1 == k else 0)", "(1 if n - 2 == k else 0)", CERT),
     (COEFFICIENTS, "-1 if n == k + 2 else 0", "-1 if n == k + 1 else 0", CERT),
+    # the alternating sums of a's closed form, their seed and step, and the rules of a and e, which the certificate
+    # for a and e ties to Pascal's rule and d's rule
+    (COEFFICIENTS, "sums = [(-1) ** n]", "sums = [(-1) ** (n + 1)]", CERT),
+    (COEFFICIENTS, "sums[0] * comb(n + 1, m + 1)", "sums[0] * comb(n, m + 1)", CERT),
+    (COEFFICIENTS, "lambda n, k, a: 2 if k == n else 0", "lambda n, k, a: 2 if k == n - 1 else 0", CERT),
+    (COEFFICIENTS, "lambda n, k, a: a[n - 1][k]", "lambda n, k, a: a[n - 2][k]", CERT),
     # the members themselves, against the sympy recurrence: V's seed and the sign of the recurrence's y term
     (SEQUENCES, "return BivarPoly.constant(2), X", "return BivarPoly.constant(1), X", SYMPY),
     (SEQUENCES, "(Y, values[-2])", "(-Y, values[-2])", SYMPY),
-    # the bases against the sympy coordinate matrices: the window entry of each order's vector 0; and the weight of
+    # the bases against the sympy coordinate matrices: the member of each order's vector 0; and the weight of
     # vector k's member, which lemma 1's certificate states for every n
-    (BASES, "member_window(spec)[spec.n - BASES[spec.family].lowest :]", "member_window(spec)[spec.n + BASES[spec.family].lowest :]",
-     SYMPY),
+    (BASES, "member_index(spec, 0)\n    columns", "member_index(spec, 1)\n    columns", SYMPY),
     (BASES, "spec.n + k - basis.lowest)", "spec.n + k + basis.lowest)", CERT),
     # the one weight rule's inverse, which places every basis member and every target
     (SEQUENCES, 'return weight + 1 if letter == "U" else weight', 'return weight if letter == "U" else weight', WEIGHT),
@@ -235,10 +242,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     (COEFFICIENTS, "if facts.reads_a else ()", "if family is Family.E else ()", FACTS),
     # the theorems read the three-way comparison
     (COEFFICIENTS, "bad = sorted({mismatch.n for mismatch in cross_check(family, n_max).mismatches})", "bad = []", THEOREMS),
-    # a check result's run time is left out of its equality, inequality and hash
-    (REPORT, "return self[:3] == other[:3]", "return self[:4] == other[:4]", SECONDS),
-    (REPORT, "return self[:3] != other[:3]", "return self[:4] != other[:4]", SECONDS),
-    (REPORT, "return hash(self[:3])", "return hash(self[:4])", SECONDS),
+    # the runner records each check's run time beside its result and sorts the pairs by name
+    (REPORT, "timed.append((result, time.perf_counter() - start))", "timed.append((result, 0.0))", RUNNER),
+    (REPORT, "return sorted(timed, key=lambda pair: pair[0].name)", "return timed", RUNNER),
 ]
 
 
@@ -277,6 +283,7 @@ def _plant(trees: queue.SimpleQueue, number: int, entry: tuple[str, str, str, li
 
 
 def main() -> int:
+    start = time.perf_counter()
     failures = []
     workers = min(2, os.cpu_count() or 1)
     with tempfile.TemporaryDirectory() as temp:
@@ -301,7 +308,7 @@ def main() -> int:
                     failures.append(failure)
     for failure in failures:
         print(failure)
-    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
     return 1 if failures else 0
 
 

@@ -69,7 +69,7 @@ def test_criterion_2_determinants():
 
 def test_criterion_3_decomposition_identities():
     with criterion(3, "decomposition identities", budget_seconds=60.0):
-        results = run_checks("theorems", 30)
+        results = [result for result, _ in run_checks("theorems", 30)]
         assert all_passed(results), [r.line() for r in results]
 
 
@@ -84,7 +84,7 @@ def test_criterion_4_closed_equals_recurrence():
 
 def test_criterion_5_operator_relations():
     with criterion(5, "operator relations and shift law", budget_seconds=30.0):
-        assert all_passed(run_checks("relations", 40))
+        assert all_passed(result for result, _ in run_checks("relations", 40))
         assert all_passed(check_shift_law(kind, 60) for kind in SequenceKind)
 
 

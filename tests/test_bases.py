@@ -276,7 +276,7 @@ def test_lemma1_and_det_cross_check_never_build_the_product_basis(monkeypatch, r
     monkeypatch.setattr(bases, "build_basis", forbidden)
     with pytest.raises(AssertionError, match="product basis"):
         bases.build_basis(BasisSpec(BasisFamily.BV, 2))
-    assert all_passed(run_checks("lemma1", 12))
+    assert all_passed(result for result, _ in run_checks("lemma1", 12))
     for family in SEQUENCE_BASES:
         assert run_cli(["det", family.value, "12", "--cross-check"]) == (0, f"{EXPECTED_DETERMINANTS[family]}\n", "")
 
@@ -413,7 +413,7 @@ def test_lemma1_holds_for_every_n():
 
 
 def test_check_determinants_report():
-    results = run_checks("lemma1", 6)
+    results = [result for result, _ in run_checks("lemma1", 6)]
     assert all_passed(results)
     assert {r.name for r in results} == {
         "lemma1.det.BU",
@@ -452,7 +452,7 @@ def test_lemma1_runs_one_chain_per_check_and_one_elimination_per_order(monkeypat
 
     monkeypatch.setattr(bases, "det_by_column_reduction", counted_chain)
     monkeypatch.setattr(RationalMatrix, "det", counted_det)
-    assert all_passed(run_checks("lemma1", 10))
+    assert all_passed(result for result, _ in run_checks("lemma1", 10))
     assert (calls.count("chain"), calls.count("det")) == (8, 40)
 
 
@@ -465,7 +465,7 @@ def test_lemma1_checks_read_the_chain_order_by_order(monkeypatch):
         return dets
 
     monkeypatch.setattr(bases, "det_by_column_reduction", planted)
-    results = run_checks("lemma1", 6)
+    results = [result for result, _ in run_checks("lemma1", 6)]
     assert [result.detail for result in results] == ["fails at n = 3"] * 8
 
 
@@ -488,7 +488,7 @@ def test_lemma1_checks_read_the_chain_order_by_order(monkeypatch):
 def test_lemma1_names_a_wrong_member_below_the_top_order(corrupt_member, letter, index, in_family, error, messages):
     # in_family keeps every term inside the member's family and makes its leading coordinate read 2
     corrupt_member(letter, index, in_family)
-    results = {result.name: result for result in run_checks("lemma1", 12)}
+    results = {result.name: result for result, _ in run_checks("lemma1", 12)}
     for family in SEQUENCE_BASES:
         for check in ("det", "det-cross"):
             result = results[f"lemma1.{check}.{family.value}"]

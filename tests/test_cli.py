@@ -363,7 +363,7 @@ def test_run_checks_reports_a_check_that_meets_a_wrong_value(monkeypatch, error)
         raise error
 
     monkeypatch.setattr(sequences, "check_v_even_simple", raising)
-    results = {result.name: result for result in run_checks("lemma2", 4)}
+    results = {result.name: result for result, _ in run_checks("lemma2", 4)}
     assert len(results) == 6
     assert results["lemma2.v-even-simple"] == CheckResult(
         "lemma2.v-even-simple", False, f"raised {type(error).__name__}: wrong value"
@@ -381,14 +381,12 @@ def test_run_checks_lets_a_programming_error_propagate(monkeypatch, error):
         run_checks("lemma2", 4)
 
 
-def test_check_results_compare_without_their_seconds():
-    timed = CheckResult("lemma1.det.BU", True, "det = 1", seconds=0.25)
-    retimed = CheckResult("lemma1.det.BU", True, "det = 1", seconds=1.5)
-    assert timed == retimed and not timed != retimed and hash(timed) == hash(retimed)
-    assert timed == CheckResult("lemma1.det.BU", True, "det = 1")
-    assert timed != CheckResult("lemma1.det.BU", False, "det = 1", seconds=0.25)
-    assert timed.line() == "PASS lemma1.det.BU: det = 1"
-    assert all(result.seconds > 0 for result in run_checks("lemma2", 3))
+def test_run_checks_returns_each_result_beside_its_run_time():
+    timed = run_checks("lemma2", 3)
+    assert all(type(result) is CheckResult and type(seconds) is float for result, seconds in timed)
+    assert all(seconds > 0 for _, seconds in timed)
+    names = [result.name for result, _ in timed]
+    assert names == sorted(name for name, _ in checks("lemma2")) != [name for name, _ in checks("lemma2")]
 
 
 # -- chebyshev -----------------------------------------------------------------------

@@ -261,6 +261,96 @@ def test_triangles_b_c_d_keep_their_recurrences_for_every_n():
                     assert [denominator(n, k) * t for t in terms] == [scale * p for p in numerators(n, k)], (n, k)
 
 
+# Triangles a and e keep their recurrences for every n too.  a's closed form reads T_n(m) = sum_{j=0..n} (-1)^j C(j, m),
+# which ``_alternating_sums`` builds from the seed T_n(n) = (-1)^n, the sum's one term that is not 0, by the step
+# T_n(m) = -2 T_n(m+1) + (-1)^n C(n+1, m+1).  The step is Pascal's rule C(j, m) + C(j, m+1) = C(j+1, m+1) times (-1)^j,
+# summed over j = 0..n: the right side telescopes, with i = j + 1 and C(0, m+1) = 0, to
+# -sum_{i=0..n+1} (-1)^i C(i, m+1) = -T_n(m+1) + (-1)^n C(n+1, m+1).  Divided by C(j, m) and times m + 1, Pascal's rule
+# is the polynomial identity (m + 1) + (j - m) = j + 1 of degree 1, so the grid {0, 1}^2 proves it; where C(j, m) = 0,
+# at j < m, its three terms are 0.  With C(j, -1) = 0 it holds at m = -1 too, so the same sum at n - 1 gives
+# T_(n-1)(m-1) + T_(n-1)(m) = -T_n(m) + delta(m, 0) for m >= 0.
+# a: with m = n - k, and C and T read as 0 outside their range (which makes the closed form 0 at k = -1 and k = n + 1,
+# as the recurrence reads row n - 1), a(n, k) - a(n-1, k) + a(n-1, k-1) is
+# (-1)^(k+1) (C(n, k) - C(n-1, k) - C(n-1, k-1)), 0 by Pascal's rule,
+# plus 2 (-1)^m (T_n(m) + T_(n-1)(m) + T_(n-1)(m-1)) = 2 (-1)^m delta(m, 0) = 2 delta(k, n).
+# e: 2 e(n, k) = a(n-1, k) + d(n, k) + 2 delta(n, k), which reads 0 at k = n - 1 of row n - 1 as well.  So
+# 2 (e(n, k) + e(n-1, k) - e(n-1, k-1)) splits into d(n, k) + d(n-1, k) - d(n-1, k-1), 0 by d's certified rule,
+# a(n-1, k) + a(n-2, k) - a(n-2, k-1) = 2 a(n-1, k) - 2 delta(k, n-1) by a's rule at n - 1, and
+# 2 (delta(n, k) + delta(n-1, k) - delta(n-1, k-1)) = 2 delta(n-1, k): the deltas balance at k = n - 1, leaving
+# 2 a(n-1, k), twice e's extra term.  No identity here is new past Pascal's rule (degree 1) and d's (degree 2).
+PASCAL_DEGREE = 1
+
+
+def pascal_cleared(j, m):
+    """C(j, m), C(j, m+1) and C(j+1, m+1), each times (m + 1) / C(j, m)."""
+    return m + 1, j - m, j + 1
+
+
+def binomial(j, m):
+    return comb(j, m) if m >= 0 else 0
+
+
+def alternating(n, m):
+    """T_n(m) as ``_alternating_sums`` gives it, 0 outside 0 <= m <= n, where every term of the sum is 0."""
+    return coefficients._alternating_sums(n)[n - m] if 0 <= m <= n else 0
+
+
+def entry(family, n, k):
+    """``closed_value``, read as 0 outside the triangle, as the recurrences read row n - 1."""
+    try:
+        return closed_value(family, n, k)
+    except IndexError:
+        return 0
+
+
+def test_triangles_a_and_e_keep_their_recurrences_for_every_n():
+    for j, m in product(range(PASCAL_DEGREE + 1), repeat=2):
+        own, next_, total = pascal_cleared(j, m)
+        assert own + next_ == total, (j, m)
+    # Tied to the code for n <= 40: Pascal's rule, the sums' seed and telescoped step, the closed forms of a and e
+    # with their boundary entries, and the rules and seeds.
+    for j, m in product(range(41), repeat=2):
+        terms = (comb(j, m), comb(j, m + 1), comb(j + 1, m + 1))
+        assert [(m + 1) * t for t in terms] == [comb(j, m) * p for p in pascal_cleared(j, m)], (j, m)
+    for n in range(41):
+        assert alternating(n, n) == (-1) ** n * comb(n, n), n
+        for m in range(n):
+            telescoped = sum((-1) ** j * comb(j + 1, m + 1) for j in range(n + 1))
+            assert alternating(n, m) + alternating(n, m + 1) == telescoped, (n, m)
+            assert telescoped == -alternating(n, m + 1) + (-1) ** n * comb(n + 1, m + 1), (n, m)
+    a_rule, e_rule = FAMILIES[Family.A].rule, FAMILIES[Family.E].rule
+    for n in range(1, 41):
+        for k in range(-1, n + 2):
+            m = n - k
+            assert entry(Family.A, n, k) == (-1) ** (k + 1) * binomial(n, k) + 2 * (-1) ** m * alternating(n, m), (n, k)
+        for k in range(n + 1):
+            m = n - k
+            pascal = binomial(n, k) - binomial(n - 1, k) - binomial(n - 1, k - 1)
+            sums = alternating(n, m) + alternating(n - 1, m) + alternating(n - 1, m - 1)
+            assert (pascal, sums) == (0, kronecker(m, 0)), (n, k)
+            residual = entry(Family.A, n, k) - entry(Family.A, n - 1, k) + entry(Family.A, n - 1, k - 1)
+            assert residual == (-1) ** (k + 1) * pascal + 2 * (-1) ** m * sums == a_rule[2](n, k, ()), (n, k)
+    for n in range(1, 41):
+        for k in range(n + 1):  # k = n too, where e reads 0
+            assert 2 * entry(Family.E, n, k) == entry(Family.A, n - 1, k) + entry(Family.D, n, k) + 2 * kronecker(n, k)
+    a_rows = [[closed_value(Family.A, n, k) for k in range(n + 1)] for n in range(40)]
+    for n in range(2, 41):
+        for k in range(n):
+            d_part = entry(Family.D, n, k) + entry(Family.D, n - 1, k) - entry(Family.D, n - 1, k - 1)
+            a_part = entry(Family.A, n - 1, k) + entry(Family.A, n - 2, k) - entry(Family.A, n - 2, k - 1)
+            delta_part = kronecker(n, k) + kronecker(n - 1, k) - kronecker(n - 1, k - 1)
+            expected = (0, 2 * a_rows[n - 1][k] - 2 * kronecker(k, n - 1), kronecker(n - 1, k))
+            assert (d_part, a_part, delta_part) == expected, (n, k)
+            residual = entry(Family.E, n, k) + entry(Family.E, n - 1, k) - entry(Family.E, n - 1, k - 1)
+            assert 2 * residual == d_part + a_part + 2 * delta_part == 2 * e_rule[2](n, k, a_rows), (n, k)
+    for family, (seed, sign, extra) in ((Family.A, a_rule), (Family.E, e_rule)):
+        facts = FAMILIES[family]
+        assert seed == tuple(closed_value(family, facts.start_row, k) for k in range(len(seed)))
+        for n in range(facts.start_row + 1, 41):
+            row, prev = ([entry(family, r, k) for k in range(facts.row_length(r))] for r in (n, n - 1))
+            assert row == [sign * (b - a) + extra(n, k, a_rows) for k, (a, b) in enumerate(zip([0, *prev], [*prev, 0]))]
+
+
 def test_recurrence_route_reads_neither_closed_forms_nor_the_oracle(monkeypatch):
     expected = {family: recurrence_triangle(family, 30).rows for family in Family}
 
@@ -416,7 +506,7 @@ def test_only_the_schemes_read_the_doubling():
 
 
 def test_theorem_checks_pass():
-    results = run_checks("theorems", 10)
+    results = [result for result, _ in run_checks("theorems", 10)]
     assert all_passed(results)
     assert {r.name for r in results} == {f"theorems.{f.value}" for f in Family}
     assert check_theorem(Family.A, 3).passed

@@ -239,7 +239,7 @@ def test_family_orders_match_their_defining_formulas():
 
 
 def test_relations_pass_up_to_12():
-    assert all_passed(run_checks("relations", 12))
+    assert all_passed(result for result, _ in run_checks("relations", 12))
 
 
 def test_shift_law_passes_up_to_25():
@@ -321,7 +321,7 @@ _FIRST_FAILURES = {
 
 
 def _report_line(name, n_max=12):
-    return next(result.line() for result in run_checks(name.split(".")[0], n_max) if result.name == name)
+    return next(result.line() for result, _ in run_checks(name.split(".")[0], n_max) if result.name == name)
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,9 @@ def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
 def test_records_are_frozen(record):
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
+    assert record == tuple(record)
+    if isinstance(record, CheckResult):  # verify's result record, which a caller may put in a set
+        assert hash(record) == hash(tuple(record))
 
 
 def test_basis_spec_repr_is_pinned():

@@ -205,7 +205,7 @@ def test_the_lemma2_identities_hold_as_polynomials_up_to_60():
 
 
 def _lemma2_lines(n_max=12):
-    return {r.name: r.line() for r in run_checks("lemma2", n_max) if not r.name.startswith("lemma2.shift")}
+    return {r.name: r.line() for r, _ in run_checks("lemma2", n_max) if not r.name.startswith("lemma2.shift")}
 
 
 # Each check's line at n_max = 12 when one member reads as itself plus x^w, w its weight, a change inside its

@@ -96,7 +96,7 @@ def test_a_flipped_y0_sign_in_the_images_fails_the_recurrence_checks(monkeypatch
     # 4x^2 + 2, U_2 = 4x^2 - 1 against the U image 4x^2 + 1.  The transfers run at both signs, so they still pass.
     images = univariate_images
     monkeypatch.setattr(specializations, "univariate_images", lambda letter, y0, count: images(letter, -y0, count))
-    results = {result.name: result for result in run_checks("chebyshev", 12)}
+    results = {result.name: result for result, _ in run_checks("chebyshev", 12)}
     assert len(results) == 8
     assert {name for name, result in results.items() if not result.passed} == {
         "chebyshev.recurrence-T",
